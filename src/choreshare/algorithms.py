@@ -14,7 +14,6 @@ docstring, and identical inputs yield identical traces and allocations.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -29,8 +28,6 @@ from .model import (
     normalize_instance,
     unfairness_degree,
 )
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_SUBSET_BUDGET = 24
 
@@ -110,21 +107,12 @@ def wmms_prime(inst: Instance) -> tuple[Fraction, ...]:
     surrogate is sandwiched in [2*WMMS_i, WMMS_i]: at most a factor 2 more
     pessimistic than the true share, never more optimistic.  The alternative
     surrogate V_i(X_i) (the agent's own greedy bundle) lacks the upper half of
-    that sandwich; both are computed and divergences logged at DEBUG level.
+    that sandwich.
     """
     out = []
     for i in range(inst.n):
         alloc = egal_greedy(inst.shares, inst.values[i])
-        realized = inst.shares[i] * unfairness_degree(inst, i, alloc)
-        own = bundle_value(inst, i, alloc.bundles()[i])
-        if own != realized:
-            logger.debug(
-                "agent %d: own-bundle surrogate %s > egalitarian surrogate %s",
-                i,
-                own,
-                realized,
-            )
-        out.append(realized)
+        out.append(inst.shares[i] * unfairness_degree(inst, i, alloc))
     return tuple(out)
 
 

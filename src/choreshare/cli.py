@@ -3,7 +3,7 @@
 All rationals print as "p/q" (``--decimal`` appends rounded display values
 without affecting any check).  Exit codes: 0 success, 2 validation or
 precondition error, 3 enumeration budget exceeded, 4 guarantee violation
-(bench only).
+(bench only), 5 internal solver error.
 """
 
 from __future__ import annotations
@@ -29,11 +29,15 @@ from .algorithms import (
 )
 from .errors import (
     BudgetExceeded,
+    NoFeasibleAllocation,
     NoIntegralM,
     NormalizationImpossible,
     NotBinary,
     ParameterInconsistent,
     ParseError,
+    RoundingInvariantViolation,
+    Unbounded,
+    UpperBoundInfeasible,
 )
 from .model import (
     Allocation,
@@ -73,7 +77,12 @@ GUARANTEES = {
 
 def _default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else oracle.DEFAULT_BUDGET
+    if not raw:
+        return oracle.DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
 def _fmt(x: Fraction, decimal: bool = False) -> str:
@@ -117,10 +126,7 @@ def run_algorithm(
     if name == "binary":
         return binary_wmms(inst, trace=trace), {}
     if name == "linpro":
-        result = lp.linpro(inst, eps)
-        if trace is not None:
-            for j, agent in enumerate(result.allocation.owner):
-                trace.append(TraceEvent(j, j, agent, result.c_final))
+        result = lp.linpro(inst, eps, trace=trace)
         return result.allocation, {"c_final": result.c_final, "result": result}
     raise ValueError(f"unknown algorithm {name!r}; expected one of {', '.join(ALGORITHMS)}")
 
@@ -486,9 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -504,6 +509,14 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except (
+        RoundingInvariantViolation,
+        UpperBoundInfeasible,
+        Unbounded,
+        NoFeasibleAllocation,
+    ) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 def console_main() -> None:

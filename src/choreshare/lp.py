@@ -15,13 +15,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import simplex
-from .algorithms import wmms_prime
+from .algorithms import TraceEvent, wmms_prime
 from .errors import (
     NoFeasibleAllocation,
     RoundingInvariantViolation,
     UpperBoundInfeasible,
 )
-from .model import ZERO, Allocation, Instance
+from .model import ONE, ZERO, Allocation, Instance
 from .simplex import StandardForm
 
 
@@ -173,7 +173,9 @@ def build_assignment_graph(point: LPPoint) -> AssignmentGraph:
     return AssignmentGraph(edges=edges, components=tuple(components))
 
 
-def round_extreme_point(prog: LPProgram, point: LPPoint) -> Allocation:
+def round_extreme_point(
+    prog: LPProgram, point: LPPoint, trace: list[TraceEvent] | None = None
+) -> Allocation:
     """Round a basic feasible point to an integral chore assignment.
 
     Degree-1 chores carry their whole unit of mass and are peeled off first
@@ -182,7 +184,9 @@ def round_extreme_point(prog: LPProgram, point: LPPoint) -> Allocation:
     The result assigns every chore once and each agent's bundle clears the
     doubled floor w_i + t_i.  Any failed step indicates the point was not a
     basic feasible point of this program and raises
-    RoundingInvariantViolation.
+    RoundingInvariantViolation.  A ``trace`` list receives one event per
+    chore: peeled chores in peel order, then matched chores in chore order,
+    each with the x_ij that assigned it.
     """
     inst = prog.inst
     graph = build_assignment_graph(point)
@@ -200,6 +204,7 @@ def round_extreme_point(prog: LPProgram, point: LPPoint) -> Allocation:
         raise RoundingInvariantViolation("some chore has no positive mass")
 
     owner = [-1] * inst.m
+    peeled: list[int] = []
     # Peel chores supported by a single edge; that edge must carry weight 1.
     changed = True
     while changed:
@@ -212,6 +217,7 @@ def round_extreme_point(prog: LPProgram, point: LPPoint) -> Allocation:
                         f"degree-1 chore {j} carries mass {point.values[(i, j)]} != 1"
                     )
                 owner[j] = i
+                peeled.append(j)
                 agent_adj[i].discard(j)
                 chore_adj[j] = []
                 changed = True
@@ -243,6 +249,9 @@ def round_extreme_point(prog: LPProgram, point: LPPoint) -> Allocation:
                 )
     for i, j in matched_chore_of.items():
         owner[j] = i
+    if trace is not None:
+        for step, j in enumerate(peeled + sorted(matched_chore_of.values())):
+            trace.append(TraceEvent(step, j, owner[j], point.values[(owner[j], j)]))
 
     alloc = Allocation(inst.n, tuple(owner))
     for i, bundle in enumerate(alloc.bundles()):
@@ -255,14 +264,18 @@ def round_extreme_point(prog: LPProgram, point: LPPoint) -> Allocation:
     return alloc
 
 
-def linpro(inst: Instance, eps: Fraction) -> LinProResult:
+def linpro(
+    inst: Instance, eps: Fraction, trace: list[TraceEvent] | None = None
+) -> LinProResult:
     """Binary-search the smallest feasible threshold and round its vertex.
 
     References come from ``wmms_prime``.  The search keeps an invariant of
     "upper end feasible" over [1, n] (n is feasible: the largest-share agent
     can absorb everything) and stops once the bracket is within eps/4; the
-    final program is solved at the upper end and rounded.  The returned
-    allocation gives every agent at least 2*c_final times her reference.
+    vertex of the last feasible probe (of c = n when no probe was feasible)
+    is rounded.  The returned allocation gives every agent at least
+    2*c_final times her reference.  ``trace`` receives the rounding
+    decisions (see ``round_extreme_point``).
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -273,20 +286,24 @@ def linpro(inst: Instance, eps: Fraction) -> LinProResult:
     upper = Fraction(inst.n)
     lower = Fraction(1)
     iterations = 0
+    prog = point = None
     while upper - lower > eps / 4:
         mid = (upper + lower) / 2
-        if check_feasible(build_program(inst, mid, refs)) is not None:
-            upper = mid
+        probe = build_program(inst, mid, refs)
+        probe_point = check_feasible(probe)
+        if probe_point is not None:
+            upper, prog, point = mid, probe, probe_point
         else:
             lower = mid
         iterations += 1
-    prog = build_program(inst, upper, refs)
-    point = check_feasible(prog)
     if point is None:
-        raise UpperBoundInfeasible(
-            f"threshold {upper} infeasible, yet {inst.n} is provably feasible"
-        )
-    allocation = round_extreme_point(prog, point)
+        prog = build_program(inst, upper, refs)
+        point = check_feasible(prog)
+        if point is None:
+            raise UpperBoundInfeasible(
+                f"threshold {upper} infeasible, yet {inst.n} is provably feasible"
+            )
+    allocation = round_extreme_point(prog, point, trace)
     return LinProResult(
         allocation=allocation,
         c_final=upper,
@@ -322,48 +339,26 @@ def min_feasible_c(inst: Instance, refs: Sequence[Fraction]) -> Fraction:
 
     best: Fraction | None = None
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    one = Fraction(1)
     for b in sorted(breakpoints):
         if best is not None and b >= best:
             break
-        eligible = tuple(
-            tuple(
-                j
-                for j in range(inst.m)
-                if inst.values[i][j] >= b * refs[i]
-            )
-            for i in range(inst.n)
-        )
-        if eligible in seen:
+        # The eligibility pattern at b, with c a variable: agent rows become
+        # V_i . x_i - c * refs[i] >= 0, and c >= b.
+        prog = build_program(inst, b, refs)
+        if prog.eligible_chores in seen:
             continue
-        seen.add(eligible)
-        covered = [False] * inst.m
-        for i in range(inst.n):
-            for j in eligible[i]:
-                covered[j] = True
-        if not all(covered):
+        seen.add(prog.eligible_chores)
+        if prog.trivially_infeasible:
             continue
-        variables = [(i, j) for i in range(inst.n) for j in eligible[i]]
-        index = {var: k for k, var in enumerate(variables)}
-        c_var = len(variables)
-        sf = StandardForm(num_vars=c_var + 1)
-        for i in range(inst.n):
-            coeffs = [ZERO] * sf.num_vars
-            for j in eligible[i]:
-                coeffs[index[(i, j)]] = inst.values[i][j]
-            coeffs[c_var] = -refs[i]
-            sf.add(coeffs, ZERO, "ge")
-        for j in range(inst.m):
-            coeffs = [ZERO] * sf.num_vars
-            for i in range(inst.n):
-                if (i, j) in index:
-                    coeffs[index[(i, j)]] = one
-            sf.add(coeffs, one, "eq")
-        floor_row = [ZERO] * sf.num_vars
-        floor_row[c_var] = one
-        sf.add(floor_row, b, "ge")
-        objective = [ZERO] * sf.num_vars
-        objective[c_var] = one
+        fixed = _standard_form(prog)
+        sf = StandardForm(num_vars=fixed.num_vars + 1)
+        for k, (coeffs, rhs, sense) in enumerate(fixed.rows):
+            if k < inst.n:
+                sf.add(coeffs + (-refs[k],), ZERO, sense)
+            else:
+                sf.add(coeffs + (ZERO,), rhs, sense)
+        sf.add((ZERO,) * fixed.num_vars + (ONE,), b, "ge")
+        objective = [ZERO] * fixed.num_vars + [ONE]
         result = simplex.minimize(sf, objective)
         if result is not None:
             value = result[0]

@@ -1,22 +1,22 @@
-"""Exact-rational simplex over Fractions.
+"""Exact Bland simplex over integers (fraction-free pivoting).
 
 Phase 1 (artificial-variable) simplex with Bland's anti-cycling rule, used as
 a feasibility engine returning basic feasible points (vertices); an optional
 phase 2 minimizes a linear objective, which the threshold diagnostic needs.
-Everything is exact: constraints hold with zero residual at returned points,
-and identical inputs produce identical vertices.
+The tableau holds integer rows over one positive common denominator and is
+updated by integer-preserving (Edmonds/Bareiss) pivots, so every division is
+exact.  Everything is exact: constraints hold with zero residual at returned
+points, and identical inputs produce identical vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import Unbounded
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -36,109 +36,118 @@ class StandardForm:
             raise ValueError(f"expected {self.num_vars} coefficients, got {len(coeffs)}")
         if sense not in ("eq", "ge"):
             raise ValueError(f"unknown sense {sense!r}")
-        self.rows.append((tuple(Fraction(c) for c in coeffs), Fraction(rhs), sense))
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        self.rows.append((coeffs, Fraction(rhs), sense))
+
+
+def _eliminate(row: list[int], pivot: list[int], c: int, p: int, d: int) -> list[int]:
+    """``row`` after pivoting on entry ``p`` (column ``c``) of row ``pivot``.
+
+    Both rows are over the denominator ``d`` and the result is over ``p``;
+    every quotient is exact because each entry is a minor of the scaled
+    constraint matrix (Bareiss).
+    """
+    f = row[c]
+    if f == 0:
+        return row if p == d else [a * p // d for a in row]
+    return [(a * p - f * b) // d for a, b in zip(row, pivot)]
 
 
 class _Tableau:
+    """Integer rows, right-hand side last, over one positive denominator ``d``.
+
+    ``rows[r] / d`` is row r of the textbook tableau for the program with
+    every constraint row scaled to integers and every surplus and artificial
+    column rescaled to +-1.  Row scaling leaves B^-1 A unchanged, and positive
+    column scaling keeps the signs of reduced costs and the order of ratios
+    within a column, so Bland's rule pivots exactly as on the unscaled
+    program and reaches the same vertex.
+    """
+
     def __init__(self, sf: StandardForm):
         self.n_struct = sf.num_vars
-        ge_rows = [r for r, (_, _, sense) in enumerate(sf.rows) if sense == "ge"]
-        surplus_of = {r: sf.num_vars + k for k, r in enumerate(ge_rows)}
-        self.artificial_start = sf.num_vars + len(ge_rows)
-
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        needs_artificial: list[bool] = []
-        for r, (coeffs, b, sense) in enumerate(sf.rows):
-            row = list(coeffs) + [_ZERO] * len(ge_rows)
+        ge = sum(sense == "ge" for _, _, sense in sf.rows)
+        flipped = sum(sense == "ge" and b < 0 for _, b, sense in sf.rows)
+        self.artificial_start = sf.num_vars + ge
+        self.width = self.artificial_start + len(sf.rows) - flipped
+        self.d = 1
+        self.rows: list[list[int]] = []
+        self.basis: list[int] = []
+        scales = [lcm(b.denominator, *(c.denominator for c in coeffs))
+                  for coeffs, b, _ in sf.rows]
+        # Unit phase-1 cost per unscaled artificial, times lcm(scales) so the
+        # cost of each rescaled artificial is an integer.
+        weight = lcm(*scales)
+        self.phase1_costs = [0] * self.width
+        surplus, artificial = sf.num_vars, self.artificial_start
+        for (coeffs, b, sense), scale in zip(sf.rows, scales):
+            sign = -1 if b < 0 else 1
+            row = [sign * c.numerator * (scale // c.denominator) for c in (*coeffs, b)]
+            row[-1:-1] = [0] * (self.width - sf.num_vars)
             if sense == "ge":
-                row[surplus_of[r]] = -_ONE
-            if b < 0:
-                row = [-c for c in row]
-                b = -b
-            rows.append(row)
-            rhs.append(b)
+                row[surplus] = -sign
+                surplus += 1
             # A sign-flipped >= row leaves its surplus with coefficient +1,
             # which serves as the initial basic variable; every other row
             # gets an artificial.
-            needs_artificial.append(not (sense == "ge" and row[surplus_of[r]] == 1))
-
-        self.width = self.artificial_start + sum(needs_artificial)
-        self.basis: list[int] = []
-        next_artificial = self.artificial_start
-        for r in range(len(rows)):
-            rows[r].extend([_ZERO] * (self.width - len(rows[r])))
-            if needs_artificial[r]:
-                rows[r][next_artificial] = _ONE
-                self.basis.append(next_artificial)
-                next_artificial += 1
+            if sense == "ge" and sign < 0:
+                self.basis.append(surplus - 1)
             else:
-                self.basis.append(surplus_of[r])
-        self.rows = rows
-        self.rhs = rhs
+                row[artificial] = 1
+                self.basis.append(artificial)
+                self.phase1_costs[artificial] = weight // scale
+                artificial += 1
+            self.rows.append(row)
 
     def _pivot(self, r: int, c: int) -> None:
-        piv = self.rows[r][c]
-        inv = _ONE / piv
-        self.rows[r] = [a * inv for a in self.rows[r]]
-        self.rhs[r] *= inv
-        for rr in range(len(self.rows)):
-            if rr == r:
-                continue
-            factor = self.rows[rr][c]
-            if factor == 0:
-                continue
-            pivot_row = self.rows[r]
-            self.rows[rr] = [a - factor * p for a, p in zip(self.rows[rr], pivot_row)]
-            self.rhs[rr] -= factor * self.rhs[r]
+        pivot_row = self.rows[r]
+        p = pivot_row[c]
+        if p < 0:
+            # Only the artificial clean-up pivots on a negative entry; the
+            # negated pivot row keeps the common denominator positive.
+            pivot_row = self.rows[r] = [-a for a in pivot_row]
+            p = -p
+        d = self.d
+        for i, row in enumerate(self.rows):
+            if i != r:
+                self.rows[i] = _eliminate(row, pivot_row, c, p, d)
+        self.d = p
         self.basis[r] = c
 
-    def _optimize(self, costs: list[Fraction], allowed: list[bool]) -> None:
-        """Bland-rule simplex: minimize costs over the current basis."""
-        reduced = list(costs)
-        for r, b in enumerate(self.basis):
+    def _optimize(self, costs: list[int], limit: int) -> None:
+        """Bland-rule simplex: minimize costs over columns below ``limit``."""
+        rows, basis = self.rows, self.basis
+        reduced = [c * self.d for c in costs] + [0]
+        for row, b in zip(rows, basis):
             cb = costs[b]
             if cb != 0:
-                row = self.rows[r]
-                reduced = [d - cb * a for d, a in zip(reduced, row)]
+                reduced = [x - cb * a for x, a in zip(reduced, row)]
         while True:
-            entering = -1
-            for j in range(self.width):
-                if allowed[j] and reduced[j] < 0:
-                    entering = j
-                    break
+            entering = next((j for j in range(limit) if reduced[j] < 0), -1)
             if entering < 0:
                 return
             leaving = -1
-            best_ratio = None
-            for r in range(len(self.rows)):
-                a = self.rows[r][entering]
+            for r, row in enumerate(rows):
+                a = row[entering]
                 if a > 0:
-                    ratio = self.rhs[r] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[r] < self.basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = r
+                    if leaving < 0:
+                        leaving, num, den = r, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leaving]):
+                        leaving, num, den = r, row[-1], a
             if leaving < 0:
                 raise Unbounded("objective unbounded below")
-            factor = reduced[entering]
+            reduced = _eliminate(reduced, rows[leaving], entering, den, self.d)
             self._pivot(leaving, entering)
-            pivot_row = self.rows[leaving]
-            reduced = [d - factor * a for d, a in zip(reduced, pivot_row)]
 
     def phase1(self) -> bool:
         """Drive artificials to zero; False means the constraints are infeasible."""
-        costs = [_ZERO] * self.width
-        for j in range(self.artificial_start, self.width):
-            costs[j] = _ONE
-        self._optimize(costs, allowed=[True] * self.width)
+        self._optimize(self.phase1_costs, self.width)
         if any(
-            self.rhs[r] != 0
-            for r in range(len(self.rows))
-            if self.basis[r] >= self.artificial_start
+            row[-1] != 0
+            for row, b in zip(self.rows, self.basis)
+            if b >= self.artificial_start
         ):
             return False
         # Pivot out artificials basic at zero; rows with no structural
@@ -146,34 +155,28 @@ class _Tableau:
         for r in reversed(range(len(self.rows))):
             if self.basis[r] < self.artificial_start:
                 continue
-            col = next(
-                (
-                    j
-                    for j in range(self.artificial_start)
-                    if self.rows[r][j] != 0
-                ),
-                -1,
-            )
+            row = self.rows[r]
+            col = next((j for j in range(self.artificial_start) if row[j] != 0), -1)
             if col >= 0:
                 self._pivot(r, col)
             else:
-                del self.rows[r], self.rhs[r], self.basis[r]
+                del self.rows[r], self.basis[r]
         return True
 
     def phase2(self, objective: Sequence[Fraction]) -> Fraction:
-        costs = [Fraction(c) for c in objective]
-        costs += [_ZERO] * (self.width - len(costs))
-        allowed = [j < self.artificial_start for j in range(self.width)]
-        self._optimize(costs, allowed)
-        return sum(
-            (costs[self.basis[r]] * self.rhs[r] for r in range(len(self.rows))), _ZERO
-        )
+        objective = [Fraction(c) for c in objective]
+        scale = lcm(*(c.denominator for c in objective))
+        costs = [c.numerator * (scale // c.denominator) for c in objective]
+        costs += [0] * (self.width - len(costs))
+        self._optimize(costs, self.artificial_start)
+        value = sum(costs[b] * row[-1] for row, b in zip(self.rows, self.basis))
+        return Fraction(value, scale * self.d)
 
     def point(self) -> list[Fraction]:
-        x = [_ZERO] * self.n_struct
-        for r, b in enumerate(self.basis):
+        x = [Fraction(0)] * self.n_struct
+        for row, b in zip(self.rows, self.basis):
             if b < self.n_struct:
-                x[b] = self.rhs[r]
+                x[b] = Fraction(row[-1], self.d)
         return x
 
 

@@ -122,6 +122,19 @@ def test_solve_trace_and_decimal(table2_file, capsys):
     assert "wmms[0]: -3/4 (-0.75)" in out
 
 
+def test_solve_linpro_trace_reports_rounding(table1_file, capsys):
+    # chores 1 and 2 are peeled with their whole unit; chores 0 and 3 are
+    # split between the agents and go by the matching
+    code, out, _ = run_cli(capsys, "solve", table1_file, "linpro", "--trace")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("trace:")] == [
+        "trace: step 0: chore 1 -> agent 1 (quantity 1)",
+        "trace: step 1: chore 2 -> agent 1 (quantity 1)",
+        "trace: step 2: chore 0 -> agent 1 (quantity 519/1024)",
+        "trace: step 3: chore 3 -> agent 0 (quantity 521/1024)",
+    ]
+
+
 def test_solve_linpro_dump_lp(table2_file, capsys):
     code, out, _ = run_cli(capsys, "solve", table2_file, "linpro", "--dump-lp")
     assert code == 0
@@ -153,6 +166,34 @@ def test_oracle_budget_env_var(table1_file, capsys, monkeypatch):
     monkeypatch.setenv("CHORESHARE_ORACLE_BUDGET", "1000")
     code, _, _ = run_cli(capsys, "oracle", table1_file)
     assert code == 0
+
+
+def test_bad_budget_env_var_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CHORESHARE_ORACLE_BUDGET", "abc")
+    code, out, err = run_cli(capsys, "validate", str(tmp_path / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ValueError: CHORESHARE_ORACLE_BUDGET")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        cs.RoundingInvariantViolation,
+        cs.UpperBoundInfeasible,
+        cs.Unbounded,
+        cs.NoFeasibleAllocation,
+    ],
+)
+def test_internal_solver_error_exits_5(table2_file, capsys, monkeypatch, error):
+    def broken(inst, eps, trace=None):
+        raise error("invariant broken")
+
+    monkeypatch.setattr(cs.lp, "linpro", broken)
+    code, out, err = run_cli(capsys, "solve", table2_file, "linpro")
+    assert code == 5
+    assert out == ""
+    assert err == f"error: {error.__name__}: invariant broken\n"
 
 
 def test_bench_empty_directory(tmp_path, capsys):

@@ -139,6 +139,38 @@ def test_linpro_table1(table1):
         assert value >= F(401, 100) * alpha * wmms[i]
 
 
+def test_linpro_trace_is_the_rounding(table1):
+    trace = []
+    result = lp.linpro(table1, F(1, 100), trace=trace)
+    assert [(e.step, e.chore, e.agent, e.quantity) for e in trace] == [
+        (0, 1, 1, F(1)),
+        (1, 2, 1, F(1)),
+        (2, 0, 1, F(519, 1024)),
+        (3, 3, 0, F(521, 1024)),
+    ]
+    assert all(e.quantity == result.point.values[(e.agent, e.chore)] for e in trace)
+    assert cs.replay_trace(table1.n, table1.m, trace) == result.allocation
+
+
+def test_linpro_solves_each_threshold_once(table1, monkeypatch):
+    solved = []
+    check_feasible = lp.check_feasible
+
+    def counting(prog):
+        solved.append(prog.thresholds)
+        return check_feasible(prog)
+
+    monkeypatch.setattr(lp, "check_feasible", counting)
+    result = lp.linpro(table1, F(1, 100))
+    # the rounded vertex is the last feasible probe's, not a second solve
+    assert len(solved) == result.iterations == len(set(solved))
+    assert result.program == lp.build_program(table1, result.c_final, result.references)
+    # with no probe at all, the upper end c = n is solved once
+    solved.clear()
+    lp.linpro(cs.Instance((F(1),), ((F(-1),),)), F(1, 100))
+    assert len(solved) == 1
+
+
 def test_linpro_table2(table2):
     result = lp.linpro(table2, F(1, 100))
     assert result.c_final == F(683, 512)  # just above the 4/3 optimum

@@ -1,0 +1,113 @@
+"""Differential tests: the integer simplex against the Fraction reference.
+
+Both tableaus run Bland's rule from the same starting basis, so on every
+form they must agree on the vertex, the infeasibility verdict, the optimum
+and unboundedness, not merely on feasibility.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import fraction_simplex as reference
+from choreshare import Unbounded, random_instance, wmms_prime
+from choreshare import lp, simplex
+from choreshare.simplex import StandardForm
+
+F = Fraction
+
+# Small values with many zeros make degenerate vertices, where the ratio
+# test ties and Bland's tie-break decides the path.
+coeff = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 3)])
+rhs_values = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(3, 2), F(-2, 5)])
+
+
+@st.composite
+def forms(draw):
+    num_vars = draw(st.integers(min_value=1, max_value=5))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["new", "new", "redundant", "contradictory"]))
+        if kind == "new" or not rows:
+            coeffs = tuple(draw(st.lists(coeff, min_size=num_vars, max_size=num_vars)))
+            rows.append((coeffs, draw(rhs_values), draw(st.sampled_from(["eq", "ge"]))))
+            continue
+        coeffs, rhs, sense = draw(st.sampled_from(rows))
+        factor = draw(st.sampled_from([F(1), F(2), F(-1, 3)]))
+        coeffs = tuple(factor * c for c in coeffs)
+        rhs = factor * rhs
+        if kind == "contradictory":
+            rhs += draw(st.sampled_from([F(1), F(-1, 2)]))
+        rows.append((coeffs, rhs, "eq"))
+    sf = StandardForm(num_vars=num_vars)
+    for row in rows:
+        sf.add(*row)
+    objective = draw(st.lists(coeff, min_size=num_vars, max_size=num_vars))
+    return sf, objective
+
+
+def _minimize(solver, sf, objective):
+    try:
+        return solver.minimize(sf, objective)
+    except Unbounded:
+        return "unbounded"
+
+
+# A degenerate form on which reversing the ratio-test tie-break changes the
+# phase-1 vertex.
+TIE_BREAK_FORM = StandardForm(
+    num_vars=3,
+    rows=[
+        ((F(1, 2), F(0), F(0)), F(3, 2), "eq"),
+        ((F(-1, 3), F(1), F(0)), F(-1), "ge"),
+        ((F(1, 2), F(0), F(0)), F(3, 2), "eq"),
+        ((F(0), F(0), F(0)), F(0), "eq"),
+        ((F(0), F(1), F(1)), F(1), "eq"),
+    ],
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(forms())
+@example((TIE_BREAK_FORM, [F(0), F(0), F(0)]))
+def test_same_vertex_and_optimum_as_reference(case):
+    sf, objective = case
+    assert simplex.feasible_basic_point(sf) == reference.feasible_basic_point(sf)
+    assert _minimize(simplex, sf, objective) == _minimize(reference, sf, objective)
+
+
+@settings(max_examples=400, deadline=None)
+@given(forms())
+def test_same_bases_as_reference(case):
+    # Equal bases after each phase mean both took the same Bland path, which
+    # degenerate forms expose more often than the vertex they end at.
+    sf, objective = case
+    ours, theirs = simplex._Tableau(sf), reference._Tableau(sf)
+    feasible = theirs.phase1()
+    assert ours.phase1() == feasible
+    assert ours.basis == theirs.basis
+    if not feasible:
+        return
+    try:
+        theirs.phase2(objective)
+    except Unbounded:
+        with pytest.raises(Unbounded):
+            ours.phase2(objective)
+    else:
+        ours.phase2(objective)
+    assert ours.basis == theirs.basis
+
+
+def test_same_vertex_on_linpro_probes():
+    for seed in range(4):
+        inst = random_instance(3, 6, seed)
+        refs = wmms_prime(inst)
+        for c in (F(1), F(5, 4), F(3, 2), F(2), F(3)):
+            prog = lp.build_program(inst, c, refs)
+            if prog.trivially_infeasible:
+                continue
+            sf = lp._standard_form(prog)
+            ours = simplex.feasible_basic_point(sf)
+            assert ours == reference.feasible_basic_point(sf)
