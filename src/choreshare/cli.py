@@ -142,6 +142,13 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _report_violations(violations: list[str]) -> bool:
+    """Print each violation to stderr; True when there was any."""
+    for v in violations:
+        print(f"violation: {v}", file=sys.stderr)
+    return bool(violations)
+
+
 def _dump_lp(result: lp.LinProResult) -> None:
     prog = result.program
     names = [f"x[{i},{j}]" for i, j in prog.variables]
@@ -165,10 +172,7 @@ def _dump_lp(result: lp.LinProResult) -> None:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.file)
-    violations = validate_instance(inst)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
+    if _report_violations(validate_instance(inst)):
         return 2
     trace: list[TraceEvent] | None = [] if args.trace else None
     eps = parse_ratio(args.eps, context="--eps")
@@ -247,10 +251,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst = load_instance(args.file)
-    violations = validate_instance(inst)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
+    if _report_violations(validate_instance(inst)):
         return 2
     result = oracle.exact_wmms(inst, budget=args.budget)
     print(f"wmms: {' '.join(_fmt(x, args.decimal) for x in result.wmms)}")
@@ -329,6 +330,10 @@ def _bench_instances(spec: str) -> list[tuple[str, Instance, tuple[Fraction, ...
 
 def _cmd_bench(args) -> int:
     instances = _bench_instances(args.spec)
+    if _report_violations(
+        [f"{inst_id}: {v}" for inst_id, inst, _ in instances for v in validate_instance(inst)]
+    ):
+        return 2
     algs = [tok for tok in args.algs.split(",") if tok]
     for alg in algs:
         if alg not in ALGORITHMS:

@@ -1,24 +1,24 @@
-"""Exhaustive ground-truth computations.
+"""Exact ground-truth computations by lexicographic branch and bound.
 
-Everything here enumerates all n^m owner vectors in lexicographic order, which
-is exponential by design: these routines exist to certify the polynomial-time
-algorithms, not to compete with them.  A budget guard (exact integer n^m
-comparison) refuses enumerations that would not terminate at desk scale.
-
-The inner loops work on integer-rescaled values (one common denominator per
-valuation row, one for the shares) and compare quotients by cross
-multiplication, so no Fraction objects are built until a result is reported.
+Both oracles search the n^m owner vectors depth first, chores in index order
+and owners 0..n-1, so leaves come in lexicographic order.  Values are
+nonpositive, so a partial assignment bounds all its completions; a subtree is
+pruned only when none of its leaves can be strictly better than the incumbent,
+and the witness is the lexicographically first optimum, as with a full
+enumeration.  The search is exponential in the worst case: it certifies the
+polynomial-time algorithms, not competes with them.  A budget guard (exact
+integer n^m comparison) refuses instances beyond desk scale.  The search works
+on integer-rescaled values and compares quotients by cross multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from .errors import BudgetExceeded, NoFeasibleAllocation
-from .model import Allocation, Instance, bundle_value
+from .model import Allocation, Instance, fairness_report, unfairness_degree
 
 DEFAULT_BUDGET = 10**8
 
@@ -61,60 +61,95 @@ def _scaled_row(row: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return [int(v * denom) for v in row], denom
 
 
-def _scaled_shares(inst: Instance) -> tuple[list[int], int]:
-    denom = lcm(*(s.denominator for s in inst.shares))
-    return [int(s * denom) for s in inst.shares], denom
+def _check_signs(inst: Instance) -> None:
+    """Pruning is sound only when bundle sums never rise and shares are positive."""
+    if any(s <= 0 for s in inst.shares):
+        raise ValueError("oracle needs positive shares")
+    if any(v > 0 for row in inst.values for v in row):
+        raise ValueError("oracle needs nonpositive values")
+
+
+def _lex_min_max(
+    loads: list[list[int]], weights: list[tuple[int, int]]
+) -> tuple[int, int, tuple[int, ...] | None]:
+    """Lexicographically first owner vector minimizing max_k load_k * a_k / b_k.
+
+    ``loads[j][k] >= 0`` is the load chore j puts on agent k; ``weights[k]`` is
+    ``(a_k, b_k)`` with ``a_k > 0``, and ``b_k = 0`` means k's load must stay 0.
+    Returns the optimum's numerator, denominator and owner vector (None when
+    no owner vector keeps those agents at 0).  Loads only grow along a path,
+    so the largest key of a partial assignment bounds its completions, and a
+    child is entered only when that bound is below the incumbent.  The stack
+    is explicit (``owner``, ``top_*``): depth is not bounded by recursion.
+    """
+    n, m = len(weights), len(loads)
+    sums = [0] * n
+    owner = [-1] * m  # owner[j]: agent chore j is assigned to, -1 before the first
+    top_num = [0] * (m + 1)  # top_*[j]: largest key once chores < j are assigned
+    top_den = [1] * (m + 1)
+    best_num, best_den = 1, 0  # +infinity until the first leaf
+    best_owner = None
+    # key_k < best  <=>  load_k < cap[k], loads being integers; b_k = 0 caps at 1
+    cap = [sum(row[k] for row in loads) + 1 if b else 1 for k, (_, b) in enumerate(weights)]
+    j = 0
+    while j >= 0:
+        if j == m:
+            best_num, best_den, best_owner = top_num[m], top_den[m], tuple(owner)
+            cap = [-(-best_num * b // (a * best_den)) if b else 1 for a, b in weights]
+            j -= 1
+            continue
+        row = loads[j]
+        k = owner[j]
+        if k >= 0:
+            sums[k] -= row[k]
+        num, den = top_num[j], top_den[j]
+        if num * best_den >= best_num * den:
+            k = n  # the partial assignment already reaches the incumbent
+        for k in range(k + 1, n):
+            load = sums[k] + row[k]
+            if load < cap[k]:
+                owner[j] = k
+                sums[k] = load
+                a, b = weights[k]
+                if load * a * den > num * b:
+                    num, den = load * a, b
+                j += 1
+                top_num[j] = num
+                top_den[j] = den
+                break
+        else:
+            owner[j] = -1
+            j -= 1
+    return best_num, best_den, best_owner
 
 
 def exact_wmms(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """Exact per-agent weighted maxmin shares by owner-vector enumeration.
+    """Exact per-agent weighted maxmin shares by lexicographic branch and bound.
 
-    Agents with identical valuation rows share one enumeration pass, since the
-    result depends only on the row.  Ties in the inner minimum and the outer
-    maximum are broken by first occurrence, so witnesses are deterministic.
+    Agents with identical valuation rows share one search, since the result
+    depends only on the row.  The witness is the lexicographically first
+    partition attaining the optimum.  Raises ValueError when a value is
+    positive or a share is not.
     """
     n, m = inst.n, inst.m
     check_budget(n, m, budget)
-    sh, _ = _scaled_shares(inst)
+    _check_signs(inst)
+    sh, _ = _scaled_row(inst.shares)
+    per_share = [(1, s) for s in sh]
 
     by_row: dict[tuple[Fraction, ...], Allocation] = {}
     for row in inst.values:
-        if row in by_row:
-            continue
-        ints, _ = _scaled_row(row)
-        best_num = best_den = 0  # numerator/denominator of the best min so far
-        best_owners: tuple[int, ...] | None = None
-        for owners in product(range(n), repeat=m):
-            sums = [0] * n
-            for j, o in enumerate(owners):
-                sums[o] += ints[j]
-            # k* = argmin_k sums[k] / sh[k]; shares positive so the quotient
-            # order survives cross multiplication.
-            k_star = 0
-            for k in range(1, n):
-                if sums[k] * sh[k_star] < sums[k_star] * sh[k]:
-                    k_star = k
-            num, den = sums[k_star], sh[k_star]
-            if best_owners is None or num * best_den > best_num * den:
-                best_num, best_den, best_owners = num, den, owners
-        by_row[row] = Allocation(n, best_owners)
+        if row not in by_row:
+            ints, _ = _scaled_row(row)
+            # max min_k V(X_k) / s_k = -(min max_k load(X_k) / s_k), load = -V
+            _, _, owners = _lex_min_max([[-v] * n for v in ints], per_share)
+            by_row[row] = Allocation(n, owners)
 
-    # The hot loop only ranks integer quotients; the exact rational values are
-    # reconstructed here from the witnesses, which also re-checks that each
-    # witness attains its reported optimum.
-    w_vals = []
-    wmms_vals = []
-    witnesses = []
-    for i, row in enumerate(inst.values):
-        witness = by_row[row]
-        w_i = min(
-            bundle_value(inst, i, bundle) / inst.shares[k]
-            for k, bundle in enumerate(witness.bundles())
-        )
-        w_vals.append(w_i)
-        wmms_vals.append(inst.shares[i] * w_i)
-        witnesses.append(witness)
-    return OracleResult(tuple(wmms_vals), tuple(w_vals), tuple(witnesses))
+    # The search only ranks integer quotients; the exact rational values are
+    # reconstructed here from the witnesses.
+    witnesses = tuple(by_row[row] for row in inst.values)
+    w = tuple(unfairness_degree(inst, i, witnesses[i]) for i in range(n))
+    return OracleResult(tuple(s * w_i for s, w_i in zip(inst.shares, w)), w, witnesses)
 
 
 def exact_owmms(
@@ -124,79 +159,42 @@ def exact_owmms(
 
     Agents with wmms[i] == 0 admit no finite ratio; an allocation qualifies
     only if it gives each of them value exactly 0, and they are skipped in the
-    ratio maximum.  Enumeration is lexicographic and the first allocation
-    attaining the minimum is returned, so the witness is deterministic.
+    ratio maximum.  The witness is the lexicographically first allocation
+    attaining the minimum.  Raises ValueError when a reference or a value is
+    positive or a share is not.
     """
     n, m = inst.n, inst.m
     check_budget(n, m, budget)
     if any(ref > 0 for ref in wmms):
         raise ValueError("wmms references must be nonpositive")
+    _check_signs(inst)
 
-    int_rows = []
-    ratio_scale = []  # per negative-reference agent: ratio = -own * A / B with B > 0
+    loads = [[0] * n for _ in range(m)]
+    weights: list[tuple[int, int]] = []
     for i in range(n):
         ints, denom = _scaled_row(inst.values[i])
-        int_rows.append(ints)
+        for j, v in enumerate(ints):
+            loads[j][i] = -v
         ref = wmms[i]
-        if ref < 0:
-            ratio_scale.append((i, ref.denominator, -denom * ref.numerator))
-        else:
-            ratio_scale.append((i, 0, 0))
-    negative = [i for i in range(n) if wmms[i] < 0]
-    zero = [i for i in range(n) if wmms[i] == 0]
+        # ratio = own / ref = load * ref.denominator / (-ref.numerator * denom)
+        weights.append((ref.denominator, -denom * ref.numerator) if ref < 0 else (1, 0))
 
-    best: tuple[int, int] | None = None  # ratio numerator/denominator, den > 0
-    best_owners: tuple[int, ...] | None = None
-    for owners in product(range(n), repeat=m):
-        own = [0] * n
-        for j, o in enumerate(owners):
-            own[o] += int_rows[o][j]
-        if any(own[z] != 0 for z in zero):
-            continue
-        num, den = 0, 1
-        for i in negative:
-            _, a_i, b_i = ratio_scale[i]
-            cand_num, cand_den = -own[i] * a_i, b_i
-            if cand_num * den > num * cand_den:
-                num, den = cand_num, cand_den
-        if best is None or num * best[1] < best[0] * den:
-            best = (num, den)
-            best_owners = owners
-    if best is None or best_owners is None:
+    num, den, owners = _lex_min_max(loads, weights)
+    if owners is None:
         raise NoFeasibleAllocation(
             "no allocation gives every zero-reference agent value 0"
         )
-    alpha = max(Fraction(1), Fraction(best[0], best[1]))
-    return OwmmsResult(alpha, Allocation(n, best_owners))
+    return OwmmsResult(max(Fraction(1), Fraction(num, den)), Allocation(n, owners))
 
 
 def exact_makespan_f(inst: Instance, i: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Minimum over partitions of the largest per-share disutility of a bundle.
 
     This is the scheduling (makespan) form of the maxmin computation with
-    disutility D = -V; it equals the negation of ``exact_wmms(...).w[i]`` and
-    is enumerated independently as a cross-check.
+    disutility D = -V (Q||Cmax with speeds = shares), so it is
+    ``-exact_wmms(inst, budget).w[i]``.
     """
-    n, m = inst.n, inst.m
-    check_budget(n, m, budget)
-    sh, sh_denom = _scaled_shares(inst)
-    ints, denom = _scaled_row(inst.values[i])
-    loads = [-v for v in ints]  # disutilities, nonnegative
-
-    best_num = best_den = 0
-    first = True
-    for owners in product(range(n), repeat=m):
-        sums = [0] * n
-        for j, o in enumerate(owners):
-            sums[o] += loads[j]
-        k_star = 0
-        for k in range(1, n):
-            if sums[k] * sh[k_star] > sums[k_star] * sh[k]:
-                k_star = k
-        num, den = sums[k_star], sh[k_star]
-        if first or num * best_den < best_num * den:
-            best_num, best_den, first = num, den, False
-    return Fraction(sh_denom * best_num, denom * best_den)
+    return -exact_wmms(inst, budget).w[i]
 
 
 def verify_alpha(
@@ -206,7 +204,4 @@ def verify_alpha(
     alpha: Fraction,
 ) -> bool:
     """True iff every agent's own-bundle value is at least alpha times her reference."""
-    return all(
-        bundle_value(inst, i, bundle) >= alpha * wmms[i]
-        for i, bundle in enumerate(alloc.bundles())
-    )
+    return fairness_report(inst, alloc, wmms).satisfied_at(alpha)

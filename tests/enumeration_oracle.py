@@ -1,0 +1,104 @@
+"""Test-only reference: the owner-vector enumeration oracles.
+
+These are ``choreshare.oracle.exact_wmms`` and ``exact_owmms`` as they were
+before the oracle moved to a pruned lexicographic search.  They score all
+n^m owner vectors in lexicographic order and keep the first strictly better
+one, so they are slow but obviously exact; the differential tests require the
+search to return the same values and the same witnesses.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+from math import lcm
+
+from choreshare.errors import NoFeasibleAllocation
+from choreshare.model import Allocation, Instance, bundle_value
+from choreshare.oracle import OracleResult, OwmmsResult
+
+
+def _scaled_row(row: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    denom = lcm(*(v.denominator for v in row)) if row else 1
+    return [int(v * denom) for v in row], denom
+
+
+def exact_wmms(inst: Instance) -> OracleResult:
+    n, m = inst.n, inst.m
+    sh, _ = _scaled_row(inst.shares)
+
+    by_row: dict[tuple[Fraction, ...], Allocation] = {}
+    for row in inst.values:
+        if row in by_row:
+            continue
+        ints, _ = _scaled_row(row)
+        best_num = best_den = 0  # numerator/denominator of the best min so far
+        best_owners: tuple[int, ...] | None = None
+        for owners in product(range(n), repeat=m):
+            sums = [0] * n
+            for j, o in enumerate(owners):
+                sums[o] += ints[j]
+            # k* = argmin_k sums[k] / sh[k]; shares positive so the quotient
+            # order survives cross multiplication.
+            k_star = 0
+            for k in range(1, n):
+                if sums[k] * sh[k_star] < sums[k_star] * sh[k]:
+                    k_star = k
+            num, den = sums[k_star], sh[k_star]
+            if best_owners is None or num * best_den > best_num * den:
+                best_num, best_den, best_owners = num, den, owners
+        by_row[row] = Allocation(n, best_owners)
+
+    w_vals = []
+    wmms_vals = []
+    witnesses = []
+    for i, row in enumerate(inst.values):
+        witness = by_row[row]
+        w_i = min(
+            bundle_value(inst, i, bundle) / inst.shares[k]
+            for k, bundle in enumerate(witness.bundles())
+        )
+        w_vals.append(w_i)
+        wmms_vals.append(inst.shares[i] * w_i)
+        witnesses.append(witness)
+    return OracleResult(tuple(wmms_vals), tuple(w_vals), tuple(witnesses))
+
+
+def exact_owmms(inst: Instance, wmms: tuple[Fraction, ...]) -> OwmmsResult:
+    n, m = inst.n, inst.m
+    int_rows = []
+    ratio_scale = []  # per negative-reference agent: ratio = -own * A / B with B > 0
+    for i in range(n):
+        ints, denom = _scaled_row(inst.values[i])
+        int_rows.append(ints)
+        ref = wmms[i]
+        if ref < 0:
+            ratio_scale.append((i, ref.denominator, -denom * ref.numerator))
+        else:
+            ratio_scale.append((i, 0, 0))
+    negative = [i for i in range(n) if wmms[i] < 0]
+    zero = [i for i in range(n) if wmms[i] == 0]
+
+    best: tuple[int, int] | None = None  # ratio numerator/denominator, den > 0
+    best_owners: tuple[int, ...] | None = None
+    for owners in product(range(n), repeat=m):
+        own = [0] * n
+        for j, o in enumerate(owners):
+            own[o] += int_rows[o][j]
+        if any(own[z] != 0 for z in zero):
+            continue
+        num, den = 0, 1
+        for i in negative:
+            _, a_i, b_i = ratio_scale[i]
+            cand_num, cand_den = -own[i] * a_i, b_i
+            if cand_num * den > num * cand_den:
+                num, den = cand_num, cand_den
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den)
+            best_owners = owners
+    if best is None or best_owners is None:
+        raise NoFeasibleAllocation(
+            "no allocation gives every zero-reference agent value 0"
+        )
+    alpha = max(Fraction(1), Fraction(best[0], best[1]))
+    return OwmmsResult(alpha, Allocation(n, best_owners))

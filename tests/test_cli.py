@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -286,3 +287,45 @@ def test_gen_rejects_inconsistent_family(capsys):
     code, _, err = run_cli(capsys, "gen", "egal-failure", "--T", "3", "--c", "2", "--n", "2")
     assert code == 2
     assert "ParameterInconsistent" in err
+
+
+@pytest.mark.parametrize(
+    "agents",
+    [
+        # a positive value
+        '[{"share": "1/2", "values": ["1/2", "-1", "-1"]},'
+        ' {"share": "1/2", "values": ["-1", "-1", "-1"]}]',
+        # shares summing to 3/2
+        '[{"share": "1", "values": ["-1"]}, {"share": "1/2", "values": ["-1"]}]',
+    ],
+)
+def test_bench_rejects_invalid_documents(tmp_path, capsys, agents):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"agents": {agents}}}')
+    code, out, err = run_cli(capsys, "bench", str(path), "--algs", "naive", "--oracle")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("violation: bad: ")
+
+
+# `choreshare oracle` stdout captured before the oracles moved from full
+# enumeration to branch and bound; values and witnesses must not change.
+ORACLE_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "oracle_cli.json").read_text(encoding="utf-8")
+)
+
+
+def _golden_instance(name: str) -> cs.Instance:
+    if name.startswith("table"):
+        return cs.paper_table(int(name[len("table"):]))
+    _, style, n, m, seed = name.split("-")
+    return cs.random_instance(int(n[1:]), int(m[1:]), int(seed[1:]), style)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
+def test_oracle_output_bytes(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    cs.save_instance(_golden_instance(name), path)
+    code, out, _ = run_cli(capsys, "oracle", str(path))
+    assert code == 0
+    assert out == ORACLE_GOLDEN[name]

@@ -161,3 +161,19 @@ def test_oracle_determinism():
 def test_cached_helpers_agree(table2):
     assert oracle_wmms(table2).wmms == cs.exact_wmms(table2).wmms
     assert oracle_alpha(table2).alpha_star == F(4, 3)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        cs.Instance((HALF, HALF), ((F(1, 2), F(-1)), (F(-1), F(-1)))),
+        cs.Instance((F(3, 2), F(-1, 2)), ((F(-1), F(-1)), (F(-1), F(-1)))),
+    ],
+    ids=["positive-value", "negative-share"],
+)
+def test_oracles_reject_unsound_signs(inst):
+    # pruning assumes bundle sums only fall and shares are positive
+    with pytest.raises(ValueError):
+        cs.exact_wmms(inst)
+    with pytest.raises(ValueError):
+        cs.exact_owmms(inst, (F(-1), F(-1)))

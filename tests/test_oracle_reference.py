@@ -1,0 +1,85 @@
+"""Differential tests: the branch-and-bound oracles against full enumeration.
+
+Both visit owner vectors in lexicographic order and keep the first strictly
+better one, so they must agree on every value and on every witness, not
+merely on the optimum.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import choreshare as cs
+import enumeration_oracle as reference
+
+F = Fraction
+
+
+@st.composite
+def rows(draw, m, earlier):
+    kind = draw(st.sampled_from(["normalized", "binary", "zero", "copy"]))
+    if kind == "copy" and earlier:
+        return draw(st.sampled_from(earlier))
+    if kind == "zero":
+        return (F(0),) * m
+    if kind == "binary":
+        return tuple(-F(draw(st.integers(0, 1))) for _ in range(m))
+    weights = [draw(st.integers(0, 9)) for _ in range(m)]
+    total = sum(weights) or 1
+    return tuple(F(-w, total) for w in weights)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 4))
+    # the reference scores all n^m owner vectors; m <= 7 at n = 4 keeps it
+    # at most 4^7 vectors per row
+    m = draw(st.integers(0, 9 if n <= 3 else 7))
+    if draw(st.booleans()):
+        shares = (F(1, n),) * n
+    else:
+        raw = [draw(st.integers(1, 9)) for _ in range(n)]
+        shares = tuple(F(r, sum(raw)) for r in raw)
+    values: list[tuple[Fraction, ...]] = []
+    for _ in range(n):
+        values.append(draw(rows(m, values)))
+    return cs.Instance(shares, tuple(values))
+
+
+def _owmms(oracle, inst, refs):
+    try:
+        return oracle.exact_owmms(inst, refs)
+    except cs.NoFeasibleAllocation:
+        return "infeasible"
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances())
+def test_same_values_and_witnesses_as_enumeration(inst):
+    expected = reference.exact_wmms(inst)
+    got = cs.exact_wmms(inst)
+    assert got == expected
+    assert _owmms(cs, inst, got.wmms) == _owmms(reference, inst, expected.wmms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.data())
+def test_same_owmms_for_any_references(inst, data):
+    # zero references force agents to take value 0 and can make every
+    # allocation infeasible
+    refs = tuple(
+        data.draw(st.sampled_from([F(0), F(-1, 2), F(-1), F(-3)])) for _ in range(inst.n)
+    )
+    assert _owmms(cs, inst, refs) == _owmms(reference, inst, refs)
+
+
+def test_single_agent_long_row_needs_no_recursion():
+    # n = 1 admits any m under the n^m budget; the search depth is m
+    inst = cs.Instance((F(1),), ((F(-1, 3),) * 3000,))
+    res = cs.exact_wmms(inst)
+    assert res.w == (F(-1000),)
+    assert res.witness_partitions[0].owner == (0,) * 3000
+    owmms = cs.exact_owmms(inst, res.wmms)
+    assert owmms.alpha_star == 1
+    assert owmms.witness.owner == (0,) * 3000
