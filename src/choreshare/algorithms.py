@@ -6,7 +6,8 @@ method), ``divide_and_choose`` (two agents, factor 3/2) and ``binary_wmms``
 (exact when every value is 0 or -1).  ``round_robin``,
 ``multiplicative_greedy`` and ``additive_greedy`` are kept as negative
 controls: natural-looking picking rules that can be arbitrarily unfair once
-shares are asymmetric.
+shares are asymmetric.  They share one picking loop (``_pick``) and differ
+only in which agent picks next and what the trace records.
 
 Every function is deterministic: each tie-breaking rule is stated in its
 docstring, and identical inputs yield identical traces and allocations.
@@ -30,6 +31,7 @@ from .model import (
 )
 
 DEFAULT_SUBSET_BUDGET = 24
+TIE_RULES = ("largest-share", "smallest-share")  # multiplicative_greedy's load-tie rules
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,29 @@ def binary_wmms(inst: Instance, trace: list[TraceEvent] | None = None) -> Alloca
     return Allocation(inst.n, tuple(owner))
 
 
+def _pick(inst: Instance, picker, quantity, trace: list[TraceEvent] | None) -> Allocation:
+    """The picking loop the negative controls share.
+
+    At each step agent ``picker(step, totals)`` takes her highest-value
+    remaining chore, ties by chore index, where ``totals[i]`` is agent i's
+    bundle value so far; the trace records ``quantity(i, j, totals)`` taken
+    before the pick.  Each agent's chores are sorted once, and her iterator
+    over them skips the chores already taken.
+    """
+    # a stable sort: equal values keep ascending chore order, even reversed
+    prefs = [iter(sorted(range(inst.m), key=row.__getitem__, reverse=True)) for row in inst.values]
+    owner = [-1] * inst.m
+    totals = [ZERO] * inst.n
+    for step in range(inst.m):
+        i = picker(step, totals)
+        j = next(c for c in prefs[i] if owner[c] < 0)
+        if trace is not None:
+            trace.append(TraceEvent(step, j, i, quantity(i, j, totals)))
+        totals[i] += inst.values[i][j]
+        owner[j] = i
+    return Allocation(inst.n, tuple(owner))
+
+
 def round_robin(
     inst: Instance,
     order: Sequence[int] | None = None,
@@ -240,25 +265,18 @@ def round_robin(
     """Agents take turns (in ``order``) picking their best remaining chore.
 
     Each picker takes her highest-value (least burdensome) unallocated chore,
-    ties by chore index.  Share-oblivious; kept as a negative control.
+    ties by chore index; the trace records that chore's value.
+    Share-oblivious; kept as a negative control.
     """
     picking = tuple(order) if order is not None else tuple(range(inst.n))
     if sorted(picking) != list(range(inst.n)):
         raise ValueError(f"order {picking} is not a permutation of the {inst.n} agents")
-    remaining = set(range(inst.m))
-    owner = [0] * inst.m
-    step = 0
-    while remaining:
-        for i in picking:
-            if not remaining:
-                break
-            j = max(remaining, key=lambda jj: (inst.values[i][jj], -jj))
-            owner[j] = i
-            remaining.remove(j)
-            if trace is not None:
-                trace.append(TraceEvent(step, j, i, inst.values[i][j]))
-            step += 1
-    return Allocation(inst.n, tuple(owner))
+    return _pick(
+        inst,
+        lambda step, totals: picking[step % inst.n],
+        lambda i, j, totals: inst.values[i][j],
+        trace,
+    )
 
 
 def multiplicative_greedy(
@@ -271,26 +289,21 @@ def multiplicative_greedy(
     Agent i's load is -V_i(X_i)/s_i; each round the agent with minimal load
     (equivalently, maximal V_i(X_i)/s_i) picks her highest-value remaining
     chore (ties by chore index).  Load ties go to the larger or smaller share
-    per ``tie_rule``, then to the lower index.  Negative control.
+    per ``tie_rule``, then to the lower index.  The trace records the
+    picker's V_i(X_i)/s_i.  Negative control.
     """
-    if tie_rule not in ("largest-share", "smallest-share"):
+    if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}")
-    totals = [ZERO] * inst.n
-    remaining = set(range(inst.m))
-    owner = [0] * inst.m
-    for step in range(inst.m):
-        def pick_key(i: int):
-            share_pref = inst.shares[i] if tie_rule == "largest-share" else -inst.shares[i]
-            return (totals[i] / inst.shares[i], share_pref, -i)
-
-        i = max(range(inst.n), key=pick_key)
-        j = max(remaining, key=lambda jj: (inst.values[i][jj], -jj))
-        if trace is not None:
-            trace.append(TraceEvent(step, j, i, totals[i] / inst.shares[i]))
-        totals[i] += inst.values[i][j]
-        owner[j] = i
-        remaining.remove(j)
-    return Allocation(inst.n, tuple(owner))
+    sign = 1 if tie_rule == "largest-share" else -1
+    shares = inst.shares
+    return _pick(
+        inst,
+        lambda step, totals: max(
+            range(inst.n), key=lambda i: (totals[i] / shares[i], sign * shares[i], -i)
+        ),
+        lambda i, j, totals: totals[i] / shares[i],
+        trace,
+    )
 
 
 def additive_greedy(
@@ -299,20 +312,15 @@ def additive_greedy(
     """The agent maximizing share + own-bundle value picks next.
 
     Ties prefer the larger share, then the lower index; the picker takes her
-    highest-value remaining chore (ties by chore index).  Negative control.
+    highest-value remaining chore (ties by chore index).  The trace records
+    the picker's share + own-bundle value.  Negative control.
     """
-    totals = [ZERO] * inst.n
-    remaining = set(range(inst.m))
-    owner = [0] * inst.m
-    for step in range(inst.m):
-        i = max(
-            range(inst.n),
-            key=lambda ii: (inst.shares[ii] + totals[ii], inst.shares[ii], -ii),
-        )
-        j = max(remaining, key=lambda jj: (inst.values[i][jj], -jj))
-        if trace is not None:
-            trace.append(TraceEvent(step, j, i, inst.shares[i] + totals[i]))
-        totals[i] += inst.values[i][j]
-        owner[j] = i
-        remaining.remove(j)
-    return Allocation(inst.n, tuple(owner))
+    shares = inst.shares
+    return _pick(
+        inst,
+        lambda step, totals: max(
+            range(inst.n), key=lambda i: (shares[i] + totals[i], shares[i], -i)
+        ),
+        lambda i, j, totals: shares[i] + totals[i],
+        trace,
+    )

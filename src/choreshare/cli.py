@@ -1,5 +1,7 @@
 """Command-line interface: validate, solve, oracle, bench, gen.
 
+``ALGORITHM_TABLE`` names every algorithm once, with its proven bound, and
+``FAMILY_TABLE`` every generator family that ``gen`` and ``bench`` share.
 All rationals print as "p/q" (``--decimal`` appends rounded display values
 without affecting any check).  Exit codes: 0 success, 2 validation or
 precondition error, 3 enumeration budget exceeded, 4 guarantee violation
@@ -18,6 +20,7 @@ from pathlib import Path
 
 from . import generators, lp, oracle
 from .algorithms import (
+    TIE_RULES,
     TraceEvent,
     additive_greedy,
     binary_wmms,
@@ -55,24 +58,7 @@ from .serialization import (
     serialize_instance,
 )
 
-ALGORITHMS = (
-    "naive",
-    "egal-greedy",
-    "round-robin",
-    "mult-greedy",
-    "add-greedy",
-    "div-cho",
-    "binary",
-    "linpro",
-)
-
 BUDGET_ENV = "CHORESHARE_ORACLE_BUDGET"
-
-GUARANTEES = {
-    "egal-greedy": Fraction(2),
-    "div-cho": Fraction(3, 2),
-    "binary": Fraction(1),
-}
 
 
 def _default_budget() -> int:
@@ -99,6 +85,36 @@ def _ratio_text(report: FairnessReport, i: int) -> str:
     return "unbounded-satisfied" if agent.unbounded_satisfied else "violated"
 
 
+def _egal_greedy(inst, trace, **_):
+    if any(row != inst.values[0] for row in inst.values):
+        raise ValueError("egal-greedy requires identical valuation rows")
+    return egal_greedy(inst.shares, inst.values[0], trace=trace)
+
+
+# Algorithm name -> (run, bound).  run returns the allocation (linpro: its
+# LinProResult) and looks its algorithm up by name when called, so a replaced
+# module attribute reaches every command.  bound(inst, eps, alpha_star) is the
+# proven worst ratio bench enforces; None marks a negative control.
+ALGORITHM_TABLE = {
+    "naive": (lambda inst, trace, **_: naive(inst, trace=trace), lambda inst, *_: Fraction(inst.n)),
+    "egal-greedy": (_egal_greedy, lambda *_: Fraction(2)),
+    "round-robin": (lambda inst, order, trace, **_: round_robin(inst, order=order, trace=trace), None),
+    "mult-greedy": (
+        lambda inst, tie_rule, trace, **_: multiplicative_greedy(inst, tie_rule=tie_rule, trace=trace),
+        None,
+    ),
+    "add-greedy": (lambda inst, trace, **_: additive_greedy(inst, trace=trace), None),
+    "div-cho": (
+        lambda inst, trace, **_: divide_and_choose(inst, trace=trace), lambda *_: Fraction(3, 2)
+    ),
+    "binary": (lambda inst, trace, **_: binary_wmms(inst, trace=trace), lambda *_: Fraction(1)),
+    "linpro": (
+        lambda inst, eps, trace, **_: lp.linpro(inst, eps, trace=trace),
+        lambda inst, eps, alpha_star: None if alpha_star is None else (4 + eps) * alpha_star,
+    ),
+}
+
+
 def run_algorithm(
     inst: Instance,
     name: str,
@@ -108,27 +124,13 @@ def run_algorithm(
     order: tuple[int, ...] | None = None,
     trace: list[TraceEvent] | None = None,
 ) -> tuple[Allocation, dict]:
-    """Dispatch one algorithm; the dict carries algorithm-specific extras."""
-    if name == "naive":
-        return naive(inst, trace=trace), {}
-    if name == "egal-greedy":
-        if any(row != inst.values[0] for row in inst.values):
-            raise ValueError("egal-greedy requires identical valuation rows")
-        return egal_greedy(inst.shares, inst.values[0], trace=trace), {}
-    if name == "round-robin":
-        return round_robin(inst, order=order, trace=trace), {}
-    if name == "mult-greedy":
-        return multiplicative_greedy(inst, tie_rule=tie_rule, trace=trace), {}
-    if name == "add-greedy":
-        return additive_greedy(inst, trace=trace), {}
-    if name == "div-cho":
-        return divide_and_choose(inst, trace=trace), {}
-    if name == "binary":
-        return binary_wmms(inst, trace=trace), {}
-    if name == "linpro":
-        result = lp.linpro(inst, eps, trace=trace)
-        return result.allocation, {"c_final": result.c_final, "result": result}
-    raise ValueError(f"unknown algorithm {name!r}; expected one of {', '.join(ALGORITHMS)}")
+    """Run one algorithm by name; the dict carries algorithm-specific extras."""
+    if name not in ALGORITHM_TABLE:
+        raise ValueError(f"unknown algorithm {name!r}; expected one of {', '.join(ALGORITHM_TABLE)}")
+    out = ALGORITHM_TABLE[name][0](inst, eps=eps, tie_rule=tie_rule, order=order, trace=trace)
+    if isinstance(out, lp.LinProResult):
+        return out.allocation, {"c_final": out.c_final, "result": out}
+    return out, {}
 
 
 def _cmd_validate(args) -> int:
@@ -159,7 +161,7 @@ def _dump_lp(result: lp.LinProResult) -> None:
             for j in prog.eligible_chores[i]
         ]
         lhs = " + ".join(terms) if terms else "0"
-        print(f"lp-agent {i}: {lhs} >= {format_ratio(prog.floors[i])}")
+        print(f"lp-agent {i}: {lhs} >= {format_ratio(prog.thresholds[i])}")
     for j in range(prog.inst.m):
         terms = [f"x[{i},{j}]" for i in prog.eligible_agents[j]]
         lhs = " + ".join(terms) if terms else "0"
@@ -273,18 +275,60 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def _egal_failure(params: dict[str, str]) -> Instance:
+    return generators.egal_greedy_failure_family(
+        parse_ratio(params.get("T", "8"), "--T"),
+        parse_ratio(params.get("c", "4"), "--c"),
+        int(params.get("n", "7")),
+    )
+
+
+def _table(params: dict[str, str]):
+    if "k" not in params:
+        raise ParseError("table spec needs an index, e.g. table:2")
+    k = int(params["k"])
+    eps = parse_ratio(params.get("eps", "1/10"), context="table eps")
+    return [(f"table{k}", _egal_failure(params) if k == 6 else generators.paper_table(k, eps), None)]
+
+
+def _random(params: dict[str, str]):
+    n = int(params.get("n", "3"))
+    m = int(params.get("m", "6"))
+    count = int(params.get("count", "10"))
+    seed0 = int(params.get("seed0", "0"))
+    style = params.get("style", "normalized")
+    return [
+        (f"random-{style}-n{n}-m{m}-s{seed}", generators.random_instance(n, m, seed, style), None)
+        for seed in range(seed0, seed0 + count)
+    ]
+
+
+# Generator family -> build(params), which maps str parameters (bench:
+# "family:key=value,...", a bare value being the table index k; gen: its
+# flags) to a list of (instance id, instance, closed-form references or None).
+FAMILY_TABLE = {
+    "table": _table,
+    "rr-family": lambda params: [
+        (f"rr-family-n{n}", generators.round_robin_family(n),
+         generators.round_robin_family_references(n))
+        for n in _parse_range(params.get("n", "3..5"))
+    ],
+    "egal-failure": lambda params: [("egal-failure", _egal_failure(params), None)],
+    "random": _random,
+}
+
+
 def _bench_instances(spec: str) -> list[tuple[str, Instance, tuple[Fraction, ...] | None]]:
     """Resolve a bench target: a directory of documents, one file, or a generator spec."""
     path = Path(spec)
     if path.is_dir():
-        out = []
-        for child in sorted(path.glob("*.json")):
-            out.append((child.stem, load_instance(child), None))
-        return out
+        return [(child.stem, load_instance(child), None) for child in sorted(path.glob("*.json"))]
     if path.is_file():
         return [(path.stem, load_instance(path), None)]
 
     family, _, params_text = spec.partition(":")
+    if family not in FAMILY_TABLE:
+        raise ParseError(f"bench target {spec!r} is neither a path nor a known generator spec")
     params: dict[str, str] = {}
     positional: list[str] = []
     for part in params_text.split(","):
@@ -295,37 +339,12 @@ def _bench_instances(spec: str) -> list[tuple[str, Instance, tuple[Fraction, ...
             params[key] = value
         else:
             positional.append(part)
-    if family == "table":
-        if not positional and "k" not in params:
-            raise ParseError("table spec needs an index, e.g. table:2")
-        k = int(positional[0]) if positional else int(params["k"])
-        eps = parse_ratio(params.get("eps", "1/10"), context="table eps")
-        return [(f"table{k}", generators.paper_table(k, eps), None)]
-    if family == "rr-family":
-        sizes = _parse_range(params.get("n", "3..5"))
-        return [
-            (
-                f"rr-family-n{n}",
-                generators.round_robin_family(n),
-                generators.round_robin_family_references(n),
-            )
-            for n in sizes
-        ]
-    if family == "random":
-        n = int(params.get("n", "3"))
-        m = int(params.get("m", "6"))
-        count = int(params.get("count", "10"))
-        seed0 = int(params.get("seed0", "0"))
-        style = params.get("style", "normalized")
-        return [
-            (
-                f"random-{style}-n{n}-m{m}-s{seed}",
-                generators.random_instance(n, m, seed, style),
-                None,
-            )
-            for seed in range(seed0, seed0 + count)
-        ]
-    raise ParseError(f"bench target {spec!r} is neither a path nor a known generator spec")
+    if positional:
+        params["k"] = positional[0]
+    instances = FAMILY_TABLE[family](params)
+    if not instances:
+        raise ParseError(f"bench target {spec!r} selects no instances")
+    return instances
 
 
 def _cmd_bench(args) -> int:
@@ -335,8 +354,10 @@ def _cmd_bench(args) -> int:
     ):
         return 2
     algs = [tok for tok in args.algs.split(",") if tok]
+    if not algs:
+        raise ParseError("--algs names no algorithm")
     for alg in algs:
-        if alg not in ALGORITHMS:
+        if alg not in ALGORITHM_TABLE:
             raise ValueError(f"unknown algorithm {alg!r}")
     eps = parse_ratio(args.eps, context="--eps")
 
@@ -363,11 +384,9 @@ def _cmd_bench(args) -> int:
                 ratios_text = ",".join(_ratio_text(report, i) for i in range(inst.n))
                 worst = report.worst_ratio()
                 worst_text = format_ratio(worst) if worst is not None else "violated"
-            bound = GUARANTEES.get(alg)
-            if alg == "linpro" and alpha_star is not None:
-                bound = (4 + eps) * alpha_star
-            if refs is not None and bound is not None:
-                if worst is None or worst > bound:
+                bound_of = ALGORITHM_TABLE[alg][1]
+                bound = bound_of and bound_of(inst, eps, alpha_star)
+                if bound is not None and (worst is None or worst > bound):
                     violations.append(
                         f"{inst_id}/{alg}: worst ratio {worst_text} exceeds bound {format_ratio(bound)}"
                     )
@@ -400,28 +419,14 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    family = args.family
-    eps = parse_ratio(args.eps, context="--eps")
-    if family in ("table1", "table2", "table3", "table4", "table5", "table6"):
-        k = int(family[-1])
-        if k == 6:
-            inst = generators.egal_greedy_failure_family(
-                parse_ratio(args.T, "--T"), parse_ratio(args.c, "--c"), args.n or 7
-            )
-        else:
-            inst = generators.paper_table(k, eps)
-    elif family == "rr-family":
-        inst = generators.round_robin_family(args.n or 3)
-    elif family == "egal-failure":
-        inst = generators.egal_greedy_failure_family(
-            parse_ratio(args.T, "--T"), parse_ratio(args.c, "--c"), args.n or 7
-        )
-    elif family == "random":
-        inst = generators.random_instance(
-            args.n or 3, args.m if args.m is not None else 6, args.seed, args.style
-        )
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    # a malformed --eps is an error whichever family it is given to
+    parse_ratio(args.eps, context="--eps")
+    family, k = ("table", args.family[-1]) if args.family[:-1] == "table" else (args.family, None)
+    params = {"k": k, "eps": args.eps, "T": args.T, "c": args.c, "seed0": args.seed, "count": 1,
+              "style": args.style, "n": args.n, "m": args.m}
+    params = {key: str(value) for key, value in params.items() if value is not None}
+    # the first instance: count=1 for random, and rr-family's sizes start at 3
+    _, inst, _ = FAMILY_TABLE[family](params)[0]
     if args.output:
         save_instance(inst, args.output)
     else:
@@ -442,15 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one allocation algorithm")
     p_solve.add_argument("file")
-    p_solve.add_argument("algorithm", choices=ALGORITHMS)
+    p_solve.add_argument("algorithm", choices=tuple(ALGORITHM_TABLE))
     p_solve.add_argument("--oracle", action="store_true", help="report ratios against exact WMMS")
     p_solve.add_argument("--trace", action="store_true", help="print per-step decisions")
     p_solve.add_argument("--eps", default="1/100", help="linpro precision (rational)")
     p_solve.add_argument("--dump-lp", action="store_true", help="print the final linpro program")
     p_solve.add_argument("--json", action="store_true", help="emit a JSON document")
     p_solve.add_argument("--decimal", action="store_true", help="append rounded decimals")
-    p_solve.add_argument("--tie-rule", default="largest-share",
-                         choices=("largest-share", "smallest-share"))
+    p_solve.add_argument("--tie-rule", default="largest-share", choices=TIE_RULES)
     p_solve.add_argument("--order", default=None, help="round-robin picking order, e.g. 2,0,1")
     p_solve.add_argument("--budget", type=int, default=_default_budget())
     p_solve.set_defaults(func=_cmd_solve)
@@ -468,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--family-refs", action="store_true",
                          help="use closed-form references where the family defines them")
     p_bench.add_argument("--eps", default="1/100")
-    p_bench.add_argument("--tie-rule", default="largest-share",
-                         choices=("largest-share", "smallest-share"))
+    p_bench.add_argument("--tie-rule", default="largest-share", choices=TIE_RULES)
     p_bench.add_argument("--out", default=None, help="also write rows as JSON")
     p_bench.add_argument("--times", action="store_true", help="add a wall-clock column")
     p_bench.add_argument("--budget", type=int, default=_default_budget())
@@ -478,10 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="write a generated instance")
     p_gen.add_argument(
         "family",
-        choices=(
-            "table1", "table2", "table3", "table4", "table5", "table6",
-            "rr-family", "egal-failure", "random",
-        ),
+        choices=[f"table{k}" for k in range(1, 7)] + [f for f in FAMILY_TABLE if f != "table"],
     )
     p_gen.add_argument("--n", type=int, default=None)
     p_gen.add_argument("--m", type=int, default=None)
@@ -496,32 +496,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Error type -> exit code; see the module docstring.
+EXIT_CODES = {
+    BudgetExceeded: 3,
+    **dict.fromkeys((ParseError, NotBinary, ParameterInconsistent, NoIntegralM,
+                     NormalizationImpossible, ValueError, OSError), 2),
+    **dict.fromkeys((RoundingInvariantViolation, UpperBoundInfeasible, Unbounded,
+                     NoFeasibleAllocation), 5),
+}
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except BudgetExceeded as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (
-        ParseError,
-        NotBinary,
-        ParameterInconsistent,
-        NoIntegralM,
-        NormalizationImpossible,
-        ValueError,
-        OSError,
-    ) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (
-        RoundingInvariantViolation,
-        UpperBoundInfeasible,
-        Unbounded,
-        NoFeasibleAllocation,
-    ) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 5
+        return next(code for error, code in EXIT_CODES.items() if isinstance(exc, error))
 
 
 def console_main() -> None:

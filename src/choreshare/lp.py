@@ -30,8 +30,7 @@ class LPProgram:
     """The chore-covering feasibility program at one threshold setting."""
 
     inst: Instance
-    thresholds: tuple[Fraction, ...]  # per-agent eligibility cutoff t_i
-    floors: tuple[Fraction, ...]  # per-agent bundle floor w_i
+    thresholds: tuple[Fraction, ...]  # per-agent cutoff t_i, also the bundle floor
     eligible_chores: tuple[tuple[int, ...], ...]  # per agent: {j : V_ij >= t_i}
     eligible_agents: tuple[tuple[int, ...], ...]  # per chore: agents eligible for it
     variables: tuple[tuple[int, int], ...]  # (i, j) pairs, lexicographic
@@ -81,7 +80,7 @@ class LinProResult:
 def build_program(
     inst: Instance, c: Fraction, refs: Sequence[Fraction]
 ) -> LPProgram:
-    """Instantiate the program with t_i = w_i = c * refs[i] (refs nonpositive)."""
+    """Instantiate the program with t_i = c * refs[i] (refs nonpositive)."""
     c = Fraction(c)
     refs = tuple(Fraction(r) for r in refs)
     if len(refs) != inst.n:
@@ -103,7 +102,6 @@ def build_program(
     return LPProgram(
         inst=inst,
         thresholds=cutoffs,
-        floors=cutoffs,
         eligible_chores=eligible_chores,
         eligible_agents=eligible_agents,
         variables=variables,
@@ -118,7 +116,7 @@ def _standard_form(prog: LPProgram) -> StandardForm:
         coeffs = [ZERO] * sf.num_vars
         for j in prog.eligible_chores[i]:
             coeffs[index[(i, j)]] = prog.inst.values[i][j]
-        sf.add(coeffs, prog.floors[i], "ge")
+        sf.add(coeffs, prog.thresholds[i], "ge")
     for j in range(prog.inst.m):
         coeffs = [ZERO] * sf.num_vars
         for i in prog.eligible_agents[j]:
@@ -182,7 +180,7 @@ def round_extreme_point(
     (iterated to a fixed point); the chores left all have degree >= 2 inside
     pseudotree components, which therefore admit a matching covering them.
     The result assigns every chore once and each agent's bundle clears the
-    doubled floor w_i + t_i.  Any failed step indicates the point was not a
+    doubled floor 2 * t_i.  Any failed step indicates the point was not a
     basic feasible point of this program and raises
     RoundingInvariantViolation.  A ``trace`` list receives one event per
     chore: peeled chores in peel order, then matched chores in chore order,
@@ -256,10 +254,9 @@ def round_extreme_point(
     alloc = Allocation(inst.n, tuple(owner))
     for i, bundle in enumerate(alloc.bundles()):
         got = sum((inst.values[i][j] for j in bundle), ZERO)
-        if got < prog.floors[i] + prog.thresholds[i]:
+        if got < 2 * prog.thresholds[i]:
             raise RoundingInvariantViolation(
-                f"agent {i} at {got} misses the doubled floor "
-                f"{prog.floors[i] + prog.thresholds[i]}"
+                f"agent {i} at {got} misses the doubled floor {2 * prog.thresholds[i]}"
             )
     return alloc
 

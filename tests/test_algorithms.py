@@ -262,6 +262,54 @@ def test_additive_greedy_single_chore_tie():
     assert cs.additive_greedy(inst).owner == (0,)
 
 
+def _scan_pick(inst, rule, order=None, tie_rule="largest-share"):
+    """The picking rules, each pick scanning every remaining chore."""
+    shares, n = inst.shares, inst.n
+    picking = order or tuple(range(n))
+    sign = 1 if tie_rule == "largest-share" else -1
+    remaining, totals, owner, trace = set(range(inst.m)), [F(0)] * n, [0] * inst.m, []
+    for step in range(inst.m):
+        if rule == "round-robin":
+            i = picking[step % n]
+        elif rule == "mult-greedy":
+            i = max(range(n), key=lambda a: (totals[a] / shares[a], sign * shares[a], -a))
+            quantity = totals[i] / shares[i]
+        else:
+            i = max(range(n), key=lambda a: (shares[a] + totals[a], shares[a], -a))
+            quantity = shares[i] + totals[i]
+        j = max(remaining, key=lambda c: (inst.values[i][c], -c))
+        if rule == "round-robin":
+            quantity = inst.values[i][j]
+        trace.append(cs.TraceEvent(step, j, i, quantity))
+        totals[i] += inst.values[i][j]
+        owner[j] = i
+        remaining.remove(j)
+    return cs.Allocation(n, tuple(owner)), trace
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [cs.round_robin_family(4), cs.paper_table(5)]
+    + [cs.random_instance(n, 24, seed, style) for n in (2, 5) for seed in range(3)
+       for style in ("normalized", "binary")],
+)
+def test_picking_rules_match_full_scan(inst):
+    # binary rows and the identical rr-family rows make value ties common
+    reversed_order = tuple(reversed(range(inst.n)))
+    runs = [
+        ("round-robin", {}, lambda t: cs.round_robin(inst, trace=t)),
+        ("round-robin", {"order": reversed_order},
+         lambda t: cs.round_robin(inst, order=reversed_order, trace=t)),
+        ("mult-greedy", {}, lambda t: cs.multiplicative_greedy(inst, trace=t)),
+        ("mult-greedy", {"tie_rule": "smallest-share"},
+         lambda t: cs.multiplicative_greedy(inst, tie_rule="smallest-share", trace=t)),
+        ("add-greedy", {}, lambda t: cs.additive_greedy(inst, trace=t)),
+    ]
+    for rule, kwargs, run in runs:
+        trace: list[cs.TraceEvent] = []
+        assert (run(trace), trace) == _scan_pick(inst, rule, **kwargs)
+
+
 # ---------------------------------------------------------------- traces & determinism
 
 

@@ -255,6 +255,19 @@ def test_bench_times_column(capsys):
     assert out.splitlines()[0].endswith("wall_ms")
 
 
+def test_bench_egal_failure_spec_matches_gen(tmp_path, capsys):
+    path = tmp_path / "egal.json"
+    gen_args = ("egal-failure", "--T", "4", "--c", "2", "--n", "3")
+    code, _, _ = run_cli(capsys, "gen", *gen_args, "-o", str(path))
+    assert code == 0
+    args = ("--algs", "naive,add-greedy", "--oracle")
+    code, from_spec, _ = run_cli(capsys, "bench", "egal-failure:T=4,c=2,n=3", *args)
+    assert code == 0
+    code, from_file, _ = run_cli(capsys, "bench", str(path), *args)
+    assert code == 0
+    assert from_spec.replace("egal-failure", "egal") == from_file
+
+
 def test_bench_rejects_unknown_algorithm(capsys):
     code, _, err = run_cli(capsys, "bench", "table:1", "--algs", "magic")
     assert code == 2
@@ -310,14 +323,15 @@ def test_bench_rejects_invalid_documents(tmp_path, capsys, agents):
 
 # `choreshare oracle` stdout captured before the oracles moved from full
 # enumeration to branch and bound; values and witnesses must not change.
-ORACLE_GOLDEN = json.loads(
-    (Path(__file__).parent / "golden" / "oracle_cli.json").read_text(encoding="utf-8")
-)
+GOLDEN_DIR = Path(__file__).parent / "golden"
+ORACLE_GOLDEN = json.loads((GOLDEN_DIR / "oracle_cli.json").read_text(encoding="utf-8"))
 
 
 def _golden_instance(name: str) -> cs.Instance:
     if name.startswith("table"):
         return cs.paper_table(int(name[len("table"):]))
+    if name.startswith("rr-family-n"):
+        return cs.round_robin_family(int(name[len("rr-family-n"):]))
     _, style, n, m, seed = name.split("-")
     return cs.random_instance(int(n[1:]), int(m[1:]), int(seed[1:]), style)
 
@@ -329,3 +343,72 @@ def test_oracle_output_bytes(tmp_path, capsys, name):
     code, out, _ = run_cli(capsys, "oracle", str(path))
     assert code == 0
     assert out == ORACLE_GOLDEN[name]
+
+
+# `solve`, `gen` and `bench` command lines with their exit code, stdout and
+# stderr, captured before the algorithm and family tables replaced the
+# per-name branches of the CLI.  An argument "{name}" stands for the path
+# of the instance document `_golden_instance(name)`.
+CLI_GOLDEN = json.loads((GOLDEN_DIR / "cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def golden_docs(tmp_path_factory) -> dict[str, str]:
+    directory = tmp_path_factory.mktemp("golden-docs")
+    paths = {}
+    for case in CLI_GOLDEN:
+        for token in case["argv"]:
+            if token.startswith("{") and token not in paths:
+                path = directory / f"{token[1:-1]}.json"
+                cs.save_instance(_golden_instance(token[1:-1]), path)
+                paths[token] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("case", CLI_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_cli_output_bytes(golden_docs, capsys, monkeypatch, case):
+    # argparse wraps its usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("CHORESHARE_ORACLE_BUDGET", raising=False)
+    argv = [golden_docs.get(token, token) for token in case["argv"]]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a choice this way
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("family", ["random", "rr-family"])
+def test_gen_passes_explicit_zero_agents(capsys, family):
+    code, out, err = run_cli(capsys, "gen", family, "--n", "0", "--m", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ValueError: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rr-family:n=5..3", "--algs", "round-robin"),
+        ("table:2", "--algs", ","),
+        ("table:2", "--algs", ""),
+    ],
+)
+def test_bench_rejects_specs_that_run_nothing(capsys, argv):
+    code, out, err = run_cli(capsys, "bench", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_bench_checks_naive_factor_n_bound(capsys, monkeypatch):
+    def smallest_share_takes_all(inst, trace=None):
+        i = min(range(inst.n), key=lambda i: (inst.shares[i], i))
+        return cs.Allocation(inst.n, (i,) * inst.m)
+
+    monkeypatch.setattr(cs.cli, "naive", smallest_share_takes_all)
+    code, out, err = run_cli(capsys, "bench", "table:1", "--algs", "naive", "--oracle")
+    assert code == 4
+    assert out.splitlines()[1].split("\t")[3] == "4"
+    assert err == "guarantee-violation: table1/naive: worst ratio 4 exceeds bound 2\n"
