@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import NotBinary, SubsetBudgetExceeded
@@ -29,6 +28,7 @@ from .model import (
     normalize_instance,
     unfairness_degree,
 )
+from .oracle import _lex_min_max, _scaled_row
 
 DEFAULT_SUBSET_BUDGET = 24
 TIE_RULES = ("largest-share", "smallest-share")  # multiplicative_greedy's load-tie rules
@@ -119,22 +119,21 @@ def wmms_prime(inst: Instance) -> tuple[Fraction, ...]:
 
 
 def divide_and_choose(
-    inst: Instance,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-    trace: list[TraceEvent] | None = None,
+    inst: Instance, trace: list[TraceEvent] | None = None
 ) -> Allocation:
     """Two-agent protocol guaranteeing each agent 3/2 of her maxmin benchmark.
 
     With the agents ordered so the divider has the larger share: when the
     chooser's share is at most 1/3 the divider simply takes everything.
     Otherwise the divider splits the chores into the pair maximizing her own
-    worst per-share bundle value (exact subset enumeration, first maximizer in
-    bitmask order), with the first bundle positionally earmarked for the
-    chooser; the chooser then keeps her preferred side (ties: the earmarked
-    one).
+    worst per-share bundle value, found by the oracle's lexicographic search
+    (``oracle._lex_min_max``) with the same first maximizer in bitmask order,
+    and the first bundle is positionally earmarked for the chooser; the
+    chooser then keeps her preferred side (ties: the earmarked one).
 
-    Requires n == 2 and a normalizable instance; chore counts above
-    ``subset_budget`` are refused rather than silently losing the guarantee.
+    Requires n == 2 and a normalizable instance (a positive value in the
+    divider's row raises ValueError); more than ``DEFAULT_SUBSET_BUDGET``
+    chores are refused rather than silently losing the guarantee.
     """
     if inst.n != 2:
         raise ValueError(f"div-cho requires exactly 2 agents, got {inst.n}")
@@ -152,43 +151,33 @@ def divide_and_choose(
                 trace.append(TraceEvent(j, j, divider, norm.shares[divider]))
         return Allocation(2, owner)
 
-    if m > subset_budget:
+    if m > DEFAULT_SUBSET_BUDGET:
         raise SubsetBudgetExceeded(
-            f"2^{m} subset enumeration exceeds guard m <= {subset_budget}"
+            f"2^{m} subset enumeration exceeds guard m <= {DEFAULT_SUBSET_BUDGET}"
         )
 
-    row = norm.values[divider]
-    denom = lcm(*(v.denominator for v in row))
-    ints = [int(v * denom) for v in row]
-    total = sum(ints)
-    prefix = [0] * m  # prefix[t] = ints[0] + ... + ints[t-1]
-    for t in range(1, m):
-        prefix[t] = prefix[t - 1] + ints[t - 1]
-    s_c, s_d = norm.shares[chooser], norm.shares[divider]
-    # Both per-share quotients share the positive denominator
-    # denom * s_c.num * s_d.num once scaled by these integer factors:
-    c_chooser = s_c.denominator * s_d.numerator
-    c_divider = s_d.denominator * s_c.numerator
+    # The split minimizing the larger per-share load (load = -value): owner 0
+    # is the divider's bundle, owner 1 the one earmarked for the chooser.
+    # With the chores fed last to first, lexicographic owner order is bitmask
+    # order (bit j set: chore j earmarked), so ties go to the same split.
+    ints, _ = _scaled_row(norm.values[divider])
+    if any(v > 0 for v in ints):  # the search prunes soundly only on loads >= 0
+        raise ValueError("div-cho needs nonpositive values")
+    scaled_shares, _ = _scaled_row((norm.shares[divider], norm.shares[chooser]))
+    _, _, split = _lex_min_max(
+        [[-v, -v] for v in reversed(ints)], [(1, s) for s in scaled_shares]
+    )
+    in_earmarked = split[::-1]
 
-    best_mask, best_obj = 0, min(0, total * c_divider)
-    current = 0
-    for mask in range(1, 1 << m):
-        t = (mask & -mask).bit_length() - 1
-        current += ints[t] - prefix[t]
-        obj = min(current * c_chooser, (total - current) * c_divider)
-        if obj > best_obj:
-            best_mask, best_obj = mask, obj
-
-    earmarked = [j for j in range(m) if best_mask >> j & 1]
-    rest = [j for j in range(m) if not best_mask >> j & 1]
+    earmarked = [j for j in range(m) if in_earmarked[j]]
+    rest = [j for j in range(m) if not in_earmarked[j]]
     val_earmarked = bundle_value(norm, chooser, earmarked)
     val_rest = bundle_value(norm, chooser, rest)
     chooser_takes_earmarked = val_earmarked >= val_rest
 
     owner = [0] * m
     for j in range(m):
-        in_earmarked = bool(best_mask >> j & 1)
-        owner[j] = chooser if in_earmarked == chooser_takes_earmarked else divider
+        owner[j] = chooser if in_earmarked[j] == chooser_takes_earmarked else divider
     if trace is not None:
         chosen_val = val_earmarked if chooser_takes_earmarked else val_rest
         for j in range(m):

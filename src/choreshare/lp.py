@@ -177,8 +177,9 @@ def round_extreme_point(
     """Round a basic feasible point to an integral chore assignment.
 
     Degree-1 chores carry their whole unit of mass and are peeled off first
-    (iterated to a fixed point); the chores left all have degree >= 2 inside
-    pseudotree components, which therefore admit a matching covering them.
+    (one pass: peeling a chore changes no other chore's degree); the chores
+    left all have degree >= 2 inside pseudotree components, which therefore
+    admit a matching covering them.
     The result assigns every chore once and each agent's bundle clears the
     doubled floor 2 * t_i.  Any failed step indicates the point was not a
     basic feasible point of this program and raises
@@ -191,34 +192,24 @@ def round_extreme_point(
     if not graph.is_pseudoforest():
         raise RoundingInvariantViolation("support graph is not a pseudoforest")
 
-    chore_adj: dict[int, list[int]] = {j: [] for j in range(inst.m)}
-    agent_adj: dict[int, set[int]] = {i: set() for i in range(inst.n)}
+    chore_adj: dict[int, list[int]] = {j: [] for j in range(inst.m)}  # agents ascending
     for (i, j), v in sorted(point.values.items()):
         if v < 0 or v > 1:
             raise RoundingInvariantViolation(f"x[{i},{j}] = {v} outside [0, 1]")
         chore_adj[j].append(i)
-        agent_adj[i].add(j)
     if any(not chore_adj[j] for j in range(inst.m)):
         raise RoundingInvariantViolation("some chore has no positive mass")
 
     owner = [-1] * inst.m
-    peeled: list[int] = []
     # Peel chores supported by a single edge; that edge must carry weight 1.
-    changed = True
-    while changed:
-        changed = False
-        for j in range(inst.m):
-            if owner[j] < 0 and len(chore_adj[j]) == 1:
-                i = chore_adj[j][0]
-                if point.values[(i, j)] != 1:
-                    raise RoundingInvariantViolation(
-                        f"degree-1 chore {j} carries mass {point.values[(i, j)]} != 1"
-                    )
-                owner[j] = i
-                peeled.append(j)
-                agent_adj[i].discard(j)
-                chore_adj[j] = []
-                changed = True
+    peeled = [j for j in range(inst.m) if len(chore_adj[j]) == 1]
+    for j in peeled:
+        i = chore_adj[j][0]
+        if point.values[(i, j)] != 1:
+            raise RoundingInvariantViolation(
+                f"degree-1 chore {j} carries mass {point.values[(i, j)]} != 1"
+            )
+        owner[j] = i
 
     # Chore-saturating matching on what remains (Kuhn's augmenting paths;
     # chores ascending, candidate agents ascending, so ties resolve to the
@@ -226,7 +217,7 @@ def round_extreme_point(
     matched_chore_of: dict[int, int] = {}
 
     def try_assign(j: int, visited: set[int]) -> bool:
-        for i in sorted(chore_adj[j]):
+        for i in chore_adj[j]:
             if i in visited:
                 continue
             visited.add(i)
@@ -335,16 +326,12 @@ def min_feasible_c(inst: Instance, refs: Sequence[Fraction]) -> Fraction:
                 breakpoints.add(inst.values[i][j] / refs[i])
 
     best: Fraction | None = None
-    seen: set[tuple[tuple[int, ...], ...]] = set()
     for b in sorted(breakpoints):
         if best is not None and b >= best:
             break
         # The eligibility pattern at b, with c a variable: agent rows become
         # V_i . x_i - c * refs[i] >= 0, and c >= b.
         prog = build_program(inst, b, refs)
-        if prog.eligible_chores in seen:
-            continue
-        seen.add(prog.eligible_chores)
         if prog.trivially_infeasible:
             continue
         fixed = _standard_form(prog)

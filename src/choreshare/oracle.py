@@ -1,14 +1,17 @@
 """Exact ground-truth computations by lexicographic branch and bound.
 
-Both oracles search the n^m owner vectors depth first, chores in index order
-and owners 0..n-1, so leaves come in lexicographic order.  Values are
-nonpositive, so a partial assignment bounds all its completions; a subtree is
-pruned only when none of its leaves can be strictly better than the incumbent,
-and the witness is the lexicographically first optimum, as with a full
-enumeration.  The search is exponential in the worst case: it certifies the
-polynomial-time algorithms, not competes with them.  A budget guard (exact
-integer n^m comparison) refuses instances beyond desk scale.  The search works
-on integer-rescaled values and compares quotients by cross multiplication.
+One search, ``_lex_min_max``, has three callers: the oracles ``exact_wmms``
+and ``exact_owmms``, and ``algorithms.divide_and_choose`` for the divider's
+two-bundle split.  It visits the n^m owner vectors depth first, chores in
+index order and owners 0..n-1, so leaves come in lexicographic order.  Values
+are nonpositive, so a partial assignment bounds all its completions; a subtree
+is pruned only when none of its leaves can be strictly better than the
+incumbent, and the witness is the lexicographically first optimum, as with a
+full enumeration.  The search is exponential in the worst case: the oracles
+certify the polynomial-time algorithms, not compete with them, and a budget
+guard (exact integer n^m comparison) refuses their instances beyond desk
+scale; ``divide_and_choose`` refuses more than 24 chores.  The search works on
+integer-rescaled values and compares quotients by cross multiplication.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
-"""Test-only reference: the owner-vector enumeration oracles.
+"""Test-only reference: the owner-vector and subset enumerations.
 
-These are ``choreshare.oracle.exact_wmms`` and ``exact_owmms`` as they were
-before the oracle moved to a pruned lexicographic search.  They score all
-n^m owner vectors in lexicographic order and keep the first strictly better
-one, so they are slow but obviously exact; the differential tests require the
-search to return the same values and the same witnesses.
+``exact_wmms`` and ``exact_owmms`` are ``choreshare.oracle``'s functions as
+they were before the oracle moved to a pruned lexicographic search.  They
+score all n^m owner vectors in lexicographic order and keep the first strictly
+better one.  ``divide_and_choose`` is ``choreshare.algorithms``'s function as
+it was before the divider's split went through that search: it scores all 2^m
+subsets in bitmask order and keeps the first strictly better one.  They are
+slow but obviously exact; the differential tests require the search to return
+the same values, witnesses, splits and traces.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
+from choreshare.algorithms import TraceEvent
 from choreshare.errors import NoFeasibleAllocation
-from choreshare.model import Allocation, Instance, bundle_value
+from choreshare.model import Allocation, Instance, bundle_value, normalize_instance
 from choreshare.oracle import OracleResult, OwmmsResult
 
 
@@ -102,3 +106,54 @@ def exact_owmms(inst: Instance, wmms: tuple[Fraction, ...]) -> OwmmsResult:
         )
     alpha = max(Fraction(1), Fraction(best[0], best[1]))
     return OwmmsResult(alpha, Allocation(n, best_owners))
+
+
+def divide_and_choose(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
+    """The allocation and the trace, for two agents and at most 24 chores."""
+    m = inst.m
+    trace: list[TraceEvent] = []
+    if m == 0:
+        return Allocation(2, ()), trace
+    chooser = 0 if inst.shares[0] <= inst.shares[1] else 1
+    divider = 1 - chooser
+    norm = normalize_instance(inst)
+
+    if norm.shares[chooser] <= Fraction(1, 3):
+        for j in range(m):
+            trace.append(TraceEvent(j, j, divider, norm.shares[divider]))
+        return Allocation(2, (divider,) * m), trace
+
+    ints, _ = _scaled_row(norm.values[divider])
+    total = sum(ints)
+    prefix = [0] * m  # prefix[t] = ints[0] + ... + ints[t-1]
+    for t in range(1, m):
+        prefix[t] = prefix[t - 1] + ints[t - 1]
+    s_c, s_d = norm.shares[chooser], norm.shares[divider]
+    # Both per-share quotients share the positive denominator
+    # denom * s_c.num * s_d.num once scaled by these integer factors:
+    c_chooser = s_c.denominator * s_d.numerator
+    c_divider = s_d.denominator * s_c.numerator
+
+    best_mask, best_obj = 0, min(0, total * c_divider)
+    current = 0
+    for mask in range(1, 1 << m):
+        t = (mask & -mask).bit_length() - 1
+        current += ints[t] - prefix[t]
+        obj = min(current * c_chooser, (total - current) * c_divider)
+        if obj > best_obj:
+            best_mask, best_obj = mask, obj
+
+    earmarked = [j for j in range(m) if best_mask >> j & 1]
+    rest = [j for j in range(m) if not best_mask >> j & 1]
+    val_earmarked = bundle_value(norm, chooser, earmarked)
+    val_rest = bundle_value(norm, chooser, rest)
+    chooser_takes_earmarked = val_earmarked >= val_rest
+
+    owner = [0] * m
+    for j in range(m):
+        in_earmarked = bool(best_mask >> j & 1)
+        owner[j] = chooser if in_earmarked == chooser_takes_earmarked else divider
+    chosen_val = val_earmarked if chooser_takes_earmarked else val_rest
+    for j in range(m):
+        trace.append(TraceEvent(j, j, owner[j], chosen_val))
+    return Allocation(2, tuple(owner)), trace

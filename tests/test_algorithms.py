@@ -143,13 +143,17 @@ def test_divcho_preconditions():
     zero_row = cs.Instance((HALF, HALF), ((F(0), F(0)), (F(-1), F(-1))))
     with pytest.raises(cs.NormalizationImpossible):
         cs.divide_and_choose(zero_row)
-    # the guard only matters once the chooser's share exceeds 1/3 and the
-    # divider actually enumerates subsets
-    wide = cs.Instance((HALF, HALF), ((F(-1, 4),) * 4,) * 2)
-    with pytest.raises(cs.SubsetBudgetExceeded):
-        cs.divide_and_choose(wide, subset_budget=3)
-    small_share = cs.Instance((F(1, 4), F(3, 4)), ((F(-1, 4),) * 4,) * 2)
-    assert cs.divide_and_choose(small_share, subset_budget=3).owner == (1, 1, 1, 1)
+    # with equal shares agent 1 divides; a positive value in her row is refused
+    positive = cs.Instance((HALF, HALF), ((F(-1), F(-1)), (F(1), F(-3))))
+    with pytest.raises(ValueError, match="nonpositive values"):
+        cs.divide_and_choose(positive)
+    # the guard (m <= 24) only matters once the chooser's share exceeds 1/3
+    # and the divider actually searches for a split
+    wide = cs.Instance((HALF, HALF), ((F(-1, 25),) * 25,) * 2)
+    with pytest.raises(cs.SubsetBudgetExceeded, match="guard m <= 24"):
+        cs.divide_and_choose(wide)
+    small_share = cs.Instance((F(1, 4), F(3, 4)), ((F(-1, 25),) * 25,) * 2)
+    assert cs.divide_and_choose(small_share).owner == (1,) * 25
 
 
 def test_divcho_bound_on_seeded_instances():

@@ -86,6 +86,17 @@ def test_solve_rejects_invalid_instance(tmp_path, capsys):
     assert "outside (0, 1]" in err
 
 
+def test_solve_reports_unbounded_satisfied_agent(tmp_path, capsys):
+    # agent 0 values every chore at 0, so her maxmin share is 0 and only the
+    # value 0 satisfies her, at no finite ratio
+    path = tmp_path / "zero-row.json"
+    inst = cs.Instance((F(1, 2), F(1, 2)), ((F(0), F(0)), (F(-1), F(-1))))
+    cs.save_instance(inst, path)
+    code, out, _ = run_cli(capsys, "solve", str(path), "binary", "--oracle")
+    assert code == 0
+    assert "wmms[0]: 0\nwmms[1]: -1\nratio[0]: unbounded-satisfied\nratio[1]: 0\n" in out
+
+
 def test_solve_divcho_needs_two_agents(tmp_path, capsys):
     path = tmp_path / "three.json"
     cs.save_instance(cs.random_instance(3, 4, seed=0), path)
@@ -150,6 +161,17 @@ def test_oracle_command(table2_file, capsys):
     assert "wmms: -3/4 -1/3" in out
     assert "alpha-star: 4/3" in out
     assert "alpha-witness: 0 0" in out
+
+
+def test_oracle_rejects_invalid_instance(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"agents": [{"share": "1/2", "values": ["1"]}, {"share": "1/2", "values": ["-1"]}]}'
+    )
+    code, out, err = run_cli(capsys, "oracle", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "violation: positive value 1 at agent 0, chore 0\n"
 
 
 def test_oracle_budget_exceeded(tmp_path, capsys):
@@ -412,3 +434,26 @@ def test_bench_checks_naive_factor_n_bound(capsys, monkeypatch):
     assert code == 4
     assert out.splitlines()[1].split("\t")[3] == "4"
     assert err == "guarantee-violation: table1/naive: worst ratio 4 exceeds bound 2\n"
+
+
+# `solve <doc> div-cho` with the chooser's share above 1/3, so that the
+# divider searches for her split (two of the documents are tie-heavy),
+# captured before that search moved to the oracle's lexicographic kernel.
+# The documents are stored inline; "{name}" stands for the path of one.
+DIVCHO_GOLDEN = json.loads((GOLDEN_DIR / "divcho_cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", DIVCHO_GOLDEN["cases"], ids=lambda case: " ".join(case["argv"])
+)
+def test_divcho_split_output_bytes(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.delenv("CHORESHARE_ORACLE_BUDGET", raising=False)
+    argv = []
+    for token in case["argv"]:
+        if token.startswith("{"):
+            path = tmp_path / f"{token[1:-1]}.json"
+            path.write_text(json.dumps(DIVCHO_GOLDEN["documents"][token[1:-1]]), encoding="utf-8")
+            token = str(path)
+        argv.append(token)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])

@@ -233,6 +233,11 @@ def test_min_feasible_c_rejects_positive_refs(table1):
         lp.min_feasible_c(table1, (F(1), F(-1)))
 
 
+def test_min_feasible_c_rejects_wrong_reference_count(table1):
+    with pytest.raises(ValueError, match="expected 2 references, got 1"):
+        lp.min_feasible_c(table1, (F(-1),))
+
+
 def test_min_feasible_c_lower_bounds_alpha_star():
     for inst in quick_instances(seeds=2):
         refs = oracle_wmms(inst).wmms

@@ -1,8 +1,9 @@
-"""Differential tests: the branch-and-bound oracles against full enumeration.
+"""Differential tests: the branch-and-bound search against full enumeration.
 
 Both visit owner vectors in lexicographic order and keep the first strictly
 better one, so they must agree on every value and on every witness, not
-merely on the optimum.
+merely on the optimum.  The same holds for the divider's split in
+``divide_and_choose``, whose owner vectors are subsets in bitmask order.
 """
 
 from fractions import Fraction
@@ -83,3 +84,48 @@ def test_single_agent_long_row_needs_no_recursion():
     owmms = cs.exact_owmms(inst, res.wmms)
     assert owmms.alpha_star == 1
     assert owmms.witness.owner == (0,) * 3000
+
+
+@st.composite
+def two_agent_instances(draw):
+    m = draw(st.integers(0, 12))
+    # the chooser's share: equal shares, the 1/3 boundary, or either side of it
+    side = draw(st.sampled_from(["equal", "one third", "above", "below"]))
+    if side == "equal":
+        share = F(1, 2)
+    elif side == "one third":
+        share = F(1, 3)
+    else:
+        d = draw(st.integers(7, 40))
+        k = draw(st.integers(d // 3 + 1, d // 2) if side == "above" else st.integers(1, d // 3))
+        share = F(k, d)
+    shares = (share, 1 - share) if draw(st.booleans()) else (1 - share, share)
+    values: list[tuple[Fraction, ...]] = []
+    for _ in range(2):
+        # identical rows, and few distinct values, make ties between splits
+        if values and draw(st.booleans()):
+            values.append(values[0])
+        else:
+            top = draw(st.sampled_from([1, 2, 9]))
+            values.append(tuple(-F(draw(st.integers(0, top))) for _ in range(m)))
+    return cs.Instance(shares, tuple(values))
+
+
+def _divide_and_choose(run, inst):
+    try:
+        return run(inst)
+    except cs.NormalizationImpossible:
+        return "not normalizable"
+
+
+def _library_divide_and_choose(inst):
+    trace: list[cs.TraceEvent] = []
+    return cs.divide_and_choose(inst, trace=trace), trace
+
+
+@settings(max_examples=400, deadline=None)
+@given(two_agent_instances())
+def test_divcho_same_split_as_bitmask_search(inst):
+    assert _divide_and_choose(_library_divide_and_choose, inst) == _divide_and_choose(
+        reference.divide_and_choose, inst
+    )
