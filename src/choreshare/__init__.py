@@ -6,6 +6,8 @@ guarantees of the algorithms can be checked with equality rather than
 tolerances.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algorithms import (
     TraceEvent,
     additive_greedy,
@@ -84,66 +86,8 @@ from .serialization import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgentReport",
-    "Allocation",
-    "AssignmentGraph",
-    "BudgetExceeded",
-    "ChoreShareError",
-    "DEFAULT_BUDGET",
-    "FairnessReport",
-    "Instance",
-    "LPPoint",
-    "LPProgram",
-    "LinProResult",
-    "NoFeasibleAllocation",
-    "NoIntegralM",
-    "NormalizationImpossible",
-    "NotBinary",
-    "OracleResult",
-    "OwmmsResult",
-    "ParameterInconsistent",
-    "ParseError",
-    "RoundingInvariantViolation",
-    "SubsetBudgetExceeded",
-    "TraceEvent",
-    "Unbounded",
-    "UpperBoundInfeasible",
-    "additive_greedy",
-    "binary_wmms",
-    "build_assignment_graph",
-    "build_program",
-    "bundle_value",
-    "check_budget",
-    "check_feasible",
-    "divide_and_choose",
-    "egal_greedy",
-    "egal_greedy_failure_family",
-    "exact_makespan_f",
-    "exact_owmms",
-    "exact_wmms",
-    "fairness_report",
-    "format_ratio",
-    "linpro",
-    "load_instance",
-    "min_feasible_c",
-    "multiplicative_greedy",
-    "naive",
-    "normalize_instance",
-    "paper_table",
-    "parse_instance",
-    "parse_ratio",
-    "random_instance",
-    "replay_trace",
-    "round_extreme_point",
-    "round_robin",
-    "round_robin_family",
-    "round_robin_family_references",
-    "save_instance",
-    "serialize_instance",
-    "unfairness_degree",
-    "validate_allocation",
-    "validate_instance",
-    "verify_alpha",
-    "wmms_prime",
-]
+# Every public name imported above, and no submodule.
+__all__ = sorted(
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
+)

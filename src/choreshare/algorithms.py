@@ -25,10 +25,11 @@ from .model import (
     Allocation,
     Instance,
     bundle_value,
+    integer_row,
     normalize_instance,
     unfairness_degree,
 )
-from .oracle import _lex_min_max, _scaled_row
+from .oracle import _lex_min_max
 
 DEFAULT_SUBSET_BUDGET = 24
 TIE_RULES = ("largest-share", "smallest-share")  # multiplicative_greedy's load-tie rules
@@ -160,10 +161,10 @@ def divide_and_choose(
     # is the divider's bundle, owner 1 the one earmarked for the chooser.
     # With the chores fed last to first, lexicographic owner order is bitmask
     # order (bit j set: chore j earmarked), so ties go to the same split.
-    ints, _ = _scaled_row(norm.values[divider])
+    ints, _ = integer_row(norm.values[divider])
     if any(v > 0 for v in ints):  # the search prunes soundly only on loads >= 0
         raise ValueError("div-cho needs nonpositive values")
-    scaled_shares, _ = _scaled_row((norm.shares[divider], norm.shares[chooser]))
+    scaled_shares, _ = integer_row((norm.shares[divider], norm.shares[chooser]))
     _, _, split = _lex_min_max(
         [[-v, -v] for v in reversed(ints)], [(1, s) for s in scaled_shares]
     )
@@ -229,11 +230,15 @@ def _pick(inst: Instance, picker, quantity, trace: list[TraceEvent] | None) -> A
     At each step agent ``picker(step, totals)`` takes her highest-value
     remaining chore, ties by chore index, where ``totals[i]`` is agent i's
     bundle value so far; the trace records ``quantity(i, j, totals)`` taken
-    before the pick.  Each agent's chores are sorted once, and her iterator
-    over them skips the chores already taken.
+    before the pick.  Each agent's chores are sorted once, by her row scaled
+    to integers (``model.integer_row``: one positive scale, so the same
+    order), and her iterator over them skips the chores already taken.
     """
-    # a stable sort: equal values keep ascending chore order, even reversed
-    prefs = [iter(sorted(range(inst.m), key=row.__getitem__, reverse=True)) for row in inst.values]
+    prefs = []
+    for row in inst.values:
+        ints, _ = integer_row(row)
+        # a stable sort: equal values keep ascending chore order, even reversed
+        prefs.append(iter(sorted(range(inst.m), key=ints.__getitem__, reverse=True)))
     owner = [-1] * inst.m
     totals = [ZERO] * inst.n
     for step in range(inst.m):

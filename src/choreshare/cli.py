@@ -185,32 +185,29 @@ def _cmd_solve(args) -> int:
         inst, args.algorithm, eps=eps, tie_rule=args.tie_rule, order=order, trace=trace
     )
 
+    bundles = alloc.bundles()
+    values = [bundle_value(inst, i, b) for i, b in enumerate(bundles)]
     report = None
     if args.oracle:
         wmms = oracle.exact_wmms(inst, budget=args.budget).wmms
         report = fairness_report(inst, alloc, wmms)
+        ratios = [_ratio_text(report, i) for i in range(inst.n)]
+        worst = report.worst_ratio()
 
     if args.json:
         doc: dict = {
             "algorithm": args.algorithm,
             "owner": list(alloc.owner),
-            "bundles": [list(b) for b in alloc.bundles()],
-            "values": [
-                format_ratio(bundle_value(inst, i, b))
-                for i, b in enumerate(alloc.bundles())
-            ],
+            "bundles": [list(b) for b in bundles],
+            "values": [format_ratio(v) for v in values],
         }
         if "c_final" in extra:
             doc["c_final"] = format_ratio(extra["c_final"])
         if report is not None:
             doc["report"] = {
                 "wmms": [format_ratio(a.reference) for a in report.agents],
-                "ratios": [_ratio_text(report, i) for i in range(inst.n)],
-                "worst_ratio": (
-                    format_ratio(report.worst_ratio())
-                    if report.worst_ratio() is not None
-                    else "violated"
-                ),
+                "ratios": ratios,
+                "worst_ratio": format_ratio(worst) if worst is not None else "violated",
             }
         if trace is not None:
             doc["trace"] = [
@@ -227,18 +224,17 @@ def _cmd_solve(args) -> int:
 
     print(f"algorithm: {args.algorithm}")
     print(f"owner: {' '.join(map(str, alloc.owner)) if alloc.owner else '-'}")
-    for i, b in enumerate(alloc.bundles()):
+    for i, b in enumerate(bundles):
         print(f"bundle[{i}]: {' '.join(map(str, b)) if b else '-'}")
-    for i, b in enumerate(alloc.bundles()):
-        print(f"value[{i}]: {_fmt(bundle_value(inst, i, b), args.decimal)}")
+    for i, v in enumerate(values):
+        print(f"value[{i}]: {_fmt(v, args.decimal)}")
     if "c_final" in extra:
         print(f"c-final: {_fmt(extra['c_final'], args.decimal)}")
     if report is not None:
         for i, agent in enumerate(report.agents):
             print(f"wmms[{i}]: {_fmt(agent.reference, args.decimal)}")
-        for i in range(inst.n):
-            print(f"ratio[{i}]: {_ratio_text(report, i)}")
-        worst = report.worst_ratio()
+        for i, text in enumerate(ratios):
+            print(f"ratio[{i}]: {text}")
         print(f"worst-ratio: {_fmt(worst, args.decimal) if worst is not None else 'violated'}")
     if trace is not None:
         for e in trace:

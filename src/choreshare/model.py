@@ -9,12 +9,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import NormalizationImpossible
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """A rational row as integers over the lcm of its denominators.
+
+    Returns ``(ints, denom)`` with ``ints[j] / denom == row[j]``; ``int``
+    entries are accepted.  Every layer that works on integers scales here.
+    """
+    denom = lcm(*(v.denominator for v in row))
+    return [v.numerator * (denom // v.denominator) for v in row], denom
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,17 @@ full enumeration.  The search is exponential in the worst case: the oracles
 certify the polynomial-time algorithms, not compete with them, and a budget
 guard (exact integer n^m comparison) refuses their instances beyond desk
 scale; ``divide_and_choose`` refuses more than 24 chores.  The search works on
-integer-rescaled values and compares quotients by cross multiplication.
+rows scaled to integers by ``model.integer_row`` and compares quotients by
+cross multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import BudgetExceeded, NoFeasibleAllocation
-from .model import Allocation, Instance, fairness_report, unfairness_degree
+from .model import Allocation, Instance, fairness_report, integer_row, unfairness_degree
 
 DEFAULT_BUDGET = 10**8
 
@@ -56,12 +56,6 @@ def check_budget(n: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
             f"{n}^{m} = {total} owner vectors exceeds enumeration budget {budget}"
         )
     return total
-
-
-def _scaled_row(row: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Rescale a rational row to integers over a single common denominator."""
-    denom = lcm(*(v.denominator for v in row)) if row else 1
-    return [int(v * denom) for v in row], denom
 
 
 def _check_signs(inst: Instance) -> None:
@@ -137,13 +131,13 @@ def exact_wmms(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
     n, m = inst.n, inst.m
     check_budget(n, m, budget)
     _check_signs(inst)
-    sh, _ = _scaled_row(inst.shares)
+    sh, _ = integer_row(inst.shares)
     per_share = [(1, s) for s in sh]
 
     by_row: dict[tuple[Fraction, ...], Allocation] = {}
     for row in inst.values:
         if row not in by_row:
-            ints, _ = _scaled_row(row)
+            ints, _ = integer_row(row)
             # max min_k V(X_k) / s_k = -(min max_k load(X_k) / s_k), load = -V
             _, _, owners = _lex_min_max([[-v] * n for v in ints], per_share)
             by_row[row] = Allocation(n, owners)
@@ -164,9 +158,11 @@ def exact_owmms(
     only if it gives each of them value exactly 0, and they are skipped in the
     ratio maximum.  The witness is the lexicographically first allocation
     attaining the minimum.  Raises ValueError when a reference or a value is
-    positive or a share is not.
+    positive or a share is not, or when there is not one reference per agent.
     """
     n, m = inst.n, inst.m
+    if len(wmms) != n:
+        raise ValueError(f"expected {n} references, got {len(wmms)}")
     check_budget(n, m, budget)
     if any(ref > 0 for ref in wmms):
         raise ValueError("wmms references must be nonpositive")
@@ -175,7 +171,7 @@ def exact_owmms(
     loads = [[0] * n for _ in range(m)]
     weights: list[tuple[int, int]] = []
     for i in range(n):
-        ints, denom = _scaled_row(inst.values[i])
+        ints, denom = integer_row(inst.values[i])
         for j, v in enumerate(ints):
             loads[j][i] = -v
         ref = wmms[i]

@@ -25,6 +25,8 @@ def parse_ratio(token, context: str = "value") -> Fraction:
     """Parse an exact rational from "p/q", a decimal literal, or an int."""
     if isinstance(token, Fraction):
         return token
+    if isinstance(token, bool):  # a subclass of int, but JSON true/false are not rationals
+        raise ParseError(f"{context}: expected a rational, got {token!r}")
     if isinstance(token, int):
         return Fraction(token)
     if isinstance(token, float):

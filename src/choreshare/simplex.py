@@ -17,6 +17,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import Unbounded
+from .model import integer_row
 
 
 @dataclass
@@ -61,7 +62,8 @@ class _Tableau:
     column rescaled to +-1.  Row scaling leaves B^-1 A unchanged, and positive
     column scaling keeps the signs of reduced costs and the order of ratios
     within a column, so Bland's rule pivots exactly as on the unscaled
-    program and reaches the same vertex.
+    program and reaches the same vertex.  Each constraint row and the
+    phase-2 objective are scaled by ``model.integer_row``.
     """
 
     def __init__(self, sf: StandardForm):
@@ -73,16 +75,15 @@ class _Tableau:
         self.d = 1
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
-        scales = [lcm(b.denominator, *(c.denominator for c in coeffs))
-                  for coeffs, b, _ in sf.rows]
+        scaled = [integer_row((*coeffs, b)) for coeffs, b, _ in sf.rows]
         # Unit phase-1 cost per unscaled artificial, times lcm(scales) so the
         # cost of each rescaled artificial is an integer.
-        weight = lcm(*scales)
+        weight = lcm(*(scale for _, scale in scaled))
         self.phase1_costs = [0] * self.width
         surplus, artificial = sf.num_vars, self.artificial_start
-        for (coeffs, b, sense), scale in zip(sf.rows, scales):
+        for (_, b, sense), (ints, scale) in zip(sf.rows, scaled):
             sign = -1 if b < 0 else 1
-            row = [sign * c.numerator * (scale // c.denominator) for c in (*coeffs, b)]
+            row = ints if sign > 0 else [-a for a in ints]
             row[-1:-1] = [0] * (self.width - sf.num_vars)
             if sense == "ge":
                 row[surplus] = -sign
@@ -164,9 +165,7 @@ class _Tableau:
         return True
 
     def phase2(self, objective: Sequence[Fraction]) -> Fraction:
-        objective = [Fraction(c) for c in objective]
-        scale = lcm(*(c.denominator for c in objective))
-        costs = [c.numerator * (scale // c.denominator) for c in objective]
+        costs, scale = integer_row([Fraction(c) for c in objective])
         costs += [0] * (self.width - len(costs))
         self._optimize(costs, self.artificial_start)
         value = sum(costs[b] * row[-1] for row, b in zip(self.rows, self.basis))

@@ -291,9 +291,27 @@ def _scan_pick(inst, rule, order=None, tie_rule="largest-share"):
     return cs.Allocation(n, tuple(owner)), trace
 
 
+# Rows mixing denominators, with repeated values and zeros: the picking loop
+# sorts each row scaled to integers, and ties must still go by chore index.
+MIXED_DENOMINATOR_TIES = [
+    cs.Instance(
+        (F(1, 3), F(2, 3)),
+        ((F(-1, 3), F(-2, 9), F(-1, 3), F(0)), (F(0), F(-1, 6), F(-1, 4), F(-1, 6))),
+    ),
+    cs.Instance(
+        (F(1, 4), F(1, 4), F(1, 2)),
+        (
+            (F(-1, 2), F(-2, 7), F(-1, 2), F(-1, 5), F(0), F(-2, 7), F(-3, 10), F(-1, 5)),
+            (F(-1, 7), F(-1, 7), F(-1, 3), F(-1, 3), F(-2, 5), F(0), F(0), F(-3, 7)),
+            (F(-5, 6), F(-1, 6), F(-1, 6), F(-1, 15), F(-1, 15), F(-1, 6), F(-1, 2), F(0)),
+        ),
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "inst",
-    [cs.round_robin_family(4), cs.paper_table(5)]
+    [cs.round_robin_family(4), cs.paper_table(5)] + MIXED_DENOMINATOR_TIES
     + [cs.random_instance(n, 24, seed, style) for n in (2, 5) for seed in range(3)
        for style in ("normalized", "binary")],
 )

@@ -191,6 +191,16 @@ def test_oracle_budget_env_var(table1_file, capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("command, rest", [("validate", ()), ("solve", ("naive",))])
+def test_boolean_token_exits_2(tmp_path, capsys, command, rest):
+    path = tmp_path / "bool.json"
+    path.write_text('{"agents":[{"share": true, "values":[false, -1]}]}')
+    code, out, err = run_cli(capsys, command, str(path), *rest)
+    assert code == 2
+    assert out == ""
+    assert err == "error: ParseError: agent 0 share: expected a rational, got True\n"
+
+
 def test_bad_budget_env_var_is_an_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CHORESHARE_ORACLE_BUDGET", "abc")
     code, out, err = run_cli(capsys, "validate", str(tmp_path / "x.json"))

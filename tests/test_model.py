@@ -1,8 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import choreshare as cs
+from choreshare.model import integer_row
 from conftest import quick_instances
 
 F = Fraction
@@ -73,6 +77,16 @@ def test_normalize_idempotent_and_order_preserving():
                 for b in range(len(bundles)):
                     assert (before[a] < before[b]) == (after[a] < after[b])
                     assert (before[a] == 0) == (after[a] == 0)
+
+
+@given(st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=60))))
+@example([])
+@example([F(-1, 3), F(-2, 9), F(-1, 3), 0])
+def test_integer_row_is_the_row_over_the_lcm(row):
+    ints, denom = integer_row(row)
+    assert denom == lcm(*(F(v).denominator for v in row))
+    assert all(type(a) is int for a in ints)
+    assert [F(a, denom) for a in ints] == row  # the empty row gives ([], 1)
 
 
 def test_bundle_value_examples(table1, table2):

@@ -150,6 +150,13 @@ def test_owmms_rejects_positive_refs(table2):
         cs.exact_owmms(table2, (F(1), F(-1)))
 
 
+@pytest.mark.parametrize("refs", [(F(-1, 4),), (F(-1, 4), F(-3, 4), F(-1))])
+def test_owmms_rejects_wrong_reference_count(table1, refs):
+    # one too few once ended in an IndexError, one too many was ignored
+    with pytest.raises(ValueError, match=f"expected 2 references, got {len(refs)}"):
+        cs.exact_owmms(table1, refs)
+
+
 def test_oracle_determinism():
     inst = cs.random_instance(3, 6, seed=11)
     first = cs.exact_wmms(inst)

@@ -38,6 +38,10 @@ def test_parse_ratio_tokens():
         cs.parse_ratio("seven")
     with pytest.raises(cs.ParseError, match="float"):
         cs.parse_ratio(0.1)
+    # bool is a subclass of int, but JSON true/false are not rationals
+    for token in (True, False):
+        with pytest.raises(cs.ParseError, match="expected a rational"):
+            cs.parse_ratio(token)
 
 
 def test_parse_errors_carry_context():
@@ -47,6 +51,10 @@ def test_parse_errors_carry_context():
         )
     with pytest.raises(cs.ParseError, match="agent 0 value 1"):
         cs.parse_instance('{"agents": [{"share": "1", "values": ["-1", "oops"]}]}')
+    with pytest.raises(cs.ParseError, match="agent 0 share: expected a rational"):
+        cs.parse_instance('{"agents": [{"share": true, "values": [false, -1]}]}')
+    with pytest.raises(cs.ParseError, match="agent 0 value 1: expected a rational"):
+        cs.parse_instance('{"agents": [{"share": "1", "values": [-1, false]}]}')
 
 
 @pytest.mark.parametrize(
