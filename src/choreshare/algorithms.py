@@ -60,13 +60,19 @@ def replay_trace(n: int, m: int, trace: Sequence[TraceEvent]) -> Allocation:
     return Allocation(n, tuple(owner))
 
 
+def _emit(
+    trace: list[TraceEvent] | None, n: int, owner: Sequence[int], quantity: Fraction
+) -> Allocation:
+    """The allocation ``owner``; a ``trace`` gets one event per chore, in chore order."""
+    if trace is not None:
+        trace.extend(TraceEvent(j, j, i, quantity) for j, i in enumerate(owner))
+    return Allocation(n, tuple(owner))
+
+
 def naive(inst: Instance, trace: list[TraceEvent] | None = None) -> Allocation:
     """Give every chore to the agent with the largest share (ties: lowest index)."""
     i_star = max(range(inst.n), key=lambda i: (inst.shares[i], -i))
-    if trace is not None:
-        for j in range(inst.m):
-            trace.append(TraceEvent(j, j, i_star, inst.shares[i_star]))
-    return Allocation(inst.n, (i_star,) * inst.m)
+    return _emit(trace, inst.n, (i_star,) * inst.m, inst.shares[i_star])
 
 
 def egal_greedy(
@@ -146,11 +152,7 @@ def divide_and_choose(
     norm = normalize_instance(inst)
 
     if norm.shares[chooser] <= Fraction(1, 3):
-        owner = (divider,) * m
-        if trace is not None:
-            for j in range(m):
-                trace.append(TraceEvent(j, j, divider, norm.shares[divider]))
-        return Allocation(2, owner)
+        return _emit(trace, 2, (divider,) * m, norm.shares[divider])
 
     if m > DEFAULT_SUBSET_BUDGET:
         raise SubsetBudgetExceeded(
@@ -179,11 +181,8 @@ def divide_and_choose(
     owner = [0] * m
     for j in range(m):
         owner[j] = chooser if in_earmarked[j] == chooser_takes_earmarked else divider
-    if trace is not None:
-        chosen_val = val_earmarked if chooser_takes_earmarked else val_rest
-        for j in range(m):
-            trace.append(TraceEvent(j, j, owner[j], chosen_val))
-    return Allocation(2, tuple(owner))
+    chosen_val = val_earmarked if chooser_takes_earmarked else val_rest
+    return _emit(trace, 2, owner, chosen_val)
 
 
 def binary_wmms(inst: Instance, trace: list[TraceEvent] | None = None) -> Allocation:
@@ -203,24 +202,16 @@ def binary_wmms(inst: Instance, trace: list[TraceEvent] | None = None) -> Alloca
             if inst.values[i][j] == 0:
                 owner[j] = i
                 break
+    free = [j for j in range(inst.m) if owner[j] >= 0]
     rest = [j for j in range(inst.m) if owner[j] < 0]
-    step = 0
+    sub_trace: list[TraceEvent] = []
+    sub = egal_greedy(inst.shares, [Fraction(-1)] * len(rest), trace=sub_trace)
+    for pos, j in enumerate(rest):
+        owner[j] = sub.owner[pos]
     if trace is not None:
-        for j in range(inst.m):
-            if owner[j] >= 0:
-                trace.append(TraceEvent(step, j, owner[j], ZERO))
-                step += 1
-    if rest:
-        sub_trace: list[TraceEvent] | None = [] if trace is not None else None
-        sub = egal_greedy(inst.shares, [Fraction(-1)] * len(rest), trace=sub_trace)
-        for pos, j in enumerate(rest):
-            owner[j] = sub.owner[pos]
-        if trace is not None and sub_trace is not None:
-            for event in sub_trace:
-                trace.append(
-                    TraceEvent(step, rest[event.chore], event.agent, event.quantity)
-                )
-                step += 1
+        decisions = [(j, owner[j], ZERO) for j in free]
+        decisions += [(rest[e.chore], e.agent, e.quantity) for e in sub_trace]
+        trace.extend(TraceEvent(step, *d) for step, d in enumerate(decisions))
     return Allocation(inst.n, tuple(owner))
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -57,19 +56,6 @@ from .serialization import (
     save_instance,
     serialize_instance,
 )
-
-BUDGET_ENV = "CHORESHARE_ORACLE_BUDGET"
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if not raw:
-        return oracle.DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
-
 
 def _fmt(x: Fraction, decimal: bool = False) -> str:
     text = format_ratio(x)
@@ -273,26 +259,28 @@ def _parse_range(text: str) -> list[int]:
 
 def _egal_failure(params: dict[str, str]) -> Instance:
     return generators.egal_greedy_failure_family(
-        parse_ratio(params.get("T", "8"), "--T"),
-        parse_ratio(params.get("c", "4"), "--c"),
-        int(params.get("n", "7")),
+        parse_ratio(params.pop("T", "8"), "--T"),
+        parse_ratio(params.pop("c", "4"), "--c"),
+        int(params.pop("n", "7")),
     )
 
 
 def _table(params: dict[str, str]):
     if "k" not in params:
         raise ParseError("table spec needs an index, e.g. table:2")
-    k = int(params["k"])
-    eps = parse_ratio(params.get("eps", "1/10"), context="table eps")
-    return [(f"table{k}", _egal_failure(params) if k == 6 else generators.paper_table(k, eps), None)]
+    k = int(params.pop("k"))
+    if k == 6:
+        return [("table6", _egal_failure(params), None)]
+    eps = parse_ratio(params.pop("eps", "1/10"), context="table eps")
+    return [(f"table{k}", generators.paper_table(k, eps), None)]
 
 
 def _random(params: dict[str, str]):
-    n = int(params.get("n", "3"))
-    m = int(params.get("m", "6"))
-    count = int(params.get("count", "10"))
-    seed0 = int(params.get("seed0", "0"))
-    style = params.get("style", "normalized")
+    n = int(params.pop("n", "3"))
+    m = int(params.pop("m", "6"))
+    count = int(params.pop("count", "10"))
+    seed0 = int(params.pop("seed0", "0"))
+    style = params.pop("style", "normalized")
     return [
         (f"random-{style}-n{n}-m{m}-s{seed}", generators.random_instance(n, m, seed, style), None)
         for seed in range(seed0, seed0 + count)
@@ -302,12 +290,13 @@ def _random(params: dict[str, str]):
 # Generator family -> build(params), which maps str parameters (bench:
 # "family:key=value,...", a bare value being the table index k; gen: its
 # flags) to a list of (instance id, instance, closed-form references or None).
+# build pops each parameter it reads; bench rejects what is left.
 FAMILY_TABLE = {
     "table": _table,
     "rr-family": lambda params: [
         (f"rr-family-n{n}", generators.round_robin_family(n),
          generators.round_robin_family_references(n))
-        for n in _parse_range(params.get("n", "3..5"))
+        for n in _parse_range(params.pop("n", "3..5"))
     ],
     "egal-failure": lambda params: [("egal-failure", _egal_failure(params), None)],
     "random": _random,
@@ -335,9 +324,14 @@ def _bench_instances(spec: str) -> list[tuple[str, Instance, tuple[Fraction, ...
             params[key] = value
         else:
             positional.append(part)
+    if len(positional) > 1:
+        raise ParseError(f"bench target {spec!r}: extra bare value {positional[1]!r}")
     if positional:
         params["k"] = positional[0]
     instances = FAMILY_TABLE[family](params)
+    if params:
+        key = next(iter(params))
+        raise ParseError(f"bench target {spec!r}: {family} has no parameter {key!r}")
     if not instances:
         raise ParseError(f"bench target {spec!r} selects no instances")
     return instances
@@ -452,12 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--decimal", action="store_true", help="append rounded decimals")
     p_solve.add_argument("--tie-rule", default="largest-share", choices=TIE_RULES)
     p_solve.add_argument("--order", default=None, help="round-robin picking order, e.g. 2,0,1")
-    p_solve.add_argument("--budget", type=int, default=_default_budget())
+    p_solve.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="exact WMMS values and optimal ratio")
     p_oracle.add_argument("file")
-    p_oracle.add_argument("--budget", type=int, default=_default_budget())
+    p_oracle.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     p_oracle.add_argument("--decimal", action="store_true")
     p_oracle.set_defaults(func=_cmd_oracle)
 
@@ -471,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--tie-rule", default="largest-share", choices=TIE_RULES)
     p_bench.add_argument("--out", default=None, help="also write rows as JSON")
     p_bench.add_argument("--times", action="store_true", help="add a wall-clock column")
-    p_bench.add_argument("--budget", type=int, default=_default_budget())
+    p_bench.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_gen = sub.add_parser("gen", help="write a generated instance")

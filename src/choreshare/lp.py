@@ -10,6 +10,7 @@ eligible chore, i.e. the integral allocation clears the doubled floor.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,7 +22,7 @@ from .errors import (
     RoundingInvariantViolation,
     UpperBoundInfeasible,
 )
-from .model import ONE, ZERO, Allocation, Instance
+from .model import ONE, ZERO, Allocation, Instance, bundle_value, check_references
 from .simplex import StandardForm
 
 
@@ -82,46 +83,35 @@ def build_program(
 ) -> LPProgram:
     """Instantiate the program with t_i = c * refs[i] (refs nonpositive)."""
     c = Fraction(c)
-    refs = tuple(Fraction(r) for r in refs)
-    if len(refs) != inst.n:
-        raise ValueError(f"expected {inst.n} references, got {len(refs)}")
-    if any(r > 0 for r in refs):
-        raise ValueError("references must be nonpositive")
-    cutoffs = tuple(c * r for r in refs)
-    eligible_chores = tuple(
-        tuple(j for j in range(inst.m) if inst.values[i][j] >= cutoffs[i])
-        for i in range(inst.n)
-    )
-    eligible_agents = tuple(
-        tuple(i for i in range(inst.n) if inst.values[i][j] >= cutoffs[i])
-        for j in range(inst.m)
-    )
-    variables = tuple(
-        (i, j) for i in range(inst.n) for j in eligible_chores[i]
-    )
+    cutoffs = tuple(c * r for r in check_references(inst, refs))
+    eligible_chores = []
+    eligible_agents: list[list[int]] = [[] for _ in range(inst.m)]
+    for i, row in enumerate(inst.values):
+        chores = tuple(j for j, v in enumerate(row) if v >= cutoffs[i])
+        for j in chores:
+            eligible_agents[j].append(i)
+        eligible_chores.append(chores)
     return LPProgram(
         inst=inst,
         thresholds=cutoffs,
-        eligible_chores=eligible_chores,
-        eligible_agents=eligible_agents,
-        variables=variables,
-        trivially_infeasible=any(not agents for agents in eligible_agents),
+        eligible_chores=tuple(eligible_chores),
+        eligible_agents=tuple(map(tuple, eligible_agents)),
+        variables=tuple((i, j) for i, chores in enumerate(eligible_chores) for j in chores),
+        trivially_infeasible=not all(eligible_agents),
     )
 
 
 def _standard_form(prog: LPProgram) -> StandardForm:
-    index = {var: k for k, var in enumerate(prog.variables)}
     sf = StandardForm(num_vars=len(prog.variables))
-    for i in range(prog.inst.n):
-        coeffs = [ZERO] * sf.num_vars
-        for j in prog.eligible_chores[i]:
-            coeffs[index[(i, j)]] = prog.inst.values[i][j]
-        sf.add(coeffs, prog.thresholds[i], "ge")
-    for j in range(prog.inst.m):
-        coeffs = [ZERO] * sf.num_vars
-        for i in prog.eligible_agents[j]:
-            coeffs[index[(i, j)]] = Fraction(1)
-        sf.add(coeffs, Fraction(1), "eq")
+    agent_rows = [[ZERO] * sf.num_vars for _ in range(prog.inst.n)]
+    chore_rows = [[ZERO] * sf.num_vars for _ in range(prog.inst.m)]
+    for k, (i, j) in enumerate(prog.variables):
+        agent_rows[i][k] = prog.inst.values[i][j]
+        chore_rows[j][k] = ONE
+    for coeffs, threshold in zip(agent_rows, prog.thresholds):
+        sf.add(coeffs, threshold, "ge")
+    for coeffs in chore_rows:
+        sf.add(coeffs, ONE, "eq")
     return sf
 
 
@@ -142,32 +132,28 @@ def build_assignment_graph(point: LPPoint) -> AssignmentGraph:
     edges = tuple(sorted(point.values.keys()))
     parent: dict[tuple[str, int], tuple[str, int]] = {}
 
-    def find(node):
+    def find(node):  # a node seen for the first time is its own root
         root = node
-        while parent[root] != root:
+        while parent.setdefault(root, root) != root:
             root = parent[root]
         while parent[node] != root:
             parent[node], node = root, parent[node]
         return root
 
     for i, j in edges:
-        for node in (("a", i), ("c", j)):
-            parent.setdefault(node, node)
         ra, rc = find(("a", i)), find(("c", j))
         if ra != rc:
             parent[ra] = rc
     groups: dict[tuple[str, int], list[tuple[str, int]]] = {}
     for node in parent:
         groups.setdefault(find(node), []).append(node)
-    edge_count: dict[tuple[str, int], int] = {}
-    for i, j in edges:
-        edge_count[find(("a", i))] = edge_count.get(find(("a", i)), 0) + 1
+    edge_count = Counter(find(("a", i)) for i, _ in edges)
     components = []
     for root in sorted(groups):
         members = groups[root]
         agents = tuple(sorted(k for kind, k in members if kind == "a"))
         chores = tuple(sorted(k for kind, k in members if kind == "c"))
-        components.append((agents, chores, edge_count.get(root, 0)))
+        components.append((agents, chores, edge_count[root]))
     return AssignmentGraph(edges=edges, components=tuple(components))
 
 
@@ -193,7 +179,8 @@ def round_extreme_point(
         raise RoundingInvariantViolation("support graph is not a pseudoforest")
 
     chore_adj: dict[int, list[int]] = {j: [] for j in range(inst.m)}  # agents ascending
-    for (i, j), v in sorted(point.values.items()):
+    for i, j in graph.edges:
+        v = point.values[(i, j)]
         if v < 0 or v > 1:
             raise RoundingInvariantViolation(f"x[{i},{j}] = {v} outside [0, 1]")
         chore_adj[j].append(i)
@@ -244,7 +231,7 @@ def round_extreme_point(
 
     alloc = Allocation(inst.n, tuple(owner))
     for i, bundle in enumerate(alloc.bundles()):
-        got = sum((inst.values[i][j] for j in bundle), ZERO)
+        got = bundle_value(inst, i, bundle)
         if got < 2 * prog.thresholds[i]:
             raise RoundingInvariantViolation(
                 f"agent {i} at {got} misses the doubled floor {2 * prog.thresholds[i]}"
@@ -313,12 +300,7 @@ def min_feasible_c(inst: Instance, refs: Sequence[Fraction]) -> Fraction:
     built from a breakpoint's eligibility pattern only underestimates
     eligibility for larger c, never overestimates it.
     """
-    refs = tuple(Fraction(r) for r in refs)
-    if len(refs) != inst.n:
-        raise ValueError(f"expected {inst.n} references, got {len(refs)}")
-    if any(r > 0 for r in refs):
-        raise ValueError("references must be nonpositive")
-
+    refs = check_references(inst, refs)
     breakpoints = {ZERO}
     for i in range(inst.n):
         if refs[i] < 0:

@@ -197,18 +197,26 @@ def unfairness_degree(inst: Instance, i: int, alloc: Allocation) -> Fraction:
     )
 
 
+def check_references(inst: Instance, refs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The references as Fractions; ValueError unless one per agent, none positive."""
+    if len(refs) != inst.n:
+        raise ValueError(f"expected {inst.n} references, got {len(refs)}")
+    refs = tuple(Fraction(r) for r in refs)
+    for i, ref in enumerate(refs):
+        if ref > 0:
+            raise ValueError(f"reference {ref} of agent {i} is positive")
+    return refs
+
+
 def fairness_report(
     inst: Instance, alloc: Allocation, refs: Sequence[Fraction]
 ) -> FairnessReport:
     """Evaluate an allocation against per-agent reference values (each <= 0)."""
-    if len(refs) != inst.n:
-        raise ValueError(f"expected {inst.n} references, got {len(refs)}")
+    refs = check_references(inst, refs)
     agents = []
     for i, bundle in enumerate(alloc.bundles()):
         val = bundle_value(inst, i, bundle)
-        ref = Fraction(refs[i])
-        if ref > 0:
-            raise ValueError(f"reference {ref} of agent {i} is positive")
+        ref = refs[i]
         ratio = val / ref if ref != 0 else None
         agents.append(AgentReport(val, ref, ratio))
     return FairnessReport(tuple(agents))

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, NoFeasibleAllocation
-from .model import Allocation, Instance, fairness_report, integer_row, unfairness_degree
+from .model import (
+    Allocation, Instance, check_references, fairness_report, integer_row, unfairness_degree
+)
 
 DEFAULT_BUDGET = 10**8
 
@@ -161,11 +163,8 @@ def exact_owmms(
     positive or a share is not, or when there is not one reference per agent.
     """
     n, m = inst.n, inst.m
-    if len(wmms) != n:
-        raise ValueError(f"expected {n} references, got {len(wmms)}")
+    wmms = check_references(inst, wmms)
     check_budget(n, m, budget)
-    if any(ref > 0 for ref in wmms):
-        raise ValueError("wmms references must be nonpositive")
     _check_signs(inst)
 
     loads = [[0] * n for _ in range(m)]

@@ -363,6 +363,35 @@ def test_binary_trace_replays():
     assert [e.step for e in trace] == [0, 1, 2]
 
 
+@pytest.mark.parametrize(
+    "shares, values, events",
+    [
+        # every chore free: each goes to the lowest agent valuing it at 0
+        ((HALF, HALF), ((0, 0, 0), (0, 0, 0)), [(0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0)]),
+        # no chore free: the balance greedy's per-share values, chores in order
+        (
+            (F(2, 3), F(1, 3)),
+            ((-1, -1, -1), (-1, -1, -1)),
+            [(0, 0, 0, F(-3, 2)), (1, 1, 0, F(-3)), (2, 2, 1, F(-3))],
+        ),
+        # chore 1 free, then the greedy's events mapped back to chores 0 and 2
+        ((HALF, HALF), ((-1, 0, -1), (-1, -1, -1)), [(0, 1, 0, 0), (1, 0, 0, -2), (2, 2, 1, -2)]),
+    ],
+    ids=["all-free", "none-free", "mixed"],
+)
+def test_binary_trace_events(shares, values, events):
+    inst = cs.Instance(shares, values)
+    trace: list[cs.TraceEvent] = []
+    alloc = cs.binary_wmms(inst, trace=trace)
+    assert [(e.step, e.chore, e.agent, e.quantity) for e in trace] == events
+    assert cs.replay_trace(inst.n, inst.m, trace) == alloc == cs.binary_wmms(inst)
+
+
+def test_replay_trace_needs_every_chore():
+    with pytest.raises(ValueError, match="does not cover every chore"):
+        cs.replay_trace(2, 2, [cs.TraceEvent(0, 1, 0, F(0))])
+
+
 def test_algorithms_deterministic():
     inst = cs.random_instance(3, 6, seed=5)
     for run in (

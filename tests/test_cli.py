@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import choreshare as cs
-from choreshare.cli import main
+from choreshare.cli import main, run_algorithm
 
 F = Fraction
 
@@ -182,12 +182,11 @@ def test_oracle_budget_exceeded(tmp_path, capsys):
     assert "BudgetExceeded" in err and "5^30" in err
 
 
-def test_oracle_budget_env_var(table1_file, capsys, monkeypatch):
-    monkeypatch.setenv("CHORESHARE_ORACLE_BUDGET", "10")
-    code, _, err = run_cli(capsys, "oracle", table1_file)
+def test_oracle_budget_option(table1_file, capsys):
+    code, _, err = run_cli(capsys, "oracle", table1_file, "--budget", "10")
     assert code == 3
-    monkeypatch.setenv("CHORESHARE_ORACLE_BUDGET", "1000")
-    code, _, _ = run_cli(capsys, "oracle", table1_file)
+    assert "2^4 = 16 owner vectors exceeds enumeration budget 10" in err
+    code, _, _ = run_cli(capsys, "oracle", table1_file, "--budget", "1000")
     assert code == 0
 
 
@@ -201,12 +200,16 @@ def test_boolean_token_exits_2(tmp_path, capsys, command, rest):
     assert err == "error: ParseError: agent 0 share: expected a rational, got True\n"
 
 
-def test_bad_budget_env_var_is_an_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CHORESHARE_ORACLE_BUDGET", "abc")
-    code, out, err = run_cli(capsys, "validate", str(tmp_path / "x.json"))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ValueError: CHORESHARE_ORACLE_BUDGET")
+@pytest.mark.parametrize("field", ["share", "value"])
+@pytest.mark.parametrize("token", ["null", "[]", "{}"])
+def test_non_scalar_token_exits_2(tmp_path, capsys, field, token):
+    share, value = (token, '"-1"') if field == "share" else ('"1"', token)
+    path = tmp_path / "odd.json"
+    path.write_text(f'{{"agents": [{{"share": {share}, "values": [{value}]}}]}}')
+    code, out, err = run_cli(capsys, "validate", str(path))
+    context = "agent 0 share" if field == "share" else "agent 0 value 0"
+    assert (code, out) == (2, "")
+    assert err == f"error: ParseError: {context}: expected a rational, got {json.loads(token)!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -401,7 +404,6 @@ def golden_docs(tmp_path_factory) -> dict[str, str]:
 def test_cli_output_bytes(golden_docs, capsys, monkeypatch, case):
     # argparse wraps its usage text to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("CHORESHARE_ORACLE_BUDGET", raising=False)
     argv = [golden_docs.get(token, token) for token in case["argv"]]
     try:
         code = main(argv)
@@ -434,6 +436,32 @@ def test_bench_rejects_specs_that_run_nothing(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ("random:n=2,m=3,cout=1", "random has no parameter 'cout'"),
+        ("rr-family:m=9", "rr-family has no parameter 'm'"),
+        ("table:2,T=3", "table has no parameter 'T'"),
+        ("table:2,3", "extra bare value '3'"),
+    ],
+)
+def test_bench_rejects_parameters_no_family_reads(capsys, spec, named):
+    code, out, err = run_cli(capsys, "bench", spec, "--algs", "naive")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ParseError: ") and named in err
+
+
+def test_run_algorithm_rejects_unknown_name(table1):
+    with pytest.raises(ValueError, match="unknown algorithm 'magic'"):
+        run_algorithm(table1, "magic")
+
+
+def test_gen_table5_eps_out_of_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, "gen", "table5", "--eps", "1/2")
+    assert (code, out) == (2, "")
+    assert err == "error: ParameterInconsistent: eps 1/2 outside (0, 1/2)\n"
+
+
 def test_bench_checks_naive_factor_n_bound(capsys, monkeypatch):
     def smallest_share_takes_all(inst, trace=None):
         i = min(range(inst.n), key=lambda i: (inst.shares[i], i))
@@ -456,8 +484,7 @@ DIVCHO_GOLDEN = json.loads((GOLDEN_DIR / "divcho_cli.json").read_text(encoding="
 @pytest.mark.parametrize(
     "case", DIVCHO_GOLDEN["cases"], ids=lambda case: " ".join(case["argv"])
 )
-def test_divcho_split_output_bytes(tmp_path, capsys, monkeypatch, case):
-    monkeypatch.delenv("CHORESHARE_ORACLE_BUDGET", raising=False)
+def test_divcho_split_output_bytes(tmp_path, capsys, case):
     argv = []
     for token in case["argv"]:
         if token.startswith("{"):

@@ -57,6 +57,8 @@ def test_table_epsilon_ranges():
         cs.paper_table(3, F(1))
     with pytest.raises(cs.ParameterInconsistent):
         cs.paper_table(4, F(1, 2))
+    with pytest.raises(cs.ParameterInconsistent, match="outside"):
+        cs.paper_table(5, F(1, 2))  # (1 - eps) / eps is an integer, so the range check decides
 
 
 def test_table_index_range():

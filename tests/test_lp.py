@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import choreshare as cs
 from choreshare import lp
@@ -97,6 +99,30 @@ def test_round_rejects_bad_mass():
         lp.round_extreme_point(prog, heavy)
 
 
+def test_round_rejects_a_chore_without_mass():
+    inst = cs.Instance((F(1),), ((F(-1), F(-1)),))
+    prog = lp.build_program(inst, F(1), (F(-2),))
+    point = lp.LPPoint(values={(0, 0): F(1)}, basic=True)
+    with pytest.raises(cs.RoundingInvariantViolation, match="no positive mass"):
+        lp.round_extreme_point(prog, point)
+
+
+def test_round_rejects_a_missed_doubled_floor():
+    # a point that ignores its program's floor -1/4 rounds to value -1 < -1/2
+    inst = cs.Instance((F(1),), ((F(-1),),))
+    prog = lp.LPProgram(
+        inst=inst,
+        thresholds=(F(-1, 4),),
+        eligible_chores=((0,),),
+        eligible_agents=((0,),),
+        variables=((0, 0),),
+        trivially_infeasible=False,
+    )
+    point = lp.LPPoint(values={(0, 0): F(1)}, basic=True)
+    with pytest.raises(cs.RoundingInvariantViolation, match="misses the doubled floor -1/2"):
+        lp.round_extreme_point(prog, point)
+
+
 def test_round_rejects_non_pseudoforest():
     inst = cs.Instance((F(1, 3),) * 3, ((F(-1), F(-1)),) * 3)
     prog = lp.LPProgram(
@@ -122,6 +148,43 @@ def test_assignment_graph_components():
     assert graph.edges == ((0, 0), (1, 0), (2, 1))
     assert len(graph.components) == 2
     assert graph.is_pseudoforest()
+
+
+def _search_components(edges):
+    """(agents, chores, edge count) per connected component, by breadth-first search."""
+    adjacent: dict[tuple[str, int], set[tuple[str, int]]] = {}
+    for i, j in edges:
+        adjacent.setdefault(("a", i), set()).add(("c", j))
+        adjacent.setdefault(("c", j), set()).add(("a", i))
+    seen: set[tuple[str, int]] = set()
+    components = []
+    for start in sorted(adjacent):
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            frontier = [n for node in frontier for n in adjacent[node] if n not in component]
+            component.update(frontier)
+        seen |= component
+        agents = tuple(sorted(k for kind, k in component if kind == "a"))
+        chores = tuple(sorted(k for kind, k in component if kind == "c"))
+        components.append((agents, chores, sum(1 for i, _ in edges if i in agents)))
+    return components
+
+
+@given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=14))
+@example(set())
+@example({(0, 0), (0, 1), (1, 0), (1, 1)})  # one cycle: still a pseudoforest
+@example({(i, j) for i in range(2) for j in range(3)})  # K_{2,3}: two cycles, not one
+@example({(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 2), (2, 3)})
+def test_assignment_graph_matches_a_search(edges):
+    graph = lp.build_assignment_graph(lp.LPPoint({e: HALF for e in edges}, basic=False))
+    expected = _search_components(edges)
+    assert graph.edges == tuple(sorted(edges))
+    assert sorted(graph.components) == sorted(expected)
+    assert graph.is_pseudoforest() == all(
+        count <= len(agents) + len(chores) for agents, chores, count in expected
+    )
 
 
 def test_linpro_table1(table1):
@@ -183,6 +246,11 @@ def test_linpro_single_agent():
     assert result.allocation.owner == (0, 0)
 
 
+def test_linpro_rejects_an_instance_without_agents():
+    with pytest.raises(ValueError, match="need at least one agent"):
+        lp.linpro(cs.Instance((), ()), F(1, 100))
+
+
 def test_linpro_rejects_nonpositive_eps(table1):
     with pytest.raises(ValueError):
         lp.linpro(table1, F(0))
@@ -226,6 +294,13 @@ def test_min_feasible_c_with_zero_reference():
     refs = oracle_wmms(inst).wmms
     assert refs == (F(0), F(-1))
     assert lp.min_feasible_c(inst, refs) == F(0)
+
+
+def test_min_feasible_c_with_zero_references_on_negative_values():
+    # every threshold is 0, and nobody is eligible for a chore that costs her
+    inst = cs.Instance((HALF, HALF), ((F(-1), F(-1)), (F(-1), F(0))))
+    with pytest.raises(cs.NoFeasibleAllocation, match="infeasible at every threshold"):
+        lp.min_feasible_c(inst, (F(0), F(0)))
 
 
 def test_min_feasible_c_rejects_positive_refs(table1):

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import choreshare as cs
+from choreshare import lp
 from choreshare.model import integer_row
 from conftest import quick_instances
 
@@ -179,9 +180,52 @@ def test_fairness_report_rejects_bad_refs(table1):
         cs.fairness_report(table1, alloc, (F(1), F(-1)))
 
 
+# Every caller that takes per-agent references checks them through
+# model.check_references, so each rejects a bad vector with one message.
+REFERENCE_CALLERS = {
+    "fairness_report": lambda inst, refs: cs.fairness_report(
+        inst, cs.Allocation(inst.n, (0,) * inst.m), refs
+    ),
+    "build_program": lambda inst, refs: lp.build_program(inst, F(1), refs),
+    "min_feasible_c": lp.min_feasible_c,
+    "exact_owmms": cs.exact_owmms,
+}
+
+
+@pytest.mark.parametrize("caller", REFERENCE_CALLERS)
+@pytest.mark.parametrize(
+    "refs, message",
+    [
+        ((F(-1, 4),), "expected 2 references, got 1"),
+        ((F(-1, 4), F(1, 3)), "reference 1/3 of agent 1 is positive"),
+        ((F(1, 3),), "expected 2 references, got 1"),  # the count comes first
+    ],
+    ids=["too-few", "positive", "too-few-and-positive"],
+)
+def test_reference_checks_agree(table1, caller, refs, message):
+    with pytest.raises(ValueError) as excinfo:
+        REFERENCE_CALLERS[caller](table1, refs)
+    assert str(excinfo.value) == message
+
+
+def test_owmms_checks_reference_signs_before_the_budget(table1):
+    with pytest.raises(ValueError, match="is positive"):
+        cs.exact_owmms(table1, (F(1), F(-1)), budget=1)
+    with pytest.raises(cs.BudgetExceeded):
+        cs.exact_owmms(table1, (F(-1), F(-1)), budget=1)
+
+
 def test_validate_allocation(table1):
     assert cs.validate_allocation(table1, cs.Allocation(2, (0, 1, 0, 1))) == []
     bad = cs.validate_allocation(table1, cs.Allocation(2, (0, 1, 5, 1)))
     assert any("out of range" in v for v in bad)
     short = cs.validate_allocation(table1, cs.Allocation(2, (0,)))
     assert any("covers 1 chores" in v for v in short)
+    wide = cs.validate_allocation(table1, cs.Allocation(3, (0, 1, 1, 0)))
+    assert wide == ["allocation is over 3 agents, instance has 2"]
+
+
+def test_validate_agent_and_row_counts():
+    assert cs.validate_instance(cs.Instance((), ())) == ["instance has no agents; need n >= 1"]
+    extra_row = cs.Instance((F(1),), ((F(-1),), (F(-1),)))
+    assert cs.validate_instance(extra_row) == ["value matrix has 2 rows for 1 agents"]
