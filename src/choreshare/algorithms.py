@@ -29,7 +29,7 @@ from .model import (
     normalize_instance,
     unfairness_degree,
 )
-from .oracle import _lex_min_max
+from .oracle import _check_signs, _lex_min_max
 
 DEFAULT_SUBSET_BUDGET = 24
 TIE_RULES = ("largest-share", "smallest-share")  # multiplicative_greedy's load-tie rules
@@ -138,12 +138,14 @@ def divide_and_choose(
     and the first bundle is positionally earmarked for the chooser; the
     chooser then keeps her preferred side (ties: the earmarked one).
 
-    Requires n == 2 and a normalizable instance (a positive value in the
-    divider's row raises ValueError); more than ``DEFAULT_SUBSET_BUDGET``
-    chores are refused rather than silently losing the guarantee.
+    Requires n == 2 and the search's sign rule (``oracle._check_signs``:
+    positive shares, no positive value anywhere), else ValueError, and a
+    normalizable instance; more than ``DEFAULT_SUBSET_BUDGET`` chores are
+    refused rather than silently losing the guarantee.
     """
     if inst.n != 2:
         raise ValueError(f"div-cho requires exactly 2 agents, got {inst.n}")
+    _check_signs(inst)
     m = inst.m
     if m == 0:
         return Allocation(2, ())
@@ -164,8 +166,6 @@ def divide_and_choose(
     # With the chores fed last to first, lexicographic owner order is bitmask
     # order (bit j set: chore j earmarked), so ties go to the same split.
     ints, _ = integer_row(norm.values[divider])
-    if any(v > 0 for v in ints):  # the search prunes soundly only on loads >= 0
-        raise ValueError("div-cho needs nonpositive values")
     scaled_shares, _ = integer_row((norm.shares[divider], norm.shares[chooser]))
     _, _, split = _lex_min_max(
         [[-v, -v] for v in reversed(ints)], [(1, s) for s in scaled_shares]

@@ -110,12 +110,12 @@ def run_algorithm(
     order: tuple[int, ...] | None = None,
     trace: list[TraceEvent] | None = None,
 ) -> tuple[Allocation, dict]:
-    """Run one algorithm by name; the dict carries algorithm-specific extras."""
+    """Run one algorithm by name; linpro's dict holds its LinProResult as "result"."""
     if name not in ALGORITHM_TABLE:
         raise ValueError(f"unknown algorithm {name!r}; expected one of {', '.join(ALGORITHM_TABLE)}")
     out = ALGORITHM_TABLE[name][0](inst, eps=eps, tie_rule=tie_rule, order=order, trace=trace)
     if isinstance(out, lp.LinProResult):
-        return out.allocation, {"c_final": out.c_final, "result": out}
+        return out.allocation, {"result": out}
     return out, {}
 
 
@@ -170,6 +170,7 @@ def _cmd_solve(args) -> int:
     alloc, extra = run_algorithm(
         inst, args.algorithm, eps=eps, tie_rule=args.tie_rule, order=order, trace=trace
     )
+    result = extra.get("result")
 
     bundles = alloc.bundles()
     values = [bundle_value(inst, i, b) for i, b in enumerate(bundles)]
@@ -187,8 +188,8 @@ def _cmd_solve(args) -> int:
             "bundles": [list(b) for b in bundles],
             "values": [format_ratio(v) for v in values],
         }
-        if "c_final" in extra:
-            doc["c_final"] = format_ratio(extra["c_final"])
+        if result is not None:
+            doc["c_final"] = format_ratio(result.c_final)
         if report is not None:
             doc["report"] = {
                 "wmms": [format_ratio(a.reference) for a in report.agents],
@@ -214,8 +215,8 @@ def _cmd_solve(args) -> int:
         print(f"bundle[{i}]: {' '.join(map(str, b)) if b else '-'}")
     for i, v in enumerate(values):
         print(f"value[{i}]: {_fmt(v, args.decimal)}")
-    if "c_final" in extra:
-        print(f"c-final: {_fmt(extra['c_final'], args.decimal)}")
+    if result is not None:
+        print(f"c-final: {_fmt(result.c_final, args.decimal)}")
     if report is not None:
         for i, agent in enumerate(report.agents):
             print(f"wmms[{i}]: {_fmt(agent.reference, args.decimal)}")
@@ -228,8 +229,8 @@ def _cmd_solve(args) -> int:
                 f"trace: step {e.step}: chore {e.chore} -> agent {e.agent} "
                 f"(quantity {format_ratio(e.quantity)})"
             )
-    if args.dump_lp and "result" in extra:
-        _dump_lp(extra["result"])
+    if args.dump_lp and result is not None:
+        _dump_lp(result)
     return 0
 
 

@@ -28,14 +28,29 @@ from .simplex import StandardForm
 
 @dataclass(frozen=True)
 class LPProgram:
-    """The chore-covering feasibility program at one threshold setting."""
+    """The chore-covering feasibility program at one threshold setting.
+
+    Eligibility is stored once, as ``variables``; the other views derive from it.
+    """
 
     inst: Instance
     thresholds: tuple[Fraction, ...]  # per-agent cutoff t_i, also the bundle floor
-    eligible_chores: tuple[tuple[int, ...], ...]  # per agent: {j : V_ij >= t_i}
-    eligible_agents: tuple[tuple[int, ...], ...]  # per chore: agents eligible for it
-    variables: tuple[tuple[int, int], ...]  # (i, j) pairs, lexicographic
-    trivially_infeasible: bool  # some chore has no eligible agent
+    variables: tuple[tuple[int, int], ...]  # (i, j) with V_ij >= t_i, lexicographic
+
+    @property
+    def eligible_chores(self) -> tuple[tuple[int, ...], ...]:
+        """Per agent i: the chores j with V_ij >= t_i, ascending."""
+        return tuple(tuple(j for a, j in self.variables if a == i) for i in range(self.inst.n))
+
+    @property
+    def eligible_agents(self) -> tuple[tuple[int, ...], ...]:
+        """Per chore j: the agents eligible for it, ascending."""
+        return tuple(tuple(i for i, c in self.variables if c == j) for j in range(self.inst.m))
+
+    @property
+    def trivially_infeasible(self) -> bool:
+        """Some chore has no eligible agent."""
+        return len({j for _, j in self.variables}) < self.inst.m
 
 
 @dataclass(frozen=True)
@@ -43,7 +58,6 @@ class LPPoint:
     """A feasible point, keyed by (agent, chore); zeros are omitted."""
 
     values: dict[tuple[int, int], Fraction]
-    basic: bool
 
     def nonzeros(self) -> int:
         return sum(1 for v in self.values.values() if v != 0)
@@ -84,21 +98,10 @@ def build_program(
     """Instantiate the program with t_i = c * refs[i] (refs nonpositive)."""
     c = Fraction(c)
     cutoffs = tuple(c * r for r in check_references(inst, refs))
-    eligible_chores = []
-    eligible_agents: list[list[int]] = [[] for _ in range(inst.m)]
-    for i, row in enumerate(inst.values):
-        chores = tuple(j for j, v in enumerate(row) if v >= cutoffs[i])
-        for j in chores:
-            eligible_agents[j].append(i)
-        eligible_chores.append(chores)
-    return LPProgram(
-        inst=inst,
-        thresholds=cutoffs,
-        eligible_chores=tuple(eligible_chores),
-        eligible_agents=tuple(map(tuple, eligible_agents)),
-        variables=tuple((i, j) for i, chores in enumerate(eligible_chores) for j in chores),
-        trivially_infeasible=not all(eligible_agents),
+    variables = tuple(
+        (i, j) for i, row in enumerate(inst.values) for j, v in enumerate(row) if v >= cutoffs[i]
     )
+    return LPProgram(inst=inst, thresholds=cutoffs, variables=variables)
 
 
 def _standard_form(prog: LPProgram) -> StandardForm:
@@ -122,10 +125,7 @@ def check_feasible(prog: LPProgram) -> LPPoint | None:
     x = simplex.feasible_basic_point(_standard_form(prog))
     if x is None:
         return None
-    values = {
-        var: x[k] for k, var in enumerate(prog.variables) if x[k] != 0
-    }
-    return LPPoint(values=values, basic=True)
+    return LPPoint({var: x[k] for k, var in enumerate(prog.variables) if x[k] != 0})
 
 
 def build_assignment_graph(point: LPPoint) -> AssignmentGraph:
@@ -214,15 +214,8 @@ def round_extreme_point(
         return False
 
     for j in range(inst.m):
-        if owner[j] < 0:
-            if len(chore_adj[j]) < 2:
-                raise RoundingInvariantViolation(
-                    f"unpeeled chore {j} has degree {len(chore_adj[j])}"
-                )
-            if not try_assign(j, set()):
-                raise RoundingInvariantViolation(
-                    f"no chore-saturating matching covers chore {j}"
-                )
+        if owner[j] < 0 and not try_assign(j, set()):
+            raise RoundingInvariantViolation(f"no chore-saturating matching covers chore {j}")
     for i, j in matched_chore_of.items():
         owner[j] = i
     if trace is not None:

@@ -211,8 +211,11 @@ def check_references(inst: Instance, refs: Sequence[Fraction]) -> tuple[Fraction
 def fairness_report(
     inst: Instance, alloc: Allocation, refs: Sequence[Fraction]
 ) -> FairnessReport:
-    """Evaluate an allocation against per-agent reference values (each <= 0)."""
+    """Evaluate an allocation against references (each <= 0); ValueError unless both fit inst."""
     refs = check_references(inst, refs)
+    violations = validate_allocation(inst, alloc)
+    if violations:
+        raise ValueError(violations[0])
     agents = []
     for i, bundle in enumerate(alloc.bundles()):
         val = bundle_value(inst, i, bundle)

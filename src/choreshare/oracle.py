@@ -12,7 +12,8 @@ certify the polynomial-time algorithms, not compete with them, and a budget
 guard (exact integer n^m comparison) refuses their instances beyond desk
 scale; ``divide_and_choose`` refuses more than 24 chores.  The search works on
 rows scaled to integers by ``model.integer_row`` and compares quotients by
-cross multiplication.
+cross multiplication.  Its sign rule is checked in one place, ``_check_signs``,
+which both oracles and ``divide_and_choose`` call on their input.
 """
 
 from __future__ import annotations
@@ -61,11 +62,11 @@ def check_budget(n: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def _check_signs(inst: Instance) -> None:
-    """Pruning is sound only when bundle sums never rise and shares are positive."""
+    """The search's sign rule: pruning is sound only on nonpositive values, positive shares."""
     if any(s <= 0 for s in inst.shares):
-        raise ValueError("oracle needs positive shares")
+        raise ValueError("needs positive shares")
     if any(v > 0 for row in inst.values for v in row):
-        raise ValueError("oracle needs nonpositive values")
+        raise ValueError("needs nonpositive values")
 
 
 def _lex_min_max(

@@ -44,6 +44,39 @@ def test_build_program_rejects_bad_refs(table2):
         lp.build_program(table2, F(1), (F(1), F(-1)))
 
 
+# Small grids of values, thresholds and references make V_ij == c * r_i common.
+EDGE_VALUES = st.sampled_from([F(0), F(-1, 4), F(-1, 2), F(-1), F(-3, 2)])
+
+
+@st.composite
+def programs(draw):
+    """An instance, a threshold c >= 0 and nonpositive references."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    values = tuple(tuple(draw(EDGE_VALUES) for _ in range(m)) for _ in range(n))
+    c = draw(st.sampled_from([F(0), F(1, 2), F(1), F(4, 3), F(2)]))
+    refs = tuple(draw(EDGE_VALUES) for _ in range(n))
+    return cs.Instance((F(1, n),) * n, values), c, refs
+
+
+@given(programs())
+def test_program_views_match_a_recomputation(drawn):
+    inst, c, refs = drawn
+    prog = lp.build_program(inst, c, refs)
+    agents, chores = range(inst.n), range(inst.m)
+    eligible = {(i, j) for i in agents for j in chores if inst.values[i][j] >= c * refs[i]}
+    assert prog.thresholds == tuple(c * r for r in refs)
+    assert prog.variables == tuple(sorted(eligible))
+    assert prog.eligible_chores == tuple(
+        tuple(j for j in chores if (i, j) in eligible) for i in agents
+    )
+    assert prog.eligible_agents == tuple(
+        tuple(i for i in agents if (i, j) in eligible) for j in chores
+    )
+    assert prog.trivially_infeasible == any(
+        all((i, j) not in eligible for i in agents) for j in chores
+    )
+
+
 def test_trivially_infeasible_program():
     inst = cs.Instance((F(1),), ((F(-1),),))
     prog = lp.build_program(inst, F(1), (F(-1, 100),))
@@ -64,10 +97,7 @@ def _single_chore_program():
     return lp.LPProgram(
         inst=inst,
         thresholds=(F(-1, 2), F(-1, 2)),
-        eligible_chores=((0,), (0,)),
-        eligible_agents=((0, 1),),
         variables=((0, 0), (1, 0)),
-        trivially_infeasible=False,
     )
 
 
@@ -85,16 +115,16 @@ def test_round_single_fractional_chore():
 
 def test_round_integral_point_unchanged(table2):
     prog = lp.build_program(table2, F(4, 3), T2_REFS)
-    point = lp.LPPoint(values={(0, 0): F(1), (0, 1): F(1)}, basic=True)
+    point = lp.LPPoint(values={(0, 0): F(1), (0, 1): F(1)})
     assert lp.round_extreme_point(prog, point).owner == (0, 0)
 
 
 def test_round_rejects_bad_mass():
     prog = _single_chore_program()
-    short = lp.LPPoint(values={(0, 0): HALF}, basic=True)
+    short = lp.LPPoint(values={(0, 0): HALF})
     with pytest.raises(cs.RoundingInvariantViolation):
         lp.round_extreme_point(prog, short)
-    heavy = lp.LPPoint(values={(0, 0): F(3, 2)}, basic=True)
+    heavy = lp.LPPoint(values={(0, 0): F(3, 2)})
     with pytest.raises(cs.RoundingInvariantViolation):
         lp.round_extreme_point(prog, heavy)
 
@@ -102,7 +132,7 @@ def test_round_rejects_bad_mass():
 def test_round_rejects_a_chore_without_mass():
     inst = cs.Instance((F(1),), ((F(-1), F(-1)),))
     prog = lp.build_program(inst, F(1), (F(-2),))
-    point = lp.LPPoint(values={(0, 0): F(1)}, basic=True)
+    point = lp.LPPoint(values={(0, 0): F(1)})
     with pytest.raises(cs.RoundingInvariantViolation, match="no positive mass"):
         lp.round_extreme_point(prog, point)
 
@@ -113,12 +143,9 @@ def test_round_rejects_a_missed_doubled_floor():
     prog = lp.LPProgram(
         inst=inst,
         thresholds=(F(-1, 4),),
-        eligible_chores=((0,),),
-        eligible_agents=((0,),),
         variables=((0, 0),),
-        trivially_infeasible=False,
     )
-    point = lp.LPPoint(values={(0, 0): F(1)}, basic=True)
+    point = lp.LPPoint(values={(0, 0): F(1)})
     with pytest.raises(cs.RoundingInvariantViolation, match="misses the doubled floor -1/2"):
         lp.round_extreme_point(prog, point)
 
@@ -128,13 +155,10 @@ def test_round_rejects_non_pseudoforest():
     prog = lp.LPProgram(
         inst=inst,
         thresholds=(F(-2),) * 3,
-        eligible_chores=((0, 1),) * 3,
-        eligible_agents=((0, 1, 2), (0, 1, 2)),
         variables=tuple((i, j) for i in range(3) for j in range(2)),
-        trivially_infeasible=False,
     )
     dense = lp.LPPoint(
-        values={(i, j): F(1, 3) for i in range(3) for j in range(2)}, basic=False
+        values={(i, j): F(1, 3) for i in range(3) for j in range(2)}
     )
     with pytest.raises(cs.RoundingInvariantViolation, match="pseudoforest"):
         lp.round_extreme_point(prog, dense)
@@ -142,7 +166,7 @@ def test_round_rejects_non_pseudoforest():
 
 def test_assignment_graph_components():
     point = lp.LPPoint(
-        values={(0, 0): HALF, (1, 0): HALF, (2, 1): F(1)}, basic=True
+        values={(0, 0): HALF, (1, 0): HALF, (2, 1): F(1)}
     )
     graph = lp.build_assignment_graph(point)
     assert graph.edges == ((0, 0), (1, 0), (2, 1))
@@ -178,7 +202,7 @@ def _search_components(edges):
 @example({(i, j) for i in range(2) for j in range(3)})  # K_{2,3}: two cycles, not one
 @example({(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 2), (2, 3)})
 def test_assignment_graph_matches_a_search(edges):
-    graph = lp.build_assignment_graph(lp.LPPoint({e: HALF for e in edges}, basic=False))
+    graph = lp.build_assignment_graph(lp.LPPoint({e: HALF for e in edges}))
     expected = _search_components(edges)
     assert graph.edges == tuple(sorted(edges))
     assert sorted(graph.components) == sorted(expected)

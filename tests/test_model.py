@@ -180,6 +180,24 @@ def test_fairness_report_rejects_bad_refs(table1):
         cs.fairness_report(table1, alloc, (F(1), F(-1)))
 
 
+@pytest.mark.parametrize(
+    "alloc, message",
+    [
+        (cs.Allocation(1, (0, 0, 0, 0)), "allocation is over 1 agents, instance has 2"),
+        (cs.Allocation(2, (0, 0)), "allocation covers 2 chores, instance has 4"),
+        (cs.Allocation(3, (0, 1, 2, 2)), "allocation is over 3 agents, instance has 2"),
+    ],
+    ids=["too-few-agents", "too-few-chores", "too-many-agents"],
+)
+def test_fairness_report_rejects_misshaped_allocations(table1, alloc, message):
+    refs = (F(-1, 4), F(-3, 4))
+    with pytest.raises(ValueError) as excinfo:
+        cs.fairness_report(table1, alloc, refs)
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError, match=message):
+        cs.verify_alpha(table1, alloc, refs, F(100))
+
+
 # Every caller that takes per-agent references checks them through
 # model.check_references, so each rejects a bad vector with one message.
 REFERENCE_CALLERS = {

@@ -175,12 +175,17 @@ def test_cached_helpers_agree(table2):
     [
         cs.Instance((HALF, HALF), ((F(1, 2), F(-1)), (F(-1), F(-1)))),
         cs.Instance((F(3, 2), F(-1, 2)), ((F(-1), F(-1)), (F(-1), F(-1)))),
+        # goods: normalizing would flip every sign, so the check precedes it
+        cs.Instance((HALF, HALF), ((F(1), F(1)), (F(1), F(2)))),
     ],
-    ids=["positive-value", "negative-share"],
+    ids=["positive-value", "negative-share", "goods"],
 )
 def test_oracles_reject_unsound_signs(inst):
-    # pruning assumes bundle sums only fall and shares are positive
+    # pruning assumes bundle sums only fall and shares are positive; the
+    # divide-and-choose split runs the same search
     with pytest.raises(ValueError):
         cs.exact_wmms(inst)
     with pytest.raises(ValueError):
         cs.exact_owmms(inst, (F(-1), F(-1)))
+    with pytest.raises(ValueError):
+        cs.divide_and_choose(inst)

@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import choreshare
+from choreshare.cli import console_main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The 61 public names of the package, one per definition imported in
 # ``choreshare/__init__.py``.
@@ -32,3 +41,21 @@ def test_star_import_binds_exactly_the_public_names():
     assert set(namespace) == PUBLIC_NAMES
     assert not any(isinstance(obj, types.ModuleType) for obj in namespace.values())
     assert all(getattr(choreshare, name) is obj for name, obj in namespace.items())
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "choreshare", "gen", "table2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == choreshare.serialize_instance(choreshare.paper_table(2))
+
+
+def test_console_main_exits_with_mains_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["choreshare", "gen", "table2"])
+    with pytest.raises(SystemExit) as excinfo:
+        console_main()
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == choreshare.serialize_instance(choreshare.paper_table(2))
