@@ -170,19 +170,11 @@ def divide_and_choose(
     _, _, split = _lex_min_max(
         [[-v, -v] for v in reversed(ints)], [(1, s) for s in scaled_shares]
     )
-    in_earmarked = split[::-1]
-
-    earmarked = [j for j in range(m) if in_earmarked[j]]
-    rest = [j for j in range(m) if not in_earmarked[j]]
-    val_earmarked = bundle_value(norm, chooser, earmarked)
-    val_rest = bundle_value(norm, chooser, rest)
-    chooser_takes_earmarked = val_earmarked >= val_rest
-
-    owner = [0] * m
-    for j in range(m):
-        owner[j] = chooser if in_earmarked[j] == chooser_takes_earmarked else divider
-    chosen_val = val_earmarked if chooser_takes_earmarked else val_rest
-    return _emit(trace, 2, owner, chosen_val)
+    side_of = split[::-1]
+    value = [bundle_value(norm, chooser, [j for j in range(m) if side_of[j] == s]) for s in (0, 1)]
+    side = int(value[1] >= value[0])  # the chooser takes the earmarked side on a tie
+    owner = [chooser if side_of[j] == side else divider for j in range(m)]
+    return _emit(trace, 2, owner, value[side])
 
 
 def binary_wmms(inst: Instance, trace: list[TraceEvent] | None = None) -> Allocation:

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,7 +61,12 @@ from .serialization import (
 def _fmt(x: Fraction, decimal: bool = False) -> str:
     text = format_ratio(x)
     if decimal and x.denominator != 1:
-        text += f" ({float(x):.6g})"
+        try:
+            approx = float(x)
+        except OverflowError:
+            approx = 0.0
+        # x is nonzero: a zero approx means x lies beyond float range
+        text += f" ({approx or Decimal(x.numerator) / x.denominator:.6g})"
     return text
 
 
@@ -119,22 +125,18 @@ def run_algorithm(
     return out, {}
 
 
+def _report_violations(violations: list[str], out=None) -> bool:
+    """Print each violation to ``out`` (stderr by default); True when there was any."""
+    for v in violations:
+        print(f"violation: {v}", file=out or sys.stderr)
+    return bool(violations)
+
+
 def _cmd_validate(args) -> int:
-    inst = load_instance(args.file)
-    violations = validate_instance(inst)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}")
+    if _report_violations(validate_instance(load_instance(args.file)), sys.stdout):
         return 2
     print("ok")
     return 0
-
-
-def _report_violations(violations: list[str]) -> bool:
-    """Print each violation to stderr; True when there was any."""
-    for v in violations:
-        print(f"violation: {v}", file=sys.stderr)
-    return bool(violations)
 
 
 def _dump_lp(result: lp.LinProResult) -> None:
@@ -289,8 +291,8 @@ def _random(params: dict[str, str]):
 
 
 # Generator family -> build(params), which maps str parameters (bench:
-# "family:key=value,...", a bare value being the table index k; gen: its
-# flags) to a list of (instance id, instance, closed-form references or None).
+# "family:key=value,...", where a bare value is the key k; gen: its flags)
+# to a list of (instance id, instance, closed-form references or None).
 # build pops each parameter it reads; bench rejects what is left.
 FAMILY_TABLE = {
     "table": _table,
@@ -316,19 +318,14 @@ def _bench_instances(spec: str) -> list[tuple[str, Instance, tuple[Fraction, ...
     if family not in FAMILY_TABLE:
         raise ParseError(f"bench target {spec!r} is neither a path nor a known generator spec")
     params: dict[str, str] = {}
-    positional: list[str] = []
-    for part in params_text.split(","):
-        if not part:
-            continue
+    for part in filter(None, params_text.split(",")):
         key, sep, value = part.partition("=")
-        if sep:
-            params[key] = value
-        else:
-            positional.append(part)
-    if len(positional) > 1:
-        raise ParseError(f"bench target {spec!r}: extra bare value {positional[1]!r}")
-    if positional:
-        params["k"] = positional[0]
+        if not sep:
+            key, value = "k", part
+        if key in params:
+            what = f"repeated parameter {key!r}" if sep else f"extra bare value {part!r}"
+            raise ParseError(f"bench target {spec!r}: {what}")
+        params[key] = value
     instances = FAMILY_TABLE[family](params)
     if params:
         key = next(iter(params))
@@ -369,7 +366,6 @@ def _cmd_bench(args) -> int:
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             ratios_text = "-"
             worst_text = "-"
-            worst = None
             if refs is not None:
                 report = fairness_report(inst, alloc, refs)
                 ratios_text = ",".join(_ratio_text(report, i) for i in range(inst.n))

@@ -133,12 +133,9 @@ def build_assignment_graph(point: LPPoint) -> AssignmentGraph:
     parent: dict[tuple[str, int], tuple[str, int]] = {}
 
     def find(node):  # a node seen for the first time is its own root
-        root = node
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
+        while parent.setdefault(node, node) != node:
+            node = parent[node]
+        return node
 
     for i, j in edges:
         ra, rc = find(("a", i)), find(("c", j))

@@ -51,7 +51,7 @@ def parse_instance(text: str) -> Instance:
     """Parse an instance document; errors carry the offending agent/field."""
     try:
         doc = json.loads(text, parse_float=Fraction, parse_int=int)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict) or "agents" not in doc:
         raise ParseError("document must be an object with an 'agents' list")

@@ -134,6 +134,24 @@ def test_solve_trace_and_decimal(table2_file, capsys):
     assert "wmms[0]: -3/4 (-0.75)" in out
 
 
+# float() overflows on a value of -1e400 and reads -0 on one of -1e-400.
+@pytest.mark.parametrize(
+    "row0, row1, shown",
+    [('"-1e400", "-1/2"', '"-1", "-1"', "(-1.00000e+400)"), ('"-1e-400"', '"-1"', "(-1e-400)")],
+)
+@pytest.mark.parametrize("algorithm", ["naive", "linpro"])
+def test_solve_decimal_beyond_float_range(tmp_path, capsys, algorithm, row0, row1, shown):
+    path = tmp_path / "far.json"
+    path.write_text(
+        f'{{"agents": [{{"share": "1/2", "values": [{row0}]}},'
+        f' {{"share": "1/2", "values": [{row1}]}}]}}'
+    )
+    code, out, err = run_cli(capsys, "solve", str(path), algorithm, "--decimal")
+    assert (code, err) == (0, "")
+    value0 = next(line for line in out.splitlines() if line.startswith("value[0]: "))
+    assert value0.endswith(f" {shown}")
+
+
 def test_solve_linpro_trace_reports_rounding(table1_file, capsys):
     # chores 1 and 2 are peeled with their whole unit; chores 0 and 3 are
     # split between the agents and go by the matching
@@ -198,6 +216,18 @@ def test_boolean_token_exits_2(tmp_path, capsys, command, rest):
     assert code == 2
     assert out == ""
     assert err == "error: ParseError: agent 0 share: expected a rational, got True\n"
+
+
+@pytest.mark.parametrize(
+    "command, rest",
+    [("validate", ()), ("solve", ("naive",)), ("oracle", ()), ("bench", ("--algs", "naive"))],
+)
+def test_deeply_nested_document_exits_2(tmp_path, capsys, command, rest):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, command, str(path), *rest)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ParseError: malformed document: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("field", ["share", "value"])
@@ -443,6 +473,9 @@ def test_bench_rejects_specs_that_run_nothing(capsys, argv):
         ("rr-family:m=9", "rr-family has no parameter 'm'"),
         ("table:2,T=3", "table has no parameter 'T'"),
         ("table:2,3", "extra bare value '3'"),
+        ("random:n=2,n=3,m=2,count=1", "repeated parameter 'n'"),
+        ("table:2,k=3", "repeated parameter 'k'"),
+        ("table:k=3,2", "extra bare value '2'"),
     ],
 )
 def test_bench_rejects_parameters_no_family_reads(capsys, spec, named):

@@ -270,6 +270,12 @@ def test_linpro_single_agent():
     assert result.allocation.owner == (0, 0)
 
 
+def test_linpro_raises_when_the_fallback_probe_is_infeasible(table2, monkeypatch):
+    monkeypatch.setattr(lp, "check_feasible", lambda prog: None)
+    with pytest.raises(cs.UpperBoundInfeasible, match="threshold 2 infeasible"):
+        lp.linpro(table2, F(1, 100))
+
+
 def test_linpro_rejects_an_instance_without_agents():
     with pytest.raises(ValueError, match="need at least one agent"):
         lp.linpro(cs.Instance((), ()), F(1, 100))

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import choreshare
-from choreshare.cli import console_main
+from choreshare.cli import console_main, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -59,3 +60,57 @@ def test_console_main_exits_with_mains_code(monkeypatch, capsys):
         console_main()
     assert excinfo.value.code == 0
     assert capsys.readouterr().out == choreshare.serialize_instance(choreshare.paper_table(2))
+
+
+README = (SRC.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The body of the first ``language`` code block after ``heading`` in README.md."""
+    section = README.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+# README's Examples block as (command, the comment under it), and a check on
+# the command's stdout that the comment holds.
+README_EXAMPLES = [
+    ("choreshare gen table2 -o table2.json", "", lambda out: out == ""),
+    (
+        "choreshare oracle table2.json",
+        "wmms: -3/4 -1/3 ... alpha-star: 4/3",
+        lambda out: {"wmms: -3/4 -1/3", "alpha-star: 4/3"} <= set(out.splitlines()),
+    ),
+    (
+        "choreshare solve table2.json div-cho --oracle",
+        "worst-ratio: 4/3",
+        lambda out: "worst-ratio: 4/3" in out.splitlines(),
+    ),
+    (
+        "choreshare solve table2.json linpro --eps 1/100 --oracle --dump-lp",
+        "",
+        lambda out: "lp-point: " in out,
+    ),
+    (
+        "choreshare bench rr-family:n=3..5 --algs round-robin --family-refs",
+        "worst ratios 7, 39, 311: sequential picking degrades without bound",
+        lambda out: [row.split("\t")[3] for row in out.splitlines()[1:]] == ["7", "39", "311"],
+    ),
+]
+
+
+def test_readme_examples_print_what_their_comments_say(tmp_path, monkeypatch, capsys):
+    examples = []
+    for line in _readme_block("### Examples", "sh").splitlines():
+        if line.startswith("# "):
+            examples[-1][1] = line[2:]
+        else:
+            examples.append([line, ""])
+    assert examples == [[command, comment] for command, comment, _ in README_EXAMPLES]
+    monkeypatch.chdir(tmp_path)
+    for command, _, holds in README_EXAMPLES:
+        assert main(shlex.split(command)[1:]) == 0, command
+        assert holds(capsys.readouterr().out), command
+
+
+def test_readme_library_snippet_runs():
+    exec(_readme_block("## Library", "python"), {})
