@@ -6,6 +6,12 @@ constraint per agent (bundle value at least c*r_i).  A basic feasible point of
 it touches at most n+m variables, its positive-support bipartite graph is a
 pseudoforest, and rounding along that graph costs each agent at most one extra
 eligible chore, i.e. the integral allocation clears the doubled floor.
+
+``linpro``'s binary search needs only a verdict from each probe.  A probe is
+first offered to a greedy integral assignment whose floors are checked
+exactly; one that passes proves the probe feasible without a simplex solve,
+and one that fails gets the simplex verdict.  The vertex rounded is always
+Bland's vertex of the program at the final threshold.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import (
     RoundingInvariantViolation,
     UpperBoundInfeasible,
 )
-from .model import ONE, ZERO, Allocation, Instance, bundle_value, check_references
+from .model import ONE, ZERO, Allocation, Instance, bundle_value, check_references, integer_row
 from .simplex import StandardForm
 
 
@@ -229,6 +235,41 @@ def round_extreme_point(
     return alloc
 
 
+def _loads(inst: Instance, refs: Sequence[Fraction]) -> list[list[int]]:
+    """Per agent, each chore's load V_ij / r_i (0 where r_i = 0), as integers over one denominator.
+
+    They do not depend on c: a bundle clears agent i's floor c * r_i < 0
+    exactly when its loads sum to at most c times the denominator.
+    """
+    flat, _ = integer_row([v / r if r else ZERO for r, row in zip(refs, inst.values) for v in row])
+    return [flat[i * inst.m : (i + 1) * inst.m] for i in range(inst.n)]
+
+
+def _certificate(prog: LPProgram, loads: Sequence[Sequence[int]]) -> Allocation | None:
+    """A greedy integral point of the program, or None when the greedy misses.
+
+    Chores go in descending order of their largest eligible load, each to the
+    eligible agent with the least load after taking it (lowest index on ties).
+    The candidate is returned only if every chore has an eligible owner and
+    every floor ``bundle_value >= t_i`` holds exactly, so a returned
+    allocation proves the program feasible; None proves nothing.
+    """
+    eligible = prog.eligible_agents
+    if not all(eligible):
+        return None
+    used = [0] * prog.inst.n
+    owner = [0] * prog.inst.m
+    for j in sorted(range(prog.inst.m), key=lambda j: -max(loads[a][j] for a in eligible[j])):
+        i = min(eligible[j], key=lambda a: used[a] + loads[a][j])
+        owner[j] = i
+        used[i] += loads[i][j]
+    alloc = Allocation(prog.inst.n, tuple(owner))
+    for i, bundle in enumerate(alloc.bundles()):
+        if bundle_value(prog.inst, i, bundle) < prog.thresholds[i]:
+            return None
+    return alloc
+
+
 def linpro(
     inst: Instance, eps: Fraction, trace: list[TraceEvent] | None = None
 ) -> LinProResult:
@@ -236,10 +277,14 @@ def linpro(
 
     References come from ``wmms_prime``.  The search keeps an invariant of
     "upper end feasible" over [1, n] (n is feasible: the largest-share agent
-    can absorb everything) and stops once the bracket is within eps/4; the
-    vertex of the last feasible probe (of c = n when no probe was feasible)
-    is rounded.  The returned allocation gives every agent at least
-    2*c_final times her reference.  ``trace`` receives the rounding
+    can absorb everything) and stops once the bracket is within eps/4.  Each
+    probe is certified feasible by ``_certificate`` when it can be, and is
+    otherwise decided by ``check_feasible``; both give the same verdict on
+    every probe the certificate accepts.  The vertex rounded is Bland's
+    vertex of the program at c_final: the last simplex-decided probe's when
+    that probe was the last feasible one, else one solve at c_final (c = n
+    when no probe was feasible).  The returned allocation gives every agent
+    at least 2*c_final times her reference.  ``trace`` receives the rounding
     decisions (see ``round_extreme_point``).
     """
     eps = Fraction(eps)
@@ -248,6 +293,7 @@ def linpro(
     if inst.n < 1:
         raise ValueError("need at least one agent")
     refs = wmms_prime(inst)
+    loads = _loads(inst, refs)
     upper = Fraction(inst.n)
     lower = Fraction(1)
     iterations = 0
@@ -255,18 +301,20 @@ def linpro(
     while upper - lower > eps / 4:
         mid = (upper + lower) / 2
         probe = build_program(inst, mid, refs)
-        probe_point = check_feasible(probe)
-        if probe_point is not None:
+        if _certificate(probe, loads) is not None:
+            upper, prog, point = mid, probe, None
+        elif (probe_point := check_feasible(probe)) is not None:
             upper, prog, point = mid, probe, probe_point
         else:
             lower = mid
         iterations += 1
     if point is None:
-        prog = build_program(inst, upper, refs)
+        if prog is None:
+            prog = build_program(inst, upper, refs)
         point = check_feasible(prog)
         if point is None:
             raise UpperBoundInfeasible(
-                f"threshold {upper} infeasible, yet {inst.n} is provably feasible"
+                f"threshold {upper} infeasible, yet it is provably feasible"
             )
     allocation = round_extreme_point(prog, point, trace)
     return LinProResult(

@@ -13,33 +13,50 @@ emits canonical "p/q" strings, so a parse/serialize round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
 from .model import Instance
 
 _MINUS_VARIANTS = str.maketrans({"−": "-", "–": "-"})
+# Python before 3.10.7 has no int-to-text digit limit.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def parse_ratio(token, context: str = "value") -> Fraction:
-    """Parse an exact rational from "p/q", a decimal literal, or an int."""
-    if isinstance(token, Fraction):
-        return token
+    """Parse an exact rational from "p/q", a decimal literal, or an int.
+
+    A rational whose numerator or denominator has more digits than Python
+    converts to text (``sys.get_int_max_str_digits()``, 0 for no limit) is
+    refused, so whatever parses can also be printed.
+    """
     if isinstance(token, bool):  # a subclass of int, but JSON true/false are not rationals
         raise ParseError(f"{context}: expected a rational, got {token!r}")
-    if isinstance(token, int):
-        return Fraction(token)
-    if isinstance(token, float):
+    if isinstance(token, Fraction):
+        value = token
+    elif isinstance(token, int):
+        value = Fraction(token)
+    elif isinstance(token, float):
         raise ParseError(f"{context}: refusing binary float {token!r}; write it as a string")
-    if not isinstance(token, str):
+    elif not isinstance(token, str):
         raise ParseError(f"{context}: expected a rational, got {token!r}")
-    text = token.translate(_MINUS_VARIANTS).strip()
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"{context}: zero denominator in {token!r}") from None
-    except ValueError:
-        raise ParseError(f"{context}: not a rational token: {token!r}") from None
+    else:
+        text = token.translate(_MINUS_VARIANTS).strip()
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise ParseError(f"{context}: zero denominator in {token!r}") from None
+        except ValueError:
+            raise ParseError(f"{context}: not a rational token: {token!r}") from None
+    limit = _int_max_str_digits()
+    # An int of b bits has at most 0.302 * b + 1 digits, so a pair with at
+    # most 3 * limit bits between them prints; past that, count exactly.
+    num, den = value.as_integer_ratio()
+    if limit and num.bit_length() + den.bit_length() > 3 * limit:
+        if max(-num, num, den) >= 10**limit:
+            raise ParseError(f"{context}: more than {limit} digits in numerator or denominator")
+    return value
 
 
 def format_ratio(x: Fraction) -> str:

@@ -220,6 +220,27 @@ def test_boolean_token_exits_2(tmp_path, capsys, command, rest):
 
 @pytest.mark.parametrize(
     "command, rest",
+    [
+        ("validate", ()),
+        ("solve", ("naive",)),
+        ("solve", ("linpro",)),
+        ("oracle", ()),
+        ("bench", ("--algs", "naive")),
+    ],
+)
+def test_value_too_long_to_print_exits_2(tmp_path, capsys, command, rest):
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"agents": [{"share": "1/2", "values": ["-1e5000", "-1/2"]},'
+        ' {"share": "1/2", "values": ["-1", "-1"]}]}'
+    )
+    code, out, err = run_cli(capsys, command, str(path), *rest)
+    assert (code, out) == (2, "")
+    assert err == "error: ParseError: agent 0 value 0: more than 4300 digits in numerator or denominator\n"
+
+
+@pytest.mark.parametrize(
+    "command, rest",
     [("validate", ()), ("solve", ("naive",)), ("oracle", ()), ("bench", ("--algs", "naive"))],
 )
 def test_deeply_nested_document_exits_2(tmp_path, capsys, command, rest):
@@ -260,6 +281,13 @@ def test_internal_solver_error_exits_5(table2_file, capsys, monkeypatch, error):
     assert code == 5
     assert out == ""
     assert err == f"error: {error.__name__}: invariant broken\n"
+
+
+def test_certified_final_threshold_that_the_simplex_refuses_exits_5(table1_file, capsys, monkeypatch):
+    monkeypatch.setattr(cs.lp, "check_feasible", lambda prog: None)
+    code, out, err = run_cli(capsys, "solve", table1_file, "linpro")
+    assert (code, out) == (5, "")
+    assert err == "error: UpperBoundInfeasible: threshold 513/512 infeasible, yet it is provably feasible\n"
 
 
 def test_bench_empty_directory(tmp_path, capsys):

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import choreshare as cs
@@ -237,7 +238,7 @@ def test_linpro_trace_is_the_rounding(table1):
     assert cs.replay_trace(table1.n, table1.m, trace) == result.allocation
 
 
-def test_linpro_solves_each_threshold_once(table1, monkeypatch):
+def test_linpro_solves_each_threshold_once(table1, table2, monkeypatch):
     solved = []
     check_feasible = lp.check_feasible
 
@@ -247,9 +248,16 @@ def test_linpro_solves_each_threshold_once(table1, monkeypatch):
 
     monkeypatch.setattr(lp, "check_feasible", counting)
     result = lp.linpro(table1, F(1, 100))
-    # the rounded vertex is the last feasible probe's, not a second solve
-    assert len(solved) == result.iterations == len(set(solved))
+    # every probe on table 1 is certified: the one solve is the rounded vertex's
+    assert solved == [tuple(result.c_final * r for r in result.references)]
     assert result.program == lp.build_program(table1, result.c_final, result.references)
+    # where probes reach the simplex, none is solved twice and c_final is solved
+    for inst in [table2, *quick_instances(seeds=2)]:
+        for eps in (F(1, 100), F(1, 1000)):
+            solved.clear()
+            result = lp.linpro(inst, eps)
+            assert len(solved) == len(set(solved)) <= result.iterations + 1
+            assert tuple(result.c_final * r for r in result.references) in solved
     # with no probe at all, the upper end c = n is solved once
     solved.clear()
     lp.linpro(cs.Instance((F(1),), ((F(-1),),)), F(1, 100))
@@ -271,9 +279,54 @@ def test_linpro_single_agent():
 
 
 def test_linpro_raises_when_the_fallback_probe_is_infeasible(table2, monkeypatch):
+    monkeypatch.setattr(lp, "_certificate", lambda prog, loads: None)
     monkeypatch.setattr(lp, "check_feasible", lambda prog: None)
     with pytest.raises(cs.UpperBoundInfeasible, match="threshold 2 infeasible"):
         lp.linpro(table2, F(1, 100))
+
+
+def test_linpro_raises_when_the_certified_final_probe_is_infeasible(table1, monkeypatch):
+    monkeypatch.setattr(lp, "check_feasible", lambda prog: None)
+    with pytest.raises(
+        cs.UpperBoundInfeasible,
+        match="^threshold 513/512 infeasible, yet it is provably feasible$",
+    ):
+        lp.linpro(table1, F(1, 100))
+
+
+@given(programs())
+@example((cs.Instance((F(1),), ((-HALF, -HALF),)), F(3, 4), (F(-1),)))  # each chore fits, both miss
+def test_certificate_uses_eligible_pairs_and_clears_every_floor(drawn):
+    inst, c, refs = drawn
+    prog = lp.build_program(inst, c, refs)
+    alloc = lp._certificate(prog, lp._loads(inst, refs))
+    if alloc is None:
+        return
+    assert all((i, j) in prog.variables for j, i in enumerate(alloc.owner))
+    for i, bundle in enumerate(alloc.bundles()):
+        assert cs.bundle_value(inst, i, bundle) >= prog.thresholds[i]
+    assert lp.check_feasible(prog) is not None
+
+
+@st.composite
+def linpro_instances(draw):
+    """Random normalized and binary instances, the paper's tables and the egal-greedy family."""
+    kind = draw(st.sampled_from(["normalized", "binary", "table", "egal-failure"]))
+    if kind == "table":
+        return cs.paper_table(draw(st.integers(1, 6)))
+    if kind == "egal-failure":
+        n, T = draw(st.sampled_from([(2, F(3)), (2, F(5)), (3, F(4)), (3, F(6)), (4, F(5))]))
+        return cs.egal_greedy_failure_family(T, T / (T - n + 1), n)
+    n, m, seed = draw(st.integers(2, 4)), draw(st.integers(1, 8)), draw(st.integers(0, 10**6))
+    return cs.random_instance(n, m, seed, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linpro_instances(), st.sampled_from([F(1, 3), F(1, 100), F(1, 1000)]))
+def test_linpro_is_the_same_when_the_certificate_refuses(inst, eps):
+    with mock.patch.object(lp, "_certificate", lambda prog, loads: None):
+        every_probe_solved = lp.linpro(inst, eps)
+    assert lp.linpro(inst, eps) == every_probe_solved
 
 
 def test_linpro_rejects_an_instance_without_agents():

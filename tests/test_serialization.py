@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,22 @@ def test_parse_ratio_tokens():
     for token in (True, False):
         with pytest.raises(cs.ParseError, match="expected a rational"):
             cs.parse_ratio(token)
+
+
+def test_parse_ratio_refuses_what_cannot_be_printed():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter prints ints of any length")
+    longest = cs.parse_ratio(f"-1e{limit - 1}")  # exactly `limit` digits
+    assert str(longest) == "-1" + "0" * (limit - 1)
+    for token in (f"-1e{limit}", f"1e-{limit}", F(10**limit, 3), -(10**limit)):
+        with pytest.raises(cs.ParseError, match=f"^field: more than {limit} digits"):
+            cs.parse_ratio(token, "field")
+    doc = f'{{"agents": [{{"share": "1", "values": [-1e{limit}]}}]}}'
+    with pytest.raises(cs.ParseError, match="^agent 0 value 0: more than"):
+        cs.parse_instance(doc)
+    inst = cs.Instance((F(1),), ((longest,),))
+    assert cs.parse_instance(cs.serialize_instance(inst)) == inst
 
 
 def test_parse_errors_carry_context():
