@@ -30,7 +30,6 @@ from .errors import (
     ParameterInconsistent,
     ParseError,
     RoundingInvariantViolation,
-    SubsetBudgetExceeded,
     Unbounded,
     UpperBoundInfeasible,
 )

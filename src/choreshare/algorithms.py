@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotBinary, SubsetBudgetExceeded
+from .errors import NotBinary
 from .model import (
     ZERO,
     Allocation,
@@ -29,9 +29,8 @@ from .model import (
     normalize_instance,
     unfairness_degree,
 )
-from .oracle import _check_signs, _lex_min_max
+from .oracle import _check_signs, _lex_min_max, check_budget
 
-DEFAULT_SUBSET_BUDGET = 24
 TIE_RULES = ("largest-share", "smallest-share")  # multiplicative_greedy's load-tie rules
 
 
@@ -140,8 +139,9 @@ def divide_and_choose(
 
     Requires n == 2 and the search's sign rule (``oracle._check_signs``:
     positive shares, no positive value anywhere), else ValueError, and a
-    normalizable instance; more than ``DEFAULT_SUBSET_BUDGET`` chores are
-    refused rather than silently losing the guarantee.
+    normalizable instance; a split the oracle's default budget refuses
+    (``check_budget(2, m)``: m > 26) raises BudgetExceeded rather than
+    silently losing the guarantee.
     """
     if inst.n != 2:
         raise ValueError(f"div-cho requires exactly 2 agents, got {inst.n}")
@@ -156,10 +156,7 @@ def divide_and_choose(
     if norm.shares[chooser] <= Fraction(1, 3):
         return _emit(trace, 2, (divider,) * m, norm.shares[divider])
 
-    if m > DEFAULT_SUBSET_BUDGET:
-        raise SubsetBudgetExceeded(
-            f"2^{m} subset enumeration exceeds guard m <= {DEFAULT_SUBSET_BUDGET}"
-        )
+    check_budget(2, m)
 
     # The split minimizing the larger per-share load (load = -value): owner 0
     # is the divider's bundle, owner 1 the one earmarked for the chooser.

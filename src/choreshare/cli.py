@@ -32,11 +32,8 @@ from .algorithms import (
 )
 from .errors import (
     BudgetExceeded,
+    ChoreShareError,
     NoFeasibleAllocation,
-    NoIntegralM,
-    NormalizationImpossible,
-    NotBinary,
-    ParameterInconsistent,
     ParseError,
     RoundingInvariantViolation,
     Unbounded,
@@ -291,9 +288,9 @@ def _random(params: dict[str, str]):
 
 
 # Generator family -> build(params), which maps str parameters (bench:
-# "family:key=value,...", where a bare value is the key k; gen: its flags)
+# "family:key=value,...", where a bare value is the key k; gen: the flags given)
 # to a list of (instance id, instance, closed-form references or None).
-# build pops each parameter it reads; bench rejects what is left.
+# build pops each parameter it reads; _family_instances refuses what is left.
 FAMILY_TABLE = {
     "table": _table,
     "rr-family": lambda params: [
@@ -304,6 +301,13 @@ FAMILY_TABLE = {
     "egal-failure": lambda params: [("egal-failure", _egal_failure(params), None)],
     "random": _random,
 }
+
+
+def _family_instances(family: str, params: dict[str, str], target: str):
+    instances = FAMILY_TABLE[family](params)
+    if params:
+        raise ParseError(f"{target}: {family} has no parameter {next(iter(params))!r}")
+    return instances
 
 
 def _bench_instances(spec: str) -> list[tuple[str, Instance, tuple[Fraction, ...] | None]]:
@@ -326,10 +330,7 @@ def _bench_instances(spec: str) -> list[tuple[str, Instance, tuple[Fraction, ...
             what = f"repeated parameter {key!r}" if sep else f"extra bare value {part!r}"
             raise ParseError(f"bench target {spec!r}: {what}")
         params[key] = value
-    instances = FAMILY_TABLE[family](params)
-    if params:
-        key = next(iter(params))
-        raise ParseError(f"bench target {spec!r}: {family} has no parameter {key!r}")
+    instances = _family_instances(family, params, f"bench target {spec!r}")
     if not instances:
         raise ParseError(f"bench target {spec!r} selects no instances")
     return instances
@@ -406,14 +407,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    # a malformed --eps is an error whichever family it is given to
-    parse_ratio(args.eps, context="--eps")
     family, k = ("table", args.family[-1]) if args.family[:-1] == "table" else (args.family, None)
-    params = {"k": k, "eps": args.eps, "T": args.T, "c": args.c, "seed0": args.seed, "count": 1,
-              "style": args.style, "n": args.n, "m": args.m}
+    # the flags given, and count=1: gen writes the first instance, so random builds one
+    params = {"k": k, "count": 1 if family == "random" else None, "eps": args.eps, "T": args.T,
+              "c": args.c, "seed0": args.seed, "style": args.style, "n": args.n, "m": args.m}
     params = {key: str(value) for key, value in params.items() if value is not None}
-    # the first instance: count=1 for random, and rr-family's sizes start at 3
-    _, inst, _ = FAMILY_TABLE[family](params)[0]
+    _, inst, _ = _family_instances(family, params, f"gen {args.family}")[0]
     if args.output:
         save_instance(inst, args.output)
     else:
@@ -470,24 +469,22 @@ def build_parser() -> argparse.ArgumentParser:
         "family",
         choices=[f"table{k}" for k in range(1, 7)] + [f for f in FAMILY_TABLE if f != "table"],
     )
-    p_gen.add_argument("--n", type=int, default=None)
-    p_gen.add_argument("--m", type=int, default=None)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--style", default="normalized", choices=("normalized", "binary"))
-    p_gen.add_argument("--eps", default="1/10")
-    p_gen.add_argument("--T", default="8")
-    p_gen.add_argument("--c", default="4")
+    p_gen.add_argument("--n", type=int)
+    p_gen.add_argument("--m", type=int)
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--style", choices=("normalized", "binary"))
+    p_gen.add_argument("--eps")
+    p_gen.add_argument("--T")
+    p_gen.add_argument("--c")
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.set_defaults(func=_cmd_gen)
 
     return parser
 
 
-# Error type -> exit code; see the module docstring.
+# Error type -> exit code other than 2, the code of every other error main catches.
 EXIT_CODES = {
     BudgetExceeded: 3,
-    **dict.fromkeys((ParseError, NotBinary, ParameterInconsistent, NoIntegralM,
-                     NormalizationImpossible, ValueError, OSError), 2),
     **dict.fromkeys((RoundingInvariantViolation, UpperBoundInfeasible, Unbounded,
                      NoFeasibleAllocation), 5),
 }
@@ -497,9 +494,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except tuple(EXIT_CODES) as exc:
+    except (ChoreShareError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return next(code for error, code in EXIT_CODES.items() if isinstance(exc, error))
+        return next((code for error, code in EXIT_CODES.items() if isinstance(exc, error)), 2)
 
 
 def console_main() -> None:

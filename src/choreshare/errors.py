@@ -17,10 +17,6 @@ class BudgetExceeded(ChoreShareError):
     """An exhaustive enumeration would exceed the configured work budget."""
 
 
-class SubsetBudgetExceeded(BudgetExceeded):
-    """A 2^m subset enumeration would exceed the chore-count guard."""
-
-
 class NotBinary(ChoreShareError):
     """A valuation entry lies outside {0, -1} where binary values are required."""
 

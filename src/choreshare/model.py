@@ -7,6 +7,7 @@ floating point.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -16,6 +17,8 @@ from .errors import NormalizationImpossible
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# Python before 3.10.7 has no int-to-text digit limit.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -149,10 +152,18 @@ def validate_instance(inst: Instance) -> list[str]:
     total = sum(inst.shares, ZERO)
     if n >= 1 and total != ONE:
         violations.append(f"shares sum to {total} != 1")
+    limit = _int_max_str_digits()
     for i, row in enumerate(inst.values):
-        for j, v in enumerate(row):
-            if v > 0:
-                violations.append(f"positive value {v} at agent {i}, chore {j}")
+        ints, denom = integer_row(row)  # denom > 0: each int has its value's sign
+        for j, x in enumerate(ints):
+            if x > 0:
+                violations.append(f"positive value {row[j]} at agent {i}, chore {j}")
+        # Each bundle value of agent i is p/q with |p| <= sum |ints| and q | denom,
+        # so it prints when both do.  An int of b bits has at most 0.302 * b + 1
+        # digits: only past 3 * limit bits are the digits counted exactly.
+        longest = max(denom, sum(map(abs, ints)))
+        if limit and longest.bit_length() > 3 * limit and longest >= 10**limit:
+            violations.append(f"sums of agent {i}'s values can exceed {limit} digits")
     return violations
 
 

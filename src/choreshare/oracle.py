@@ -9,11 +9,12 @@ is pruned only when none of its leaves can be strictly better than the
 incumbent, and the witness is the lexicographically first optimum, as with a
 full enumeration.  The search is exponential in the worst case: the oracles
 certify the polynomial-time algorithms, not compete with them, and a budget
-guard (exact integer n^m comparison) refuses their instances beyond desk
-scale; ``divide_and_choose`` refuses more than 24 chores.  The search works on
-rows scaled to integers by ``model.integer_row`` and compares quotients by
-cross multiplication.  Its sign rule is checked in one place, ``_check_signs``,
-which both oracles and ``divide_and_choose`` call on their input.
+guard (``check_budget``, exact integer n^m comparison) refuses instances
+beyond desk scale: ``divide_and_choose``'s split at the default budget
+refuses more than 26 chores.  The search works on rows scaled to integers by
+``model.integer_row`` and compares quotients by cross multiplication.  Its
+sign rule is checked in one place, ``_check_signs``, which both oracles and
+``divide_and_choose`` call on their input.
 """
 
 from __future__ import annotations

@@ -13,15 +13,12 @@ emits canonical "p/q" strings, so a parse/serialize round trip is bit-exact.
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 
 from .errors import ParseError
-from .model import Instance
+from .model import Instance, _int_max_str_digits
 
 _MINUS_VARIANTS = str.maketrans({"−": "-", "–": "-"})
-# Python before 3.10.7 has no int-to-text digit limit.
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def parse_ratio(token, context: str = "value") -> Fraction:

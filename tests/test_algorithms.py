@@ -147,13 +147,18 @@ def test_divcho_preconditions():
     positive = cs.Instance((HALF, HALF), ((F(-1), F(-1)), (F(1), F(-3))))
     with pytest.raises(ValueError, match="nonpositive values"):
         cs.divide_and_choose(positive)
-    # the guard (m <= 24) only matters once the chooser's share exceeds 1/3
-    # and the divider actually searches for a split
-    wide = cs.Instance((HALF, HALF), ((F(-1, 25),) * 25,) * 2)
-    with pytest.raises(cs.SubsetBudgetExceeded, match="guard m <= 24"):
+    # the oracle's budget (2^m <= 10^8, so m <= 26) only matters once the
+    # chooser's share exceeds 1/3 and the divider actually searches for a split
+    wide = cs.Instance((HALF, HALF), ((F(-1, 27),) * 27,) * 2)
+    message = r"2\^27 = 134217728 owner vectors exceeds enumeration budget 100000000$"
+    with pytest.raises(cs.BudgetExceeded, match=message):
         cs.divide_and_choose(wide)
-    small_share = cs.Instance((F(1, 4), F(3, 4)), ((F(-1, 25),) * 25,) * 2)
-    assert cs.divide_and_choose(small_share).owner == (1,) * 25
+    small_share = cs.Instance((F(1, 4), F(3, 4)), ((F(-1, 27),) * 27,) * 2)
+    assert cs.divide_and_choose(small_share).owner == (1,) * 27
+    # 25 chores are within it: the divider (agent 1) keeps the heavy last
+    # chore and the chooser takes the 24 light ones
+    row = (F(-1, 48),) * 24 + (F(-1, 2),)
+    assert cs.divide_and_choose(cs.Instance((HALF, HALF), (row, row))).owner == (0,) * 24 + (1,)
 
 
 def test_divcho_bound_on_seeded_instances():

@@ -241,6 +241,33 @@ def test_value_too_long_to_print_exits_2(tmp_path, capsys, command, rest):
 
 @pytest.mark.parametrize(
     "command, rest",
+    [
+        ("validate", ()),
+        ("solve", ("naive",)),
+        ("solve", ("linpro",)),
+        ("bench", ("--algs", "naive")),
+    ],
+)
+def test_values_whose_sums_are_too_long_to_print_exit_2(tmp_path, capsys, command, rest):
+    # each value prints (2195 and 2198 digits), but their sum's denominator
+    # has about 4390, past the default limit of 4300
+    path = tmp_path / "long.json"
+    agents = [
+        {"share": "1/2", "values": [f"-1/{3**4600}", f"-1/{7**2600}"]},
+        {"share": "1/2", "values": ["-1", "-1"]},
+    ]
+    path.write_text(json.dumps({"agents": agents}))
+    code, out, err = run_cli(capsys, command, str(path), *rest)
+    violation = "sums of agent 0's values can exceed 4300 digits\n"
+    if command == "validate":
+        assert (code, out, err) == (2, f"violation: {violation}", "")
+    else:
+        prefix = "long: " if command == "bench" else ""
+        assert (code, out, err) == (2, "", f"violation: {prefix}{violation}")
+
+
+@pytest.mark.parametrize(
+    "command, rest",
     [("validate", ()), ("solve", ("naive",)), ("oracle", ()), ("bench", ("--algs", "naive"))],
 )
 def test_deeply_nested_document_exits_2(tmp_path, capsys, command, rest):
@@ -555,3 +582,50 @@ def test_divcho_split_output_bytes(tmp_path, capsys, case):
         argv.append(token)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("table2", "--n", "5"), "'n'"),
+        (("rr-family", "--m", "9"), "'m'"),
+        (("table6", "--eps", "1/3"), "'eps'"),
+        (("random", "--T", "3"), "'T'"),
+        (("egal-failure", "--seed", "4"), "'seed0'"),
+        (("random", "--n", "2", "--m", "2", "--c", "9"), "'c'"),
+    ],
+)
+def test_gen_rejects_flags_its_family_does_not_read(capsys, argv, named):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ParseError: ") and f"has no parameter {named}" in err
+
+
+def test_gen_table1_reads_eps_as_bench_does(capsys):
+    code, out, _ = run_cli(capsys, "gen", "table1", "--eps", "1/3")
+    assert code == 0
+    assert cs.parse_instance(out) == cs.paper_table(1, F(1, 3))
+    code, _, _ = run_cli(capsys, "bench", "table:1,eps=1/3", "--algs", "naive")
+    assert code == 0
+
+
+def test_solve_divcho_past_the_budget_exits_3(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    cs.save_instance(cs.Instance((F(1, 2), F(1, 2)), ((F(-1, 27),) * 27,) * 2), path)
+    code, out, err = run_cli(capsys, "solve", str(path), "div-cho")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: BudgetExceeded: 2^27 = 134217728 owner vectors exceeds enumeration budget 100000000\n"
+    )
+
+
+def test_main_gives_every_package_error_exit_2(table1_file, capsys, monkeypatch):
+    class FreshError(cs.ChoreShareError):
+        pass
+
+    def fail(inst, trace=None):
+        raise FreshError("no such luck")
+
+    monkeypatch.setattr(cs.cli, "naive", fail)
+    code, out, err = run_cli(capsys, "solve", table1_file, "naive")
+    assert (code, out, err) == (2, "", "error: FreshError: no such luck\n")

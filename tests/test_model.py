@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -241,6 +242,18 @@ def test_validate_allocation(table1):
     assert any("covers 1 chores" in v for v in short)
     wide = cs.validate_allocation(table1, cs.Allocation(3, (0, 1, 1, 0)))
     assert wide == ["allocation is over 3 agents, instance has 2"]
+
+
+def test_validate_refuses_rows_whose_sums_cannot_be_printed():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter prints ints of any length")
+    half = F(-5 * 10 ** (limit - 2))  # two of them sum to -10^(limit-1): `limit` digits
+    assert cs.validate_instance(cs.Instance((F(1),), ((half, half),))) == []
+    over = F(-(10 ** (limit - 1)))  # the sum has limit + 1 digits
+    for row in ((over,) * 10, (F(-1, 10 ** (limit - 1)), F(-1, 10 ** (limit - 1) + 1))):
+        inst = cs.Instance((HALF, HALF), ((F(-1),) * len(row), row))
+        assert cs.validate_instance(inst) == [f"sums of agent 1's values can exceed {limit} digits"]
 
 
 def test_validate_agent_and_row_counts():
