@@ -136,25 +136,26 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _dump_lp(result: lp.LinProResult) -> None:
+def _lp_lines(result: lp.LinProResult) -> list[str]:
     prog = result.program
     names = [f"x[{i},{j}]" for i, j in prog.variables]
-    print(f"lp-variables: {' '.join(names) if names else '-'}")
+    lines = [f"lp-variables: {' '.join(names) if names else '-'}"]
     for i in range(prog.inst.n):
         terms = [
             f"{format_ratio(prog.inst.values[i][j])}*x[{i},{j}]"
             for j in prog.eligible_chores[i]
         ]
         lhs = " + ".join(terms) if terms else "0"
-        print(f"lp-agent {i}: {lhs} >= {format_ratio(prog.thresholds[i])}")
+        lines.append(f"lp-agent {i}: {lhs} >= {format_ratio(prog.thresholds[i])}")
     for j in range(prog.inst.m):
         terms = [f"x[{i},{j}]" for i in prog.eligible_agents[j]]
         lhs = " + ".join(terms) if terms else "0"
-        print(f"lp-chore {j}: {lhs} = 1")
+        lines.append(f"lp-chore {j}: {lhs} = 1")
     entries = " ".join(
         f"x[{i},{j}]={format_ratio(v)}" for (i, j), v in sorted(result.point.values.items())
     )
-    print(f"lp-point: {entries if entries else '-'}")
+    lines.append(f"lp-point: {entries if entries else '-'}")
+    return lines
 
 
 def _cmd_solve(args) -> int:
@@ -208,28 +209,33 @@ def _cmd_solve(args) -> int:
         print(json.dumps(doc, indent=2))
         return 0
 
-    print(f"algorithm: {args.algorithm}")
-    print(f"owner: {' '.join(map(str, alloc.owner)) if alloc.owner else '-'}")
+    # Formatted in full before printing, as in _cmd_oracle: wmms[i] and the
+    # LP's thresholds may not print.
+    lines = [
+        f"algorithm: {args.algorithm}",
+        f"owner: {' '.join(map(str, alloc.owner)) if alloc.owner else '-'}",
+    ]
     for i, b in enumerate(bundles):
-        print(f"bundle[{i}]: {' '.join(map(str, b)) if b else '-'}")
+        lines.append(f"bundle[{i}]: {' '.join(map(str, b)) if b else '-'}")
     for i, v in enumerate(values):
-        print(f"value[{i}]: {_fmt(v, args.decimal)}")
+        lines.append(f"value[{i}]: {_fmt(v, args.decimal)}")
     if result is not None:
-        print(f"c-final: {_fmt(result.c_final, args.decimal)}")
+        lines.append(f"c-final: {_fmt(result.c_final, args.decimal)}")
     if report is not None:
         for i, agent in enumerate(report.agents):
-            print(f"wmms[{i}]: {_fmt(agent.reference, args.decimal)}")
+            lines.append(f"wmms[{i}]: {_fmt(agent.reference, args.decimal)}")
         for i, text in enumerate(ratios):
-            print(f"ratio[{i}]: {text}")
-        print(f"worst-ratio: {_fmt(worst, args.decimal) if worst is not None else 'violated'}")
+            lines.append(f"ratio[{i}]: {text}")
+        lines.append(f"worst-ratio: {_fmt(worst, args.decimal) if worst is not None else 'violated'}")
     if trace is not None:
         for e in trace:
-            print(
+            lines.append(
                 f"trace: step {e.step}: chore {e.chore} -> agent {e.agent} "
                 f"(quantity {format_ratio(e.quantity)})"
             )
     if args.dump_lp and result is not None:
-        _dump_lp(result)
+        lines += _lp_lines(result)
+    print("\n".join(lines))
     return 0
 
 
@@ -238,15 +244,18 @@ def _cmd_oracle(args) -> int:
     if _report_violations(validate_instance(inst)):
         return 2
     result = oracle.exact_wmms(inst, budget=args.budget)
-    print(f"wmms: {' '.join(_fmt(x, args.decimal) for x in result.wmms)}")
-    print(f"w: {' '.join(_fmt(x, args.decimal) for x in result.w)}")
-    for i, witness in enumerate(result.witness_partitions):
-        owners = " ".join(map(str, witness.owner)) if witness.owner else "-"
-        print(f"witness[{i}]: {owners}")
     owmms = oracle.exact_owmms(inst, result.wmms, budget=args.budget)
-    print(f"alpha-star: {_fmt(owmms.alpha_star, args.decimal)}")
-    owners = " ".join(map(str, owmms.witness.owner)) if owmms.witness.owner else "-"
-    print(f"alpha-witness: {owners}")
+    # Every line is formatted before the first prints: validate bounds the
+    # digits of bundle values, not of wmms or w = wmms / share, which may not.
+    lines = [
+        f"wmms: {' '.join(_fmt(x, args.decimal) for x in result.wmms)}",
+        f"w: {' '.join(_fmt(x, args.decimal) for x in result.w)}",
+        *(f"witness[{i}]: {' '.join(map(str, witness.owner)) or '-'}"
+          for i, witness in enumerate(result.witness_partitions)),
+        f"alpha-star: {_fmt(owmms.alpha_star, args.decimal)}",
+        f"alpha-witness: {' '.join(map(str, owmms.witness.owner)) or '-'}",
+    ]
+    print("\n".join(lines))
     return 0
 
 

@@ -1,20 +1,24 @@
-"""Exact ground-truth computations by lexicographic branch and bound.
+"""Exact ground-truth computations by two-phase branch and bound.
 
 One search, ``_lex_min_max``, has three callers: the oracles ``exact_wmms``
 and ``exact_owmms``, and ``algorithms.divide_and_choose`` for the divider's
-two-bundle split.  It visits the n^m owner vectors depth first, chores in
-index order and owners 0..n-1, so leaves come in lexicographic order.  Values
-are nonpositive, so a partial assignment bounds all its completions; a subtree
-is pruned only when none of its leaves can be strictly better than the
-incumbent, and the witness is the lexicographically first optimum, as with a
-full enumeration.  The search is exponential in the worst case: the oracles
-certify the polynomial-time algorithms, not compete with them, and a budget
-guard (``check_budget``, exact integer n^m comparison) refuses instances
-beyond desk scale: ``divide_and_choose``'s split at the default budget
-refuses more than 26 chores.  The search works on rows scaled to integers by
-``model.integer_row`` and compares quotients by cross multiplication.  Its
-sign rule is checked in one place, ``_check_signs``, which both oracles and
-``divide_and_choose`` call on their input.
+two-bundle split.  It minimizes the largest per-agent key over the n^m owner
+vectors in two depth-first passes of one loop, ``_search``.  Phase A finds
+the optimal value by branch and bound, chores in descending order of their
+largest load: values are nonpositive, so a partial assignment bounds all its
+completions, and big chores first prune the most.  Phase B then visits owner
+vectors in lexicographic order (chores in index order, owners 0..n-1) with
+every key capped at that value, and stops at its first leaf.  Each leaf
+within the caps is optimal, so that leaf is the lexicographically first
+optimum, the witness a full enumeration returns.  The search is exponential
+in the worst case: the oracles certify the polynomial-time algorithms, not
+compete with them, and a budget guard (``check_budget``, exact integer n^m
+comparison) refuses instances beyond desk scale: ``divide_and_choose``'s
+split at the default budget refuses more than 26 chores.  The search works
+on rows scaled to integers by ``model.integer_row`` and compares quotients
+by cross multiplication.  Its sign rule is checked in one place,
+``_check_signs``, which both oracles and ``divide_and_choose`` call on their
+input.
 """
 
 from __future__ import annotations
@@ -70,32 +74,37 @@ def _check_signs(inst: Instance) -> None:
         raise ValueError("needs nonpositive values")
 
 
-def _lex_min_max(
-    loads: list[list[int]], weights: list[tuple[int, int]]
+def _search(
+    loads: list[list[int]], weights: list[tuple[int, int]], cap: list[int] | None = None
 ) -> tuple[int, int, tuple[int, ...] | None]:
-    """Lexicographically first owner vector minimizing max_k load_k * a_k / b_k.
+    """One depth-first pass over owner vectors: chores in list order, owners 0..n-1.
 
-    ``loads[j][k] >= 0`` is the load chore j puts on agent k; ``weights[k]`` is
-    ``(a_k, b_k)`` with ``a_k > 0``, and ``b_k = 0`` means k's load must stay 0.
-    Returns the optimum's numerator, denominator and owner vector (None when
-    no owner vector keeps those agents at 0).  Loads only grow along a path,
-    so the largest key of a partial assignment bounds its completions, and a
-    child is entered only when that bound is below the incumbent.  The stack
-    is explicit (``owner``, ``top_*``): depth is not bounded by recursion.
+    Leaves come in lexicographic order, and a child is entered only when its
+    agent's load stays below ``cap``.  Without ``cap`` the pass is a branch and
+    bound: the caps admit only keys below the incumbent and tighten at each
+    new one, so it returns the first leaf of least largest key.  With ``cap``
+    the caps are fixed and the pass returns its first leaf.  Either way the
+    result is ``(num, den, owners)``, the leaf's largest key as num / den, or
+    ``(1, 0, None)`` when no leaf is within the caps.  The stack is explicit
+    (``owner``, ``top_*``): depth is not bounded by recursion.
     """
     n, m = len(weights), len(loads)
+    first_leaf = cap is not None
     sums = [0] * n
     owner = [-1] * m  # owner[j]: agent chore j is assigned to, -1 before the first
     top_num = [0] * (m + 1)  # top_*[j]: largest key once chores < j are assigned
     top_den = [1] * (m + 1)
     best_num, best_den = 1, 0  # +infinity until the first leaf
     best_owner = None
-    # key_k < best  <=>  load_k < cap[k], loads being integers; b_k = 0 caps at 1
-    cap = [sum(row[k] for row in loads) + 1 if b else 1 for k, (_, b) in enumerate(weights)]
+    if cap is None:
+        # key_k < best  <=>  load_k < cap[k], loads being integers; b_k = 0 caps at 1
+        cap = [sum(row[k] for row in loads) + 1 if b else 1 for k, (_, b) in enumerate(weights)]
     j = 0
     while j >= 0:
         if j == m:
             best_num, best_den, best_owner = top_num[m], top_den[m], tuple(owner)
+            if first_leaf:
+                break
             cap = [-(-best_num * b // (a * best_den)) if b else 1 for a, b in weights]
             j -= 1
             continue
@@ -124,33 +133,63 @@ def _lex_min_max(
     return best_num, best_den, best_owner
 
 
+def _lex_min_max(
+    loads: list[list[int]], weights: list[tuple[int, int]]
+) -> tuple[int, int, tuple[int, ...] | None]:
+    """Lexicographically first owner vector minimizing max_k load_k * a_k / b_k.
+
+    ``loads[j][k] >= 0`` is the load chore j puts on agent k; ``weights[k]`` is
+    ``(a_k, b_k)`` with ``a_k > 0``, and ``b_k = 0`` means k's load must stay 0.
+    Returns the optimum's numerator, denominator and owner vector (None when
+    no owner vector keeps those agents at 0).
+
+    Two passes of ``_search``.  Phase A finds the optimal value by branch and
+    bound over the chores in descending order of their largest load (ties by
+    index): the optimum does not depend on the order, and big chores first
+    reach a good incumbent early and cut more.  Phase B searches the chores
+    in index order with the caps fixed at ``load_k * a_k / b_k <= opt``
+    (``b_k = 0``: load 0) and stops at its first leaf.  Every leaf within
+    those caps is optimal, and leaves come in lexicographic order, so that
+    leaf is the lexicographically first optimum, the witness an index-order
+    branch and bound or a full enumeration returns.
+    """
+    order = sorted(range(len(loads)), key=lambda j: -max(loads[j]))
+    num, den, owners = _search([loads[j] for j in order], weights)
+    if owners is None:
+        return num, den, None
+    return _search(loads, weights, [num * b // (a * den) + 1 if b else 1 for a, b in weights])
+
+
 def exact_wmms(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """Exact per-agent weighted maxmin shares by lexicographic branch and bound.
+    """Exact per-agent weighted maxmin shares by the two-phase search.
 
     Agents with identical valuation rows share one search, since the result
     depends only on the row.  The witness is the lexicographically first
     partition attaining the optimum.  Raises ValueError when a value is
     positive or a share is not.
     """
-    n, m = inst.n, inst.m
-    check_budget(n, m, budget)
+    n = inst.n
+    check_budget(n, inst.m, budget)
     _check_signs(inst)
-    sh, _ = integer_row(inst.shares)
-    per_share = [(1, s) for s in sh]
-
     by_row: dict[tuple[Fraction, ...], Allocation] = {}
     for row in inst.values:
         if row not in by_row:
-            ints, _ = integer_row(row)
-            # max min_k V(X_k) / s_k = -(min max_k load(X_k) / s_k), load = -V
-            _, _, owners = _lex_min_max([[-v] * n for v in ints], per_share)
-            by_row[row] = Allocation(n, owners)
+            by_row[row] = _wmms_witness(inst, row)
 
     # The search only ranks integer quotients; the exact rational values are
     # reconstructed here from the witnesses.
     witnesses = tuple(by_row[row] for row in inst.values)
     w = tuple(unfairness_degree(inst, i, witnesses[i]) for i in range(n))
     return OracleResult(tuple(s * w_i for s, w_i in zip(inst.shares, w)), w, witnesses)
+
+
+def _wmms_witness(inst: Instance, row: tuple[Fraction, ...]) -> Allocation:
+    """The lexicographically first partition maximizing min_k V(X_k) / s_k for one row."""
+    sh, _ = integer_row(inst.shares)
+    ints, _ = integer_row(row)
+    # max min_k V(X_k) / s_k = -(min max_k load(X_k) / s_k), load = -V
+    _, _, owners = _lex_min_max([[-v] * inst.n for v in ints], [(1, s) for s in sh])
+    return Allocation(inst.n, owners)
 
 
 def exact_owmms(
@@ -192,9 +231,11 @@ def exact_makespan_f(inst: Instance, i: int, budget: int = DEFAULT_BUDGET) -> Fr
 
     This is the scheduling (makespan) form of the maxmin computation with
     disutility D = -V (Q||Cmax with speeds = shares), so it is
-    ``-exact_wmms(inst, budget).w[i]``.
+    ``-exact_wmms(inst, budget).w[i]``; only agent i's row is searched.
     """
-    return -exact_wmms(inst, budget).w[i]
+    check_budget(inst.n, inst.m, budget)
+    _check_signs(inst)
+    return -unfairness_degree(inst, i, _wmms_witness(inst, inst.values[i]))
 
 
 def verify_alpha(

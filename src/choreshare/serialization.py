@@ -57,8 +57,16 @@ def parse_ratio(token, context: str = "value") -> Fraction:
 
 
 def format_ratio(x: Fraction) -> str:
-    """Canonical text for a rational: "p/q", or a bare integer when q == 1."""
-    return str(x)
+    """Canonical text for a rational: "p/q", or a bare integer when q == 1.
+
+    Raises ValueError when the numerator or denominator has more digits than
+    Python converts to text (``sys.get_int_max_str_digits()``).
+    """
+    try:
+        return str(x)
+    except ValueError:
+        limit = _int_max_str_digits()
+        raise ValueError(f"a result has more than {limit} digits and cannot be printed") from None
 
 
 def parse_instance(text: str) -> Instance:

@@ -5,9 +5,11 @@ they were before the oracle moved to a pruned lexicographic search.  They
 score all n^m owner vectors in lexicographic order and keep the first strictly
 better one.  ``divide_and_choose`` is ``choreshare.algorithms``'s function as
 it was before the divider's split went through that search: it scores all 2^m
-subsets in bitmask order and keeps the first strictly better one.  They are
-slow but obviously exact; the differential tests require the search to return
-the same values, witnesses, splits and traces.
+subsets in bitmask order and keeps the first strictly better one.
+``lex_min_max`` scans every owner vector of the search's own inputs, per-agent
+integer loads and weights, in lexicographic order.  They are slow but
+obviously exact; the differential tests require the search to return the
+same values, witnesses, splits and traces.
 """
 
 from __future__ import annotations
@@ -25,6 +27,28 @@ from choreshare.oracle import OracleResult, OwmmsResult
 def _scaled_row(row: tuple[Fraction, ...]) -> tuple[list[int], int]:
     denom = lcm(*(v.denominator for v in row)) if row else 1
     return [int(v * denom) for v in row], denom
+
+
+def lex_min_max(
+    loads: list[list[int]], weights: list[tuple[int, int]]
+) -> tuple[Fraction, tuple[int, ...]] | None:
+    """The first owner vector minimizing max_k load_k * a_k / b_k, with its value.
+
+    An agent with b_k = 0 must keep load 0 and adds no key; None when no owner
+    vector keeps all of them at 0.
+    """
+    best = None
+    for owners in product(range(len(weights)), repeat=len(loads)):
+        sums = [0] * len(weights)
+        for row, k in zip(loads, owners):
+            sums[k] += row[k]
+        if any(s and not b for s, (_, b) in zip(sums, weights)):
+            continue
+        keys = [Fraction(s * a, b) for s, (a, b) in zip(sums, weights) if b]
+        key = max(keys, default=Fraction(0))
+        if best is None or key < best[0]:
+            best = (key, owners)
+    return best
 
 
 def exact_wmms(inst: Instance) -> OracleResult:

@@ -267,6 +267,37 @@ def test_values_whose_sums_are_too_long_to_print_exit_2(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize(
+    "first_row, command, rest",
+    [
+        # w[1] = wmms[1] / share[1] carries share[1]'s 4300-digit denominator
+        (["-1", "-1"], "oracle", ()),
+        # so does wmms[0] = share[0] * V_0(X_1) / share[1]
+        (None, "oracle", ()),
+        (None, "solve", ("naive", "--oracle")),
+        (None, "solve", ("naive", "--oracle", "--json")),
+        # linpro's thresholds derive from the shares too
+        (None, "solve", ("linpro", "--dump-lp")),
+    ],
+)
+def test_result_too_long_to_print_exits_2_with_empty_stdout(
+    tmp_path, capsys, first_row, command, rest
+):
+    # shares and values each print and pass validate; derived results need not
+    big = 10**4299
+    row = [f"-1/{3**4000}", "-1"]
+    path = tmp_path / "long.json"
+    agents = [
+        {"share": f"1/{big}", "values": first_row or row},
+        {"share": f"{big - 1}/{big}", "values": row},
+    ]
+    path.write_text(json.dumps({"agents": agents}))
+    assert run_cli(capsys, "validate", str(path)) == (0, "ok\n", "")
+    code, out, err = run_cli(capsys, command, str(path), *rest)
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: a result has more than 4300 digits and cannot be printed\n"
+
+
+@pytest.mark.parametrize(
     "command, rest",
     [("validate", ()), ("solve", ("naive",)), ("oracle", ()), ("bench", ("--algs", "naive"))],
 )

@@ -1,9 +1,10 @@
-"""Differential tests: the branch-and-bound search against full enumeration.
+"""Differential tests: the two-phase search against full enumeration.
 
-Both visit owner vectors in lexicographic order and keep the first strictly
-better one, so they must agree on every value and on every witness, not
-merely on the optimum.  The same holds for the divider's split in
-``divide_and_choose``, whose owner vectors are subsets in bitmask order.
+The search returns the lexicographically first optimum and the enumeration
+keeps the first strictly better owner vector, so they must agree on every
+value and on every witness, not merely on the optimum.  The same holds for
+the divider's split in ``divide_and_choose``, whose owner vectors are subsets
+in bitmask order, and for the kernel ``_lex_min_max`` on its own inputs.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import choreshare as cs
 import enumeration_oracle as reference
+from choreshare.oracle import _lex_min_max
 
 F = Fraction
 
@@ -84,6 +86,36 @@ def test_single_agent_long_row_needs_no_recursion():
     owmms = cs.exact_owmms(inst, res.wmms)
     assert owmms.alpha_star == 1
     assert owmms.witness.owner == (0,) * 3000
+
+
+@st.composite
+def kernel_inputs(draw):
+    n = draw(st.integers(1, 4))
+    # the reference scans all n^m owner vectors: at most 4096
+    m = draw(st.integers(0, {1: 10, 2: 12, 3: 7, 4: 6}[n]))
+    top = draw(st.sampled_from([1, 2, 9]))  # few distinct loads make many ties
+    if draw(st.booleans()):  # one load per chore, as exact_wmms builds them
+        loads = [[draw(st.integers(0, top))] * n for _ in range(m)]
+    else:
+        loads = [[draw(st.integers(0, top)) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        # ascending largest loads: phase A's descending order reverses index order
+        loads.sort(key=max)
+    # b_k = 0: agent k must keep load 0
+    weights = [(draw(st.integers(1, 5)), draw(st.sampled_from([0, 1, 2, 3, 7]))) for _ in range(n)]
+    return loads, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_kernel_returns_the_first_optimum_of_a_full_scan(args):
+    loads, weights = args
+    num, den, owners = _lex_min_max(loads, weights)
+    expected = reference.lex_min_max(loads, weights)
+    if expected is None:
+        assert owners is None
+    else:
+        assert (Fraction(num, den), owners) == expected
 
 
 @st.composite
