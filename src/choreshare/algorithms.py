@@ -29,7 +29,7 @@ from .model import (
     normalize_instance,
     unfairness_degree,
 )
-from .oracle import _check_signs, _lex_min_max, check_budget
+from .oracle import _check_signs, exact_wmms
 
 TIE_RULES = ("largest-share", "smallest-share")  # multiplicative_greedy's load-tie rules
 
@@ -85,25 +85,24 @@ def egal_greedy(
     Each chore goes to the agent whose per-share bundle value would remain
     largest after taking it; ties prefer the larger share, then the lower
     index.  Decisions are invariant under scaling the row by any positive
-    rational, since every compared quantity scales uniformly.
+    rational, since every compared quantity scales uniformly.  Chores with no
+    agents raise ValueError.
     """
     shares = tuple(Fraction(s) for s in shares)
     values = tuple(Fraction(v) for v in values)
     n, m = len(shares), len(values)
+    if m and not n:
+        raise ValueError("need at least one agent")
     totals = [ZERO] * n
     owner = [0] * m
     order = sorted(range(m), key=lambda j: (values[j], j))
     for step, j in enumerate(order):
-        best = 0
-        best_cand = (totals[0] + values[j]) / shares[0]
-        for i in range(1, n):
-            cand = (totals[i] + values[j]) / shares[i]
-            if (cand, shares[i], -i) > (best_cand, shares[best], -best):
-                best, best_cand = i, cand
-        totals[best] += values[j]
+        v = values[j]
+        best = max(range(n), key=lambda i: ((totals[i] + v) / shares[i], shares[i], -i))
+        totals[best] += v
         owner[j] = best
         if trace is not None:
-            trace.append(TraceEvent(step, j, best, best_cand))
+            trace.append(TraceEvent(step, j, best, totals[best] / shares[best]))
     return Allocation(n, tuple(owner))
 
 
@@ -131,17 +130,16 @@ def divide_and_choose(
 
     With the agents ordered so the divider has the larger share: when the
     chooser's share is at most 1/3 the divider simply takes everything.
-    Otherwise the divider splits the chores into the pair maximizing her own
-    worst per-share bundle value, found by the oracle's lexicographic search
-    (``oracle._lex_min_max``) with the same first maximizer in bitmask order,
-    and the first bundle is positionally earmarked for the chooser; the
-    chooser then keeps her preferred side (ties: the earmarked one).
+    Otherwise the divider's split is ``exact_wmms``'s witness for the two
+    shares on her row, the first maximizer of her worst per-share bundle value
+    in bitmask order; the bundle sized for the chooser is earmarked for her,
+    and she keeps her preferred side (ties: the earmarked one).
 
     Requires n == 2 and the search's sign rule (``oracle._check_signs``:
     positive shares, no positive value anywhere), else ValueError, and a
-    normalizable instance; a split the oracle's default budget refuses
-    (``check_budget(2, m)``: m > 26) raises BudgetExceeded rather than
-    silently losing the guarantee.
+    normalizable instance; a split ``exact_wmms``'s default budget refuses
+    (2^m owner vectors: m > 26) raises BudgetExceeded rather than silently
+    losing the guarantee.
     """
     if inst.n != 2:
         raise ValueError(f"div-cho requires exactly 2 agents, got {inst.n}")
@@ -156,18 +154,12 @@ def divide_and_choose(
     if norm.shares[chooser] <= Fraction(1, 3):
         return _emit(trace, 2, (divider,) * m, norm.shares[divider])
 
-    check_budget(2, m)
-
-    # The split minimizing the larger per-share load (load = -value): owner 0
-    # is the divider's bundle, owner 1 the one earmarked for the chooser.
+    # Owner 0 is the divider's bundle, owner 1 the one earmarked for the chooser.
     # With the chores fed last to first, lexicographic owner order is bitmask
     # order (bit j set: chore j earmarked), so ties go to the same split.
-    ints, _ = integer_row(norm.values[divider])
-    scaled_shares, _ = integer_row((norm.shares[divider], norm.shares[chooser]))
-    _, _, split = _lex_min_max(
-        [[-v, -v] for v in reversed(ints)], [(1, s) for s in scaled_shares]
-    )
-    side_of = split[::-1]
+    row = norm.values[divider][::-1]
+    split = exact_wmms(Instance((norm.shares[divider], norm.shares[chooser]), (row, row)))
+    side_of = split.witness_partitions[0].owner[::-1]
     value = [bundle_value(norm, chooser, [j for j in range(m) if side_of[j] == s]) for s in (0, 1)]
     side = int(value[1] >= value[0])  # the chooser takes the earmarked side on a tie
     owner = [chooser if side_of[j] == side else divider for j in range(m)]

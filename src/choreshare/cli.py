@@ -112,14 +112,14 @@ def run_algorithm(
     tie_rule: str = "largest-share",
     order: tuple[int, ...] | None = None,
     trace: list[TraceEvent] | None = None,
-) -> tuple[Allocation, dict]:
-    """Run one algorithm by name; linpro's dict holds its LinProResult as "result"."""
+) -> tuple[Allocation, lp.LinProResult | None]:
+    """Run one algorithm by name: its allocation, and linpro's LinProResult (else None)."""
     if name not in ALGORITHM_TABLE:
         raise ValueError(f"unknown algorithm {name!r}; expected one of {', '.join(ALGORITHM_TABLE)}")
     out = ALGORITHM_TABLE[name][0](inst, eps=eps, tie_rule=tie_rule, order=order, trace=trace)
     if isinstance(out, lp.LinProResult):
-        return out.allocation, {"result": out}
-    return out, {}
+        return out.allocation, out
+    return out, None
 
 
 def _report_violations(violations: list[str], out=None) -> bool:
@@ -167,10 +167,9 @@ def _cmd_solve(args) -> int:
     order = None
     if args.order:
         order = tuple(int(tok) for tok in args.order.split(","))
-    alloc, extra = run_algorithm(
+    alloc, result = run_algorithm(
         inst, args.algorithm, eps=eps, tie_rule=args.tie_rule, order=order, trace=trace
     )
-    result = extra.get("result")
 
     bundles = alloc.bundles()
     values = [bundle_value(inst, i, b) for i, b in enumerate(bundles)]
@@ -266,12 +265,14 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def _given(params: dict[str, str], parsers: dict) -> dict:
+    """Pop and parse the parameters given; the generator supplies the defaults."""
+    return {key: parse(params.pop(key)) for key, parse in parsers.items() if key in params}
+
+
 def _egal_failure(params: dict[str, str]) -> Instance:
-    return generators.egal_greedy_failure_family(
-        parse_ratio(params.pop("T", "8"), "--T"),
-        parse_ratio(params.pop("c", "4"), "--c"),
-        int(params.pop("n", "7")),
-    )
+    parsers = {"T": lambda t: parse_ratio(t, "--T"), "c": lambda t: parse_ratio(t, "--c"), "n": int}
+    return generators.egal_greedy_failure_family(**_given(params, parsers))
 
 
 def _table(params: dict[str, str]):
@@ -280,8 +281,8 @@ def _table(params: dict[str, str]):
     k = int(params.pop("k"))
     if k == 6:
         return [("table6", _egal_failure(params), None)]
-    eps = parse_ratio(params.pop("eps", "1/10"), context="table eps")
-    return [(f"table{k}", generators.paper_table(k, eps), None)]
+    given = _given(params, {"eps": lambda t: parse_ratio(t, context="table eps")})
+    return [(f"table{k}", generators.paper_table(k, **given), None)]
 
 
 def _random(params: dict[str, str]):
@@ -372,7 +373,7 @@ def _cmd_bench(args) -> int:
             refs = family_refs
         for alg in algs:
             started = time.perf_counter()
-            alloc, extra = run_algorithm(inst, alg, eps=eps, tie_rule=args.tie_rule)
+            alloc, _ = run_algorithm(inst, alg, eps=eps, tie_rule=args.tie_rule)
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             ratios_text = "-"
             worst_text = "-"

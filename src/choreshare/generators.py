@@ -81,9 +81,7 @@ def _table5(eps: Fraction) -> Instance:
 def paper_table(k: int, eps: Fraction = _EPS_DEFAULT) -> Instance:
     """Fixture instance k in 1..6 (3..5 take an epsilon, default 1/10).
 
-    Table 6 is the identical-valuation failure family at its documented
-    default parameters (T=8, c=4, n=7); use ``egal_greedy_failure_family``
-    directly for other parameters.
+    Table 6 is ``egal_greedy_failure_family`` at its default parameters.
     """
     eps = Fraction(eps)
     if k == 1:
@@ -97,7 +95,7 @@ def paper_table(k: int, eps: Fraction = _EPS_DEFAULT) -> Instance:
     if k == 5:
         return _table5(eps)
     if k == 6:
-        return egal_greedy_failure_family(Fraction(8), Fraction(4), 7)
+        return egal_greedy_failure_family()
     raise ValueError(f"no table {k}; expected 1..6")
 
 
@@ -132,7 +130,9 @@ def round_robin_family_references(n: int) -> tuple[Fraction, ...]:
     return tuple(-s for s in round_robin_family(n).shares)
 
 
-def egal_greedy_failure_family(T: Fraction, c: Fraction, n: int) -> Instance:
+def egal_greedy_failure_family(
+    T: Fraction = Fraction(8), c: Fraction = Fraction(4), n: int = 7
+) -> Instance:
     """Family where balance greed misreads heterogeneous valuations.
 
     Requires T > c > 1 with 1/c + (n-1)/T = 1 exactly.  Agent 0 holds share

@@ -1,8 +1,8 @@
 """Exact ground-truth computations by two-phase branch and bound.
 
-One search, ``_lex_min_max``, has three callers: the oracles ``exact_wmms``
-and ``exact_owmms``, and ``algorithms.divide_and_choose`` for the divider's
-two-bundle split.  It minimizes the largest per-agent key over the n^m owner
+One search, ``_lex_min_max``, has two callers, both here: the oracles
+``exact_wmms`` (which gives ``algorithms.divide_and_choose`` its split) and
+``exact_owmms``.  It minimizes the largest per-agent key over the n^m owner
 vectors in two depth-first passes of one loop, ``_search``.  Phase A finds
 the optimal value by branch and bound, chores in descending order of their
 largest load: values are nonpositive, so a partial assignment bounds all its
@@ -141,7 +141,8 @@ def _lex_min_max(
     ``loads[j][k] >= 0`` is the load chore j puts on agent k; ``weights[k]`` is
     ``(a_k, b_k)`` with ``a_k > 0``, and ``b_k = 0`` means k's load must stay 0.
     Returns the optimum's numerator, denominator and owner vector (None when
-    no owner vector keeps those agents at 0).
+    no owner vector keeps those agents at 0).  Its two callers are here:
+    ``_wmms_witness`` (``exact_wmms``, ``exact_makespan_f``) and ``exact_owmms``.
 
     Two passes of ``_search``.  Phase A finds the optimal value by branch and
     bound over the chores in descending order of their largest load (ties by

@@ -51,6 +51,29 @@ def test_egal_greedy_single_agent():
     assert alloc.owner == (0, 0)
 
 
+def test_egal_greedy_tie_order():
+    def decisions(shares, row):
+        trace: list[cs.TraceEvent] = []
+        alloc = cs.egal_greedy(shares, row, trace=trace)
+        return alloc.owner, [(e.step, e.chore, e.agent, e.quantity) for e in trace]
+
+    # equal shares and repeated values: the lower index wins every tie
+    third = F(1, 3)
+    assert decisions((third,) * 3, [F(-1)] * 4) == (
+        (0, 1, 2, 0), [(0, 0, 0, F(-3)), (1, 1, 1, F(-3)), (2, 2, 2, F(-3)), (3, 3, 0, F(-6))]
+    )
+    # a binary row: the larger share wins the tie at -4, then the lower index at 0
+    quarter = F(1, 4)
+    assert decisions((quarter, HALF, quarter), [F(0), F(-1), F(0), F(-1)]) == (
+        (0, 1, 0, 1), [(0, 1, 1, F(-2)), (1, 3, 1, F(-4)), (2, 0, 0, F(0)), (3, 2, 0, F(0))]
+    )
+
+
+def test_egal_greedy_rejects_chores_without_agents():
+    with pytest.raises(ValueError, match="^need at least one agent$"):
+        cs.egal_greedy((), (F(-1),))
+
+
 def test_egal_greedy_scale_invariant():
     shares = (F(2, 7), F(5, 7))
     row = [F(-1, 3), F(-1, 6), F(-1, 4), F(-1, 4)]

@@ -357,6 +357,20 @@ def test_linpro_structure_on_seeded_instances():
         assert lp.check_feasible(lp.build_program(inst, F(inst.n), refs))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4), st.integers(1, 7), st.integers(0, 10**6),
+    st.sampled_from(["normalized", "binary"]), st.sampled_from([F(1, 3), F(1, 100)]),
+)
+def test_linpro_brackets_the_least_feasible_threshold(n, m, seed, style, eps):
+    # the search ends within eps/4 above max(1, c*), where c* is exact for its references
+    inst = cs.random_instance(n, m, seed, style)
+    result = lp.linpro(inst, eps)
+    c_star = lp.min_feasible_c(inst, result.references)
+    assert c_star <= result.c_final <= max(1, c_star) + eps / 4
+    assert result.lower <= max(1, c_star)
+
+
 def test_min_feasible_c_table1(table1):
     refs = oracle_wmms(table1).wmms
     assert lp.min_feasible_c(table1, refs) == F(1)
