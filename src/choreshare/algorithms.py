@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import NotBinary
@@ -196,30 +197,38 @@ def binary_wmms(inst: Instance, trace: list[TraceEvent] | None = None) -> Alloca
     return Allocation(inst.n, tuple(owner))
 
 
-def _pick(inst: Instance, picker, quantity, trace: list[TraceEvent] | None) -> Allocation:
+def _pick(inst: Instance, rule, quantity, trace: list[TraceEvent] | None) -> Allocation:
     """The picking loop the negative controls share.
 
-    At each step agent ``picker(step, totals)`` takes her highest-value
-    remaining chore, ties by chore index, where ``totals[i]`` is agent i's
-    bundle value so far; the trace records ``quantity(i, j, totals)`` taken
-    before the pick.  Each agent's chores are sorted once, by her row scaled
-    to integers (``model.integer_row``: one positive scale, so the same
-    order), and her iterator over them skips the chores already taken.
+    Agent i's state is her bundle value so far, kept as an integer ``total``
+    over her row's denominator ``D_i`` (``model.integer_row``), and her number
+    of ``picks``.  ``rule(denoms)`` gets every ``D_i`` and returns
+    ``key(i, total, picks)``, an int tuple; at each step the agent with the
+    largest key takes her highest-value remaining chore, ties by chore index,
+    and only her key is recomputed.  A ``trace`` records ``quantity(i, j,
+    value)``, with ``value`` her bundle value before the pick as a Fraction,
+    built only when tracing.  Each agent's chores are sorted once by her
+    integer row (one positive scale, so the same order), and her iterator
+    over them skips the chores already taken.
     """
-    prefs = []
-    for row in inst.values:
-        ints, _ = integer_row(row)
-        # a stable sort: equal values keep ascending chore order, even reversed
-        prefs.append(iter(sorted(range(inst.m), key=ints.__getitem__, reverse=True)))
+    rows = [integer_row(row) for row in inst.values]
+    # a stable sort: equal values keep ascending chore order, even reversed
+    prefs = [iter(sorted(range(inst.m), key=ints.__getitem__, reverse=True)) for ints, _ in rows]
+    key = rule([denom for _, denom in rows])
     owner = [-1] * inst.m
-    totals = [ZERO] * inst.n
+    totals = [0] * inst.n
+    picks = [0] * inst.n
+    keys = [key(i, 0, 0) for i in range(inst.n)]
     for step in range(inst.m):
-        i = picker(step, totals)
+        i = max(range(inst.n), key=keys.__getitem__)
+        ints, denom = rows[i]
         j = next(c for c in prefs[i] if owner[c] < 0)
         if trace is not None:
-            trace.append(TraceEvent(step, j, i, quantity(i, j, totals)))
-        totals[i] += inst.values[i][j]
+            trace.append(TraceEvent(step, j, i, quantity(i, j, Fraction(totals[i], denom))))
+        totals[i] += ints[j]
+        picks[i] += 1
         owner[j] = i
+        keys[i] = key(i, totals[i], picks[i])
     return Allocation(inst.n, tuple(owner))
 
 
@@ -237,10 +246,12 @@ def round_robin(
     picking = tuple(order) if order is not None else tuple(range(inst.n))
     if sorted(picking) != list(range(inst.n)):
         raise ValueError(f"order {picking} is not a permutation of the {inst.n} agents")
+    position = {agent: k for k, agent in enumerate(picking)}
+    # fewest picks first, then the earlier turn: picking[step % n] picks at step
     return _pick(
         inst,
-        lambda step, totals: picking[step % inst.n],
-        lambda i, j, totals: inst.values[i][j],
+        lambda denoms: lambda i, total, picks: (-picks, -position[i]),
+        lambda i, j, value: inst.values[i][j],
         trace,
     )
 
@@ -262,14 +273,16 @@ def multiplicative_greedy(
         raise ValueError(f"unknown tie rule {tie_rule!r}")
     sign = 1 if tie_rule == "largest-share" else -1
     shares = inst.shares
-    return _pick(
-        inst,
-        lambda step, totals: max(
-            range(inst.n), key=lambda i: (totals[i] / shares[i], sign * shares[i], -i)
-        ),
-        lambda i, j, totals: totals[i] / shares[i],
-        trace,
-    )
+    tie = [sign * s for s in integer_row(shares)[0]]
+
+    def rule(denoms):
+        # V_i/s_i = T_i*q_i / (D_i*p_i) for s_i = p_i/q_i, times L = lcm(D_i*p_i)
+        scales = [d * s.numerator for d, s in zip(denoms, shares)]
+        big = lcm(*scales)
+        weight = [s.denominator * (big // scale) for s, scale in zip(shares, scales)]
+        return lambda i, total, picks: (total * weight[i], tie[i], -i)
+
+    return _pick(inst, rule, lambda i, j, value: value / shares[i], trace)
 
 
 def additive_greedy(
@@ -282,11 +295,13 @@ def additive_greedy(
     the picker's share + own-bundle value.  Negative control.
     """
     shares = inst.shares
-    return _pick(
-        inst,
-        lambda step, totals: max(
-            range(inst.n), key=lambda i: (shares[i] + totals[i], shares[i], -i)
-        ),
-        lambda i, j, totals: shares[i] + totals[i],
-        trace,
-    )
+    tie = integer_row(shares)[0]
+
+    def rule(denoms):
+        # s_i + T_i/D_i = p_i/q_i + T_i/D_i, times L = lcm(all q_i, all D_i)
+        big = lcm(*(s.denominator for s in shares), *denoms)
+        base = [s.numerator * (big // s.denominator) for s in shares]
+        weight = [big // d for d in denoms]
+        return lambda i, total, picks: (base[i] + total * weight[i], tie[i], -i)
+
+    return _pick(inst, rule, lambda i, j, value: shares[i] + value, trace)

@@ -11,6 +11,7 @@ precondition error, 3 enumeration budget exceeded, 4 guarantee violation
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -500,9 +501,13 @@ EXIT_CODES = {
 }
 
 
+# Built on the first call: parse_args leaves the parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (ChoreShareError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -27,8 +27,14 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     Returns ``(ints, denom)`` with ``ints[j] / denom == row[j]``; ``int``
     entries are accepted.  Every layer that works on integers scales here.
     """
-    denom = lcm(*(v.denominator for v in row))
-    return [v.numerator * (denom // v.denominator) for v in row], denom
+    pairs = [v.as_integer_ratio() for v in row]
+    denom = lcm(*[d for _, d in pairs])
+    return [num * (denom // d) for num, d in pairs], denom
+
+
+def _exact(xs: Iterable) -> tuple[Fraction, ...]:
+    """``xs`` as a tuple of Fractions; entries that already are Fractions are kept."""
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -45,10 +51,8 @@ class Instance:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shares", tuple(Fraction(s) for s in self.shares))
-        object.__setattr__(
-            self, "values", tuple(tuple(Fraction(v) for v in row) for row in self.values)
-        )
+        object.__setattr__(self, "shares", _exact(self.shares))
+        object.__setattr__(self, "values", tuple(map(_exact, self.values)))
 
     @property
     def n(self) -> int:

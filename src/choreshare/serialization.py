@@ -24,28 +24,39 @@ _MINUS_VARIANTS = str.maketrans({"−": "-", "–": "-"})
 def parse_ratio(token, context: str = "value") -> Fraction:
     """Parse an exact rational from "p/q", a decimal literal, or an int.
 
+    A string token means what ``Fraction(text)`` reads from it once "−" and
+    "–" are mapped to "-" and surrounding whitespace is stripped.  The
+    canonical forms, "p/q" and a plain integer with ASCII-digit parts (an
+    optional leading "-" on the numerator only), are parsed with ``int``;
+    every other form ("+", "_", decimals, exponents, non-ASCII digits, a
+    missing part) goes through ``Fraction(text)``.
+
     A rational whose numerator or denominator has more digits than Python
     converts to text (``sys.get_int_max_str_digits()``, 0 for no limit) is
     refused, so whatever parses can also be printed.
     """
-    if isinstance(token, bool):  # a subclass of int, but JSON true/false are not rationals
+    if isinstance(token, str):
+        text = token.translate(_MINUS_VARIANTS).strip()
+        num, slash, den = text.partition("/")
+        try:
+            if text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                value = Fraction(int(num), int(den) if slash else 1)
+            else:
+                value = Fraction(text)
+        except ZeroDivisionError:
+            raise ParseError(f"{context}: zero denominator in {token!r}") from None
+        except ValueError:
+            raise ParseError(f"{context}: not a rational token: {token!r}") from None
+    elif isinstance(token, bool):  # a subclass of int, but JSON true/false are not rationals
         raise ParseError(f"{context}: expected a rational, got {token!r}")
-    if isinstance(token, Fraction):
+    elif isinstance(token, Fraction):
         value = token
     elif isinstance(token, int):
         value = Fraction(token)
     elif isinstance(token, float):
         raise ParseError(f"{context}: refusing binary float {token!r}; write it as a string")
-    elif not isinstance(token, str):
-        raise ParseError(f"{context}: expected a rational, got {token!r}")
     else:
-        text = token.translate(_MINUS_VARIANTS).strip()
-        try:
-            value = Fraction(text)
-        except ZeroDivisionError:
-            raise ParseError(f"{context}: zero denominator in {token!r}") from None
-        except ValueError:
-            raise ParseError(f"{context}: not a rational token: {token!r}") from None
+        raise ParseError(f"{context}: expected a rational, got {token!r}")
     limit = _int_max_str_digits()
     # An int of b bits has at most 0.302 * b + 1 digits, so a pair with at
     # most 3 * limit bits between them prints; past that, count exactly.

@@ -1,8 +1,11 @@
 import json
+import re
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import choreshare as cs
 from conftest import quick_instances
@@ -43,6 +46,55 @@ def test_parse_ratio_tokens():
     for token in (True, False):
         with pytest.raises(cs.ParseError, match="expected a rational"):
             cs.parse_ratio(token)
+
+
+def _fraction_text(token: str, context: str):
+    """What parse_ratio made of a string token when it always called Fraction(text)."""
+    text = token.translate(str.maketrans({"−": "-", "–": "-"})).strip()
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        return f"{context}: zero denominator in {token!r}"
+    except ValueError:
+        return f"{context}: not a rational token: {token!r}"
+
+
+# Fragments of rational literals and near misses: signs (with the Unicode
+# minus and en dash), ASCII and non-ASCII digits ("٣" is an Arabic-Indic
+# three, "１" a fullwidth one, "²" a superscript two), slashes, decimal
+# points, exponents, underscores and whitespace.
+TOKEN_PARTS = ["-", "+", "−", "–", "0", "1", "7", "12", "007", "٣", "１", "²",
+               "/", ".", "e", "E", "_", " ", "\t"]
+
+
+# An exponent of four or more digits is left out: "1e7007007" alone builds a
+# seven-million-digit integer.  test_parse_ratio_refuses_what_cannot_be_printed
+# covers the digit limit, which no drawn token reaches.
+tokens = st.lists(st.sampled_from(TOKEN_PARTS), max_size=7).map("".join).filter(
+    lambda token: not re.search(r"[eE][-+−–]?[\d_]{4,}", token)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tokens)
+@example("3/")
+@example("/4")
+@example("-")
+@example("+3/4")
+@example("1/0")
+@example("3/-4")
+@example("-0/5")
+@example(" −12/007 ")
+@example("1" * 5000)
+@example("1/" + "7" * 5000)
+def test_parse_ratio_agrees_with_fraction_text(token):
+    expected = _fraction_text(token, "tok")
+    try:
+        got = cs.parse_ratio(token, "tok")
+    except cs.ParseError as exc:
+        got = str(exc)
+    assert got == expected
+    assert type(got) is type(expected)
 
 
 def test_parse_ratio_refuses_what_cannot_be_printed():
