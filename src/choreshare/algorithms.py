@@ -28,7 +28,6 @@ from .model import (
     bundle_value,
     integer_row,
     normalize_instance,
-    unfairness_degree,
 )
 from .oracle import _check_signs, exact_wmms
 
@@ -75,6 +74,28 @@ def naive(inst: Instance, trace: list[TraceEvent] | None = None) -> Allocation:
     return _emit(trace, inst.n, (i_star,) * inst.m, inst.shares[i_star])
 
 
+def _balance(shares, ints: Sequence[int], denom: int, trace: list[TraceEvent] | None = None):
+    """``egal_greedy`` on the row ``ints / denom``: ``(owner, min_k V(X_k) / s_k)``.
+
+    For ``s_i = p_i / q_i`` and ``L = lcm(p_i)``, a per-share value ``x /
+    (denom * s_i)`` is ``x * w_i`` over ``L * denom`` with ``w_i = q_i * (L //
+    p_i)``, so agents compare on int keys; ties use ``integer_row(shares)``.
+    """
+    big = lcm(*(s.numerator for s in shares))
+    weight = [s.denominator * (big // s.numerator) for s in shares]
+    tie = integer_row(shares)[0]
+    totals = [0] * len(shares)
+    owner = [0] * len(ints)
+    for step, j in enumerate(sorted(range(len(ints)), key=ints.__getitem__)):
+        v = ints[j]
+        best = max(range(len(shares)), key=lambda i: ((totals[i] + v) * weight[i], tie[i], -i))
+        totals[best] += v
+        owner[j] = best
+        if trace is not None:
+            trace.append(TraceEvent(step, j, best, Fraction(totals[best], denom) / shares[best]))
+    return owner, Fraction(min((t * w for t, w in zip(totals, weight)), default=0), big * denom)
+
+
 def egal_greedy(
     shares: Sequence[Fraction],
     values: Sequence[Fraction],
@@ -86,25 +107,18 @@ def egal_greedy(
     Each chore goes to the agent whose per-share bundle value would remain
     largest after taking it; ties prefer the larger share, then the lower
     index.  Decisions are invariant under scaling the row by any positive
-    rational, since every compared quantity scales uniformly.  Chores with no
+    rational, since every compared quantity scales uniformly; the loop runs
+    on the row as ``model.integer_row`` scales it, with integer keys
+    (``_balance``).  A ``trace`` records the picker's per-share bundle value
+    after each chore, built as a Fraction only when tracing.  Chores with no
     agents raise ValueError.
     """
     shares = tuple(Fraction(s) for s in shares)
-    values = tuple(Fraction(v) for v in values)
-    n, m = len(shares), len(values)
-    if m and not n:
+    ints, denom = integer_row([Fraction(v) for v in values])
+    if ints and not shares:
         raise ValueError("need at least one agent")
-    totals = [ZERO] * n
-    owner = [0] * m
-    order = sorted(range(m), key=lambda j: (values[j], j))
-    for step, j in enumerate(order):
-        v = values[j]
-        best = max(range(n), key=lambda i: ((totals[i] + v) / shares[i], shares[i], -i))
-        totals[best] += v
-        owner[j] = best
-        if trace is not None:
-            trace.append(TraceEvent(step, j, best, totals[best] / shares[best]))
-    return Allocation(n, tuple(owner))
+    owner = _balance(shares, ints, denom, trace)[0] if ints else ()  # no chores: shares unread
+    return Allocation(len(shares), tuple(owner))
 
 
 def wmms_prime(inst: Instance) -> tuple[Fraction, ...]:
@@ -115,13 +129,12 @@ def wmms_prime(inst: Instance) -> tuple[Fraction, ...]:
     surrogate is sandwiched in [2*WMMS_i, WMMS_i]: at most a factor 2 more
     pessimistic than the true share, never more optimistic.  The alternative
     surrogate V_i(X_i) (the agent's own greedy bundle) lacks the upper half of
-    that sandwich.
+    that sandwich.  The greedy runs on ``inst.integer_values`` and builds no
+    Allocation: only the objective becomes a Fraction.
     """
-    out = []
-    for i in range(inst.n):
-        alloc = egal_greedy(inst.shares, inst.values[i])
-        out.append(inst.shares[i] * unfairness_degree(inst, i, alloc))
-    return tuple(out)
+    return tuple(
+        s * _balance(inst.shares, *row)[1] for s, row in zip(inst.shares, inst.integer_values)
+    )
 
 
 def divide_and_choose(
@@ -201,7 +214,7 @@ def _pick(inst: Instance, rule, quantity, trace: list[TraceEvent] | None) -> All
     """The picking loop the negative controls share.
 
     Agent i's state is her bundle value so far, kept as an integer ``total``
-    over her row's denominator ``D_i`` (``model.integer_row``), and her number
+    over her row's denominator ``D_i`` (``Instance.integer_values``), and her number
     of ``picks``.  ``rule(denoms)`` gets every ``D_i`` and returns
     ``key(i, total, picks)``, an int tuple; at each step the agent with the
     largest key takes her highest-value remaining chore, ties by chore index,
@@ -211,7 +224,7 @@ def _pick(inst: Instance, rule, quantity, trace: list[TraceEvent] | None) -> All
     integer row (one positive scale, so the same order), and her iterator
     over them skips the chores already taken.
     """
-    rows = [integer_row(row) for row in inst.values]
+    rows = inst.integer_values
     # a stable sort: equal values keep ascending chore order, even reversed
     prefs = [iter(sorted(range(inst.m), key=ints.__getitem__, reverse=True)) for ints, _ in rows]
     key = rule([denom for _, denom in rows])

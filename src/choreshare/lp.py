@@ -8,10 +8,11 @@ pseudoforest, and rounding along that graph costs each agent at most one extra
 eligible chore, i.e. the integral allocation clears the doubled floor.
 
 ``linpro``'s binary search needs only a verdict from each probe.  A probe is
-first offered to a greedy integral assignment whose floors are checked
-exactly; one that passes proves the probe feasible without a simplex solve,
-and one that fails gets the simplex verdict.  The vertex rounded is always
-Bland's vertex of the program at the final threshold.
+first offered to a greedy integral assignment on integer loads (``_loads``),
+whose eligibility and floors are checked exactly; one that passes proves the
+probe feasible without a program or a simplex solve, and one that fails gets
+the simplex verdict.  The vertex rounded is always Bland's vertex of the
+program at the final threshold.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import simplex
@@ -28,7 +30,7 @@ from .errors import (
     RoundingInvariantViolation,
     UpperBoundInfeasible,
 )
-from .model import ONE, ZERO, Allocation, Instance, bundle_value, check_references, integer_row
+from .model import ONE, ZERO, Allocation, Instance, bundle_value, check_references
 from .simplex import StandardForm
 
 
@@ -235,39 +237,47 @@ def round_extreme_point(
     return alloc
 
 
-def _loads(inst: Instance, refs: Sequence[Fraction]) -> list[list[int]]:
-    """Per agent, each chore's load V_ij / r_i (0 where r_i = 0), as integers over one denominator.
+def _loads(inst: Instance, refs: Sequence[Fraction]) -> tuple[list[list[int | None]], int]:
+    """Each load ``V_ij / r_i`` as an integer over one ``scale > 0``: ``(loads, scale)``.
 
-    They do not depend on c: a bundle clears agent i's floor c * r_i < 0
-    exactly when its loads sum to at most c times the denominator.
+    Where ``r_i = 0`` the load is 0 if ``V_ij >= 0``, else None (never
+    eligible).  The loads do not depend on c: at ``c = p/q >= 0``, ``V_ij >= c
+    * r_i`` iff the load is not None and ``load * q <= p * scale``, and a
+    bundle clears agent i's floor iff its loads sum to at most ``p * scale /
+    q``.  ValueError unless ``refs`` pass ``check_references``.
     """
-    flat, _ = integer_row([v / r if r else ZERO for r, row in zip(refs, inst.values) for v in row])
-    return [flat[i * inst.m : (i + 1) * inst.m] for i in range(inst.n)]
+    refs = check_references(inst, refs)
+    # V_ij / r_i = a_ij * q_i / (D_i * p_i) for V_ij = a_ij / D_i and r_i = p_i / q_i
+    units = [denom * r.numerator for r, (_, denom) in zip(refs, inst.integer_values)]
+    scale = lcm(*filter(None, units))
+    return [
+        [a * r.denominator * (scale // u) if u else (None if a < 0 else 0) for a in ints]
+        for r, (ints, _), u in zip(refs, inst.integer_values, units)
+    ], scale
 
 
-def _certificate(prog: LPProgram, loads: Sequence[Sequence[int]]) -> Allocation | None:
-    """A greedy integral point of the program, or None when the greedy misses.
+def _certificate(loads: list[list[int | None]], scale: int, c: Fraction) -> Allocation | None:
+    """A greedy integral point of the program at ``c``, or None when the greedy misses.
 
-    Chores go in descending order of their largest eligible load, each to the
-    eligible agent with the least load after taking it (lowest index on ties).
-    The candidate is returned only if every chore has an eligible owner and
-    every floor ``bundle_value >= t_i`` holds exactly, so a returned
-    allocation proves the program feasible; None proves nothing.
+    Eligibility and floors are read from ``_loads``'s integers, exactly as
+    ``build_program`` decides them.  Chores go in descending order of their
+    largest eligible load, each to the eligible agent with the least load
+    after taking it (lowest index on ties).  The candidate is returned only if
+    every chore has an eligible owner and every floor holds (``used_i * q <=
+    p * scale``), so a returned allocation proves the program feasible; None
+    proves nothing.
     """
-    eligible = prog.eligible_agents
+    cap, q = c.numerator * scale, c.denominator
+    eligible = [[i for i, x in enumerate(xs) if x is not None and x * q <= cap] for xs in zip(*loads)]
     if not all(eligible):
         return None
-    used = [0] * prog.inst.n
-    owner = [0] * prog.inst.m
-    for j in sorted(range(prog.inst.m), key=lambda j: -max(loads[a][j] for a in eligible[j])):
+    used = [0] * len(loads)
+    owner = [0] * len(eligible)
+    for j in sorted(range(len(eligible)), key=lambda j: -max(loads[a][j] for a in eligible[j])):
         i = min(eligible[j], key=lambda a: used[a] + loads[a][j])
         owner[j] = i
         used[i] += loads[i][j]
-    alloc = Allocation(prog.inst.n, tuple(owner))
-    for i, bundle in enumerate(alloc.bundles()):
-        if bundle_value(prog.inst, i, bundle) < prog.thresholds[i]:
-            return None
-    return alloc
+    return None if any(u * q > cap for u in used) else Allocation(len(loads), tuple(owner))
 
 
 def linpro(
@@ -278,14 +288,14 @@ def linpro(
     References come from ``wmms_prime``.  The search keeps an invariant of
     "upper end feasible" over [1, n] (n is feasible: the largest-share agent
     can absorb everything) and stops once the bracket is within eps/4.  Each
-    probe is certified feasible by ``_certificate`` when it can be, and is
-    otherwise decided by ``check_feasible``; both give the same verdict on
-    every probe the certificate accepts.  The vertex rounded is Bland's
-    vertex of the program at c_final: the last simplex-decided probe's when
-    that probe was the last feasible one, else one solve at c_final (c = n
-    when no probe was feasible).  The returned allocation gives every agent
-    at least 2*c_final times her reference.  ``trace`` receives the rounding
-    decisions (see ``round_extreme_point``).
+    probe is certified feasible by ``_certificate`` when it can be, and only
+    otherwise gets a program, decided by ``check_feasible``; both give the
+    same verdict on every probe the certificate accepts.  The vertex rounded
+    is Bland's vertex of the program at c_final: the last simplex-decided
+    probe's when that probe was the last feasible one, else one solve at
+    c_final (c = n when no probe was feasible).  The returned allocation
+    gives every agent at least 2*c_final times her reference.  ``trace``
+    receives the rounding decisions (see ``round_extreme_point``).
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -293,38 +303,28 @@ def linpro(
     if inst.n < 1:
         raise ValueError("need at least one agent")
     refs = wmms_prime(inst)
-    loads = _loads(inst, refs)
+    loads, scale = _loads(inst, refs)
     upper = Fraction(inst.n)
     lower = Fraction(1)
     iterations = 0
-    prog = point = None
+    point = None
     while upper - lower > eps / 4:
         mid = (upper + lower) / 2
-        probe = build_program(inst, mid, refs)
-        if _certificate(probe, loads) is not None:
-            upper, prog, point = mid, probe, None
-        elif (probe_point := check_feasible(probe)) is not None:
-            upper, prog, point = mid, probe, probe_point
+        if _certificate(loads, scale, mid) is not None:
+            upper, point = mid, None
+        elif (found := check_feasible(build_program(inst, mid, refs))) is not None:
+            upper, point = mid, found
         else:
             lower = mid
         iterations += 1
+    prog = build_program(inst, upper, refs)
     if point is None:
-        if prog is None:
-            prog = build_program(inst, upper, refs)
         point = check_feasible(prog)
         if point is None:
-            raise UpperBoundInfeasible(
-                f"threshold {upper} infeasible, yet it is provably feasible"
-            )
-    allocation = round_extreme_point(prog, point, trace)
+            raise UpperBoundInfeasible(f"threshold {upper} infeasible, yet it is provably feasible")
     return LinProResult(
-        allocation=allocation,
-        c_final=upper,
-        lower=lower,
-        iterations=iterations,
-        references=refs,
-        program=prog,
-        point=point,
+        allocation=round_extreme_point(prog, point, trace), c_final=upper, lower=lower,
+        iterations=iterations, references=refs, program=prog, point=point,
     )
 
 

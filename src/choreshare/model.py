@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -25,7 +26,10 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """A rational row as integers over the lcm of its denominators.
 
     Returns ``(ints, denom)`` with ``ints[j] / denom == row[j]``; ``int``
-    entries are accepted.  Every layer that works on integers scales here.
+    entries are accepted.  ``denom > 0``, so each int has its entry's sign
+    and the ints order like the entries.  Every layer that works on integers
+    scales here; an instance's rows are scaled once, in
+    ``Instance.integer_values``.
     """
     pairs = [v.as_integer_ratio() for v in row]
     denom = lcm(*[d for _, d in pairs])
@@ -61,6 +65,11 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.values[0]) if self.values else 0
+
+    @cached_property
+    def integer_values(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each row as ``integer_row`` gives it, ints as a tuple; computed once per instance."""
+        return tuple((tuple(ints), denom) for ints, denom in map(integer_row, self.values))
 
     def row_total(self, i: int) -> Fraction:
         return sum(self.values[i], ZERO)
@@ -157,8 +166,7 @@ def validate_instance(inst: Instance) -> list[str]:
     if n >= 1 and total != ONE:
         violations.append(f"shares sum to {total} != 1")
     limit = _int_max_str_digits()
-    for i, row in enumerate(inst.values):
-        ints, denom = integer_row(row)  # denom > 0: each int has its value's sign
+    for i, (row, (ints, denom)) in enumerate(zip(inst.values, inst.integer_values)):
         for j, x in enumerate(ints):
             if x > 0:
                 violations.append(f"positive value {row[j]} at agent {i}, chore {j}")

@@ -211,8 +211,7 @@ def exact_owmms(
 
     loads = [[0] * n for _ in range(m)]
     weights: list[tuple[int, int]] = []
-    for i in range(n):
-        ints, denom = integer_row(inst.values[i])
+    for i, (ints, denom) in enumerate(inst.integer_values):
         for j, v in enumerate(ints):
             loads[j][i] = -v
         ref = wmms[i]

@@ -72,6 +72,8 @@ def test_egal_greedy_tie_order():
 def test_egal_greedy_rejects_chores_without_agents():
     with pytest.raises(ValueError, match="^need at least one agent$"):
         cs.egal_greedy((), (F(-1),))
+    assert cs.egal_greedy((), ()) == cs.Allocation(0, ())
+    assert cs.egal_greedy((F(0), F(1)), ()) == cs.Allocation(2, ())  # no chores: shares unread
 
 
 def test_egal_greedy_scale_invariant():

@@ -398,6 +398,25 @@ def test_bench_deterministic_and_json(tmp_path, capsys):
     assert payload["rows"][0]["instance"] == "random-normalized-n2-m5-s0"
 
 
+def test_bench_scales_each_instance_row_once(tmp_path, capsys, monkeypatch):
+    # validate and the three picking rules all read Instance.integer_values
+    inst = cs.random_instance(4, 9, 3)
+    path = tmp_path / "inst.json"
+    cs.save_instance(inst, path)
+    scaled = []
+
+    def counting(row, scale=cs.model.integer_row):
+        scaled.append(tuple(row))
+        return scale(row)
+
+    for module in (cs.model, cs.algorithms, cs.oracle, cs.simplex):
+        monkeypatch.setattr(module, "integer_row", counting)
+    code, _, _ = run_cli(capsys, "bench", str(path), "--algs", "round-robin,mult-greedy,add-greedy")
+    assert code == 0
+    assert len(set(inst.values)) == inst.n
+    assert [scaled.count(row) for row in inst.values] == [1] * inst.n
+
+
 def test_bench_times_column(capsys):
     code, out, _ = run_cli(
         capsys, "bench", "table:1", "--algs", "naive", "--oracle", "--times"

@@ -279,7 +279,7 @@ def test_linpro_single_agent():
 
 
 def test_linpro_raises_when_the_fallback_probe_is_infeasible(table2, monkeypatch):
-    monkeypatch.setattr(lp, "_certificate", lambda prog, loads: None)
+    monkeypatch.setattr(lp, "_certificate", lambda loads, scale, c: None)
     monkeypatch.setattr(lp, "check_feasible", lambda prog: None)
     with pytest.raises(cs.UpperBoundInfeasible, match="threshold 2 infeasible"):
         lp.linpro(table2, F(1, 100))
@@ -299,7 +299,7 @@ def test_linpro_raises_when_the_certified_final_probe_is_infeasible(table1, monk
 def test_certificate_uses_eligible_pairs_and_clears_every_floor(drawn):
     inst, c, refs = drawn
     prog = lp.build_program(inst, c, refs)
-    alloc = lp._certificate(prog, lp._loads(inst, refs))
+    alloc = lp._certificate(*lp._loads(inst, refs), c)
     if alloc is None:
         return
     assert all((i, j) in prog.variables for j, i in enumerate(alloc.owner))
@@ -324,7 +324,7 @@ def linpro_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(linpro_instances(), st.sampled_from([F(1, 3), F(1, 100), F(1, 1000)]))
 def test_linpro_is_the_same_when_the_certificate_refuses(inst, eps):
-    with mock.patch.object(lp, "_certificate", lambda prog, loads: None):
+    with mock.patch.object(lp, "_certificate", lambda loads, scale, c: None):
         every_probe_solved = lp.linpro(inst, eps)
     assert lp.linpro(inst, eps) == every_probe_solved
 

@@ -47,6 +47,15 @@ def test_validate_empty_chores_is_legal():
     assert cs.validate_instance(inst) == []
 
 
+def test_integer_values_is_a_cached_view_outside_equality():
+    inst = cs.Instance((F(1, 2), F(1, 2)), ((F(-1, 2), F(-1, 3)), (F(0), F(-2))))
+    fresh = cs.Instance(inst.shares, inst.values)
+    assert inst.integer_values == (((-3, -2), 6), ((0, -2), 1))
+    assert inst.integer_values is inst.integer_values
+    assert inst == fresh and hash(inst) == hash(fresh) and repr(inst) == repr(fresh)
+    assert "integer_values" not in repr(inst)
+
+
 def test_normalize_scales_rows():
     inst = cs.Instance((HALF, HALF), ((F(-2), F(-2)), (F(-3), F(-1))))
     norm = cs.normalize_instance(inst)
