@@ -16,7 +16,6 @@ from .algorithms import (
     egal_greedy,
     multiplicative_greedy,
     naive,
-    replay_trace,
     round_robin,
     wmms_prime,
 )
@@ -69,10 +68,8 @@ from .oracle import (
     OracleResult,
     OwmmsResult,
     check_budget,
-    exact_makespan_f,
     exact_owmms,
     exact_wmms,
-    verify_alpha,
 )
 from .serialization import (
     format_ratio,

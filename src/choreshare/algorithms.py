@@ -49,16 +49,6 @@ class TraceEvent:
     quantity: Fraction
 
 
-def replay_trace(n: int, m: int, trace: Sequence[TraceEvent]) -> Allocation:
-    """Rebuild the allocation an algorithm produced from its trace."""
-    owner = [-1] * m
-    for event in trace:
-        owner[event.chore] = event.agent
-    if any(o < 0 for o in owner):
-        raise ValueError("trace does not cover every chore")
-    return Allocation(n, tuple(owner))
-
-
 def _emit(
     trace: list[TraceEvent] | None, n: int, owner: Sequence[int], quantity: Fraction
 ) -> Allocation:

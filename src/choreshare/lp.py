@@ -1,18 +1,20 @@
 """Feasibility-program pipeline: build, solve, round, and binary-search.
 
-The program for a threshold c and reference vector r has a variable x_ij for
-every pair with V_ij >= c*r_i, one covering constraint per chore and one floor
-constraint per agent (bundle value at least c*r_i).  A basic feasible point of
-it touches at most n+m variables, its positive-support bipartite graph is a
-pseudoforest, and rounding along that graph costs each agent at most one extra
-eligible chore, i.e. the integral allocation clears the doubled floor.
+The program for a threshold c >= 0 and reference vector r has a variable x_ij
+for every pair with V_ij >= c*r_i, one covering constraint per chore and one
+floor constraint per agent (bundle value at least c*r_i).  A basic feasible
+point of it touches at most n+m variables, its positive-support bipartite
+graph is a pseudoforest, and rounding along that graph costs each agent at
+most one extra eligible chore, i.e. the integral allocation clears the
+doubled floor.
 
-``linpro``'s binary search needs only a verdict from each probe.  A probe is
-first offered to a greedy integral assignment on integer loads (``_loads``),
-whose eligibility and floors are checked exactly; one that passes proves the
-probe feasible without a program or a simplex solve, and one that fails gets
-the simplex verdict.  The vertex rounded is always Bland's vertex of the
-program at the final threshold.
+``_eligible`` alone decides eligibility, on the integer loads of ``_loads``;
+the program's variables, ``linpro``'s probes and ``min_feasible_c``'s
+breakpoints all read it.  ``linpro``'s binary search needs only a verdict
+from each probe.  A probe is first offered to a greedy integral assignment on
+those loads; one that passes proves the probe feasible without a program or
+a simplex solve, and one that fails gets the simplex verdict.  The vertex
+rounded is always Bland's vertex of the program at the final threshold.
 """
 
 from __future__ import annotations
@@ -67,9 +69,6 @@ class LPPoint:
 
     values: dict[tuple[int, int], Fraction]
 
-    def nonzeros(self) -> int:
-        return sum(1 for v in self.values.values() if v != 0)
-
 
 @dataclass(frozen=True)
 class AssignmentGraph:
@@ -103,13 +102,14 @@ class LinProResult:
 def build_program(
     inst: Instance, c: Fraction, refs: Sequence[Fraction]
 ) -> LPProgram:
-    """Instantiate the program with t_i = c * refs[i] (refs nonpositive)."""
+    """The program with t_i = c * refs[i] and ``_eligible``'s pairs (c >= 0, refs <= 0)."""
     c = Fraction(c)
-    cutoffs = tuple(c * r for r in check_references(inst, refs))
-    variables = tuple(
-        (i, j) for i, row in enumerate(inst.values) for j, v in enumerate(row) if v >= cutoffs[i]
-    )
-    return LPProgram(inst=inst, thresholds=cutoffs, variables=variables)
+    if c < 0:
+        raise ValueError(f"threshold {c} is negative")
+    refs = check_references(inst, refs)
+    eligible = _eligible(*_loads(inst, refs), c)
+    variables = tuple(sorted((i, j) for j, agents in enumerate(eligible) for i in agents))
+    return LPProgram(inst=inst, thresholds=tuple(c * r for r in refs), variables=variables)
 
 
 def _standard_form(prog: LPProgram) -> StandardForm:
@@ -241,10 +241,10 @@ def _loads(inst: Instance, refs: Sequence[Fraction]) -> tuple[list[list[int | No
     """Each load ``V_ij / r_i`` as an integer over one ``scale > 0``: ``(loads, scale)``.
 
     Where ``r_i = 0`` the load is 0 if ``V_ij >= 0``, else None (never
-    eligible).  The loads do not depend on c: at ``c = p/q >= 0``, ``V_ij >= c
-    * r_i`` iff the load is not None and ``load * q <= p * scale``, and a
-    bundle clears agent i's floor iff its loads sum to at most ``p * scale /
-    q``.  ValueError unless ``refs`` pass ``check_references``.
+    eligible).  The loads do not depend on c: ``_eligible`` reads each
+    threshold's eligibility from them, and at ``c >= 0`` a bundle clears agent
+    i's floor iff its loads sum to at most ``c * scale``.  ValueError unless
+    ``refs`` pass ``check_references``.
     """
     refs = check_references(inst, refs)
     # V_ij / r_i = a_ij * q_i / (D_i * p_i) for V_ij = a_ij / D_i and r_i = p_i / q_i
@@ -256,19 +256,23 @@ def _loads(inst: Instance, refs: Sequence[Fraction]) -> tuple[list[list[int | No
     ], scale
 
 
+def _eligible(loads: list[list[int | None]], scale: int, c: Fraction) -> list[list[int]]:
+    """Per chore, its agents with ``V_ij >= c * r_i`` (c >= 0): loads not None, ``<= c * scale``."""
+    cap, q = c.numerator * scale, c.denominator
+    return [[i for i, x in enumerate(xs) if x is not None and x * q <= cap] for xs in zip(*loads)]
+
+
 def _certificate(loads: list[list[int | None]], scale: int, c: Fraction) -> Allocation | None:
     """A greedy integral point of the program at ``c``, or None when the greedy misses.
 
-    Eligibility and floors are read from ``_loads``'s integers, exactly as
-    ``build_program`` decides them.  Chores go in descending order of their
-    largest eligible load, each to the eligible agent with the least load
-    after taking it (lowest index on ties).  The candidate is returned only if
-    every chore has an eligible owner and every floor holds (``used_i * q <=
-    p * scale``), so a returned allocation proves the program feasible; None
-    proves nothing.
+    Eligibility comes from ``_eligible``, as in ``build_program``.  Chores go
+    in descending order of their largest eligible load, each to the eligible
+    agent with the least load after taking it (lowest index on ties).  The
+    candidate is returned only if every chore has an eligible owner and every
+    floor holds (``used_i <= c * scale``), so a returned allocation proves the
+    program feasible; None proves nothing.
     """
-    cap, q = c.numerator * scale, c.denominator
-    eligible = [[i for i, x in enumerate(xs) if x is not None and x * q <= cap] for xs in zip(*loads)]
+    eligible = _eligible(loads, scale, c)
     if not all(eligible):
         return None
     used = [0] * len(loads)
@@ -277,6 +281,7 @@ def _certificate(loads: list[list[int | None]], scale: int, c: Fraction) -> Allo
         i = min(eligible[j], key=lambda a: used[a] + loads[a][j])
         owner[j] = i
         used[i] += loads[i][j]
+    cap, q = c.numerator * scale, c.denominator
     return None if any(u * q > cap for u in used) else Allocation(len(loads), tuple(owner))
 
 
@@ -331,19 +336,16 @@ def linpro(
 def min_feasible_c(inst: Instance, refs: Sequence[Fraction]) -> Fraction:
     """Exact smallest c >= 0 making the program with references feasible.
 
-    Eligibility only changes at the finitely many breakpoints V_ij / refs[i];
-    between consecutive breakpoints the minimum feasible c solves a small
-    linear program with c as an extra variable.  Scanning breakpoints in
-    ascending order and keeping the best optimum is exact because a program
-    built from a breakpoint's eligibility pattern only underestimates
-    eligibility for larger c, never overestimates it.
+    Eligibility only changes at 0 and the positive breakpoints ``load /
+    scale`` of ``_loads``; between consecutive breakpoints the minimum
+    feasible c solves a small linear program with c as an extra variable.
+    Scanning breakpoints in ascending order and keeping the best optimum is
+    exact because a program built from a breakpoint's eligibility pattern
+    only underestimates eligibility for larger c, never overestimates it.
     """
     refs = check_references(inst, refs)
-    breakpoints = {ZERO}
-    for i in range(inst.n):
-        if refs[i] < 0:
-            for j in range(inst.m):
-                breakpoints.add(inst.values[i][j] / refs[i])
+    loads, scale = _loads(inst, refs)
+    breakpoints = {ZERO} | {Fraction(x, scale) for row in loads for x in row if x and x > 0}
 
     best: Fraction | None = None
     for b in sorted(breakpoints):
@@ -362,12 +364,9 @@ def min_feasible_c(inst: Instance, refs: Sequence[Fraction]) -> Fraction:
             else:
                 sf.add(coeffs + (ZERO,), rhs, sense)
         sf.add((ZERO,) * fixed.num_vars + (ONE,), b, "ge")
-        objective = [ZERO] * fixed.num_vars + [ONE]
-        result = simplex.minimize(sf, objective)
-        if result is not None:
-            value = result[0]
-            if best is None or value < best:
-                best = value
+        result = simplex.minimize(sf, [ZERO] * fixed.num_vars + [ONE])
+        if result is not None and (best is None or result[0] < best):
+            best = result[0]
     if best is None:
         raise NoFeasibleAllocation("program infeasible at every threshold")
     return best

@@ -224,7 +224,7 @@ def check_references(inst: Instance, refs: Sequence[Fraction]) -> tuple[Fraction
     """The references as Fractions; ValueError unless one per agent, none positive."""
     if len(refs) != inst.n:
         raise ValueError(f"expected {inst.n} references, got {len(refs)}")
-    refs = tuple(Fraction(r) for r in refs)
+    refs = _exact(refs)
     for i, ref in enumerate(refs):
         if ref > 0:
             raise ValueError(f"reference {ref} of agent {i} is positive")

@@ -27,9 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, NoFeasibleAllocation
-from .model import (
-    Allocation, Instance, check_references, fairness_report, integer_row, unfairness_degree
-)
+from .model import Allocation, Instance, check_references, integer_row, unfairness_degree
 
 DEFAULT_BUDGET = 10**8
 
@@ -142,7 +140,7 @@ def _lex_min_max(
     ``(a_k, b_k)`` with ``a_k > 0``, and ``b_k = 0`` means k's load must stay 0.
     Returns the optimum's numerator, denominator and owner vector (None when
     no owner vector keeps those agents at 0).  Its two callers are here:
-    ``_wmms_witness`` (``exact_wmms``, ``exact_makespan_f``) and ``exact_owmms``.
+    ``_wmms_witness`` (``exact_wmms``) and ``exact_owmms``.
 
     Two passes of ``_search``.  Phase A finds the optimal value by branch and
     bound over the chores in descending order of their largest load (ties by
@@ -224,25 +222,3 @@ def exact_owmms(
             "no allocation gives every zero-reference agent value 0"
         )
     return OwmmsResult(max(Fraction(1), Fraction(num, den)), Allocation(n, owners))
-
-
-def exact_makespan_f(inst: Instance, i: int, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Minimum over partitions of the largest per-share disutility of a bundle.
-
-    This is the scheduling (makespan) form of the maxmin computation with
-    disutility D = -V (Q||Cmax with speeds = shares), so it is
-    ``-exact_wmms(inst, budget).w[i]``; only agent i's row is searched.
-    """
-    check_budget(inst.n, inst.m, budget)
-    _check_signs(inst)
-    return -unfairness_degree(inst, i, _wmms_witness(inst, inst.values[i]))
-
-
-def verify_alpha(
-    inst: Instance,
-    alloc: Allocation,
-    wmms: tuple[Fraction, ...],
-    alpha: Fraction,
-) -> bool:
-    """True iff every agent's own-bundle value is at least alpha times her reference."""
-    return fairness_report(inst, alloc, wmms).satisfied_at(alpha)

@@ -13,12 +13,46 @@ emits canonical "p/q" strings, so a parse/serialize round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .model import Instance, _int_max_str_digits
+from .model import ZERO, Instance, _int_max_str_digits
 
 _MINUS_VARIANTS = str.maketrans({"−": "-", "–": "-"})
+# Fraction's grammar for a decimal with an exponent: whole, fraction, exponent.
+_EXPONENT_FORM = re.compile(
+    r"[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)"
+)
+
+
+class _Number(str):
+    """The text of a bare JSON number, which ``parse_instance`` leaves to ``parse_ratio``."""
+
+
+def _too_long(context: str, limit: int) -> ParseError:
+    return ParseError(f"{context}: more than {limit} digits in numerator or denominator")
+
+
+def _from_text(text: str, context: str, limit: int) -> Fraction:
+    """``Fraction(text)``, without building a power of ten the digit limit refuses.
+
+    An exponent form is M * 10**E, for M of at most d written digits and E
+    the exponent less the fraction digits.  A nonzero M gives a numerator of
+    more than ``limit`` digits when E >= limit, and a denominator of more
+    when -E >= limit + d; a zero M gives 0.  The ``int`` calls are Fraction's.
+    """
+    form = _EXPONENT_FORM.fullmatch(text)
+    if form is None:
+        return Fraction(text)
+    whole, frac, exp = form.groups("")
+    frac = frac.replace("_", "")
+    mantissa, exp = (int(whole or "0"), int(frac or "0")), int(exp) - len(frac)
+    if mantissa == (0, 0):
+        return ZERO
+    if limit and (exp >= limit or -exp >= limit + len(whole) + len(frac)):
+        raise _too_long(context, limit)
+    return Fraction(text)
 
 
 def parse_ratio(token, context: str = "value") -> Fraction:
@@ -33,8 +67,10 @@ def parse_ratio(token, context: str = "value") -> Fraction:
 
     A rational whose numerator or denominator has more digits than Python
     converts to text (``sys.get_int_max_str_digits()``, 0 for no limit) is
-    refused, so whatever parses can also be printed.
+    refused, so whatever parses can also be printed; an exponent form is
+    refused before its power of ten is built (``_from_text``).
     """
+    limit = _int_max_str_digits()
     if isinstance(token, str):
         text = token.translate(_MINUS_VARIANTS).strip()
         num, slash, den = text.partition("/")
@@ -42,10 +78,12 @@ def parse_ratio(token, context: str = "value") -> Fraction:
             if text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
                 value = Fraction(int(num), int(den) if slash else 1)
             else:
-                value = Fraction(text)
+                value = _from_text(text, context, limit)
         except ZeroDivisionError:
             raise ParseError(f"{context}: zero denominator in {token!r}") from None
         except ValueError:
+            if isinstance(token, _Number):  # always a rational: only its length can fail
+                raise _too_long(context, limit) from None
             raise ParseError(f"{context}: not a rational token: {token!r}") from None
     elif isinstance(token, bool):  # a subclass of int, but JSON true/false are not rationals
         raise ParseError(f"{context}: expected a rational, got {token!r}")
@@ -57,13 +95,12 @@ def parse_ratio(token, context: str = "value") -> Fraction:
         raise ParseError(f"{context}: refusing binary float {token!r}; write it as a string")
     else:
         raise ParseError(f"{context}: expected a rational, got {token!r}")
-    limit = _int_max_str_digits()
     # An int of b bits has at most 0.302 * b + 1 digits, so a pair with at
     # most 3 * limit bits between them prints; past that, count exactly.
     num, den = value.as_integer_ratio()
     if limit and num.bit_length() + den.bit_length() > 3 * limit:
         if max(-num, num, den) >= 10**limit:
-            raise ParseError(f"{context}: more than {limit} digits in numerator or denominator")
+            raise _too_long(context, limit)
     return value
 
 
@@ -83,7 +120,7 @@ def format_ratio(x: Fraction) -> str:
 def parse_instance(text: str) -> Instance:
     """Parse an instance document; errors carry the offending agent/field."""
     try:
-        doc = json.loads(text, parse_float=Fraction, parse_int=int)
+        doc = json.loads(text, parse_float=_Number, parse_int=_Number)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict) or "agents" not in doc:

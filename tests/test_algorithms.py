@@ -380,7 +380,7 @@ def test_picking_rules_match_full_scan(inst):
 def test_trace_replays_to_allocation(run, table1):
     trace: list[cs.TraceEvent] = []
     alloc = run(table1, trace)
-    assert cs.replay_trace(table1.n, table1.m, trace) == alloc
+    assert {e.chore: e.agent for e in trace} == dict(enumerate(alloc.owner))
 
 
 def test_binary_trace_replays():
@@ -389,7 +389,7 @@ def test_binary_trace_replays():
     )
     trace: list[cs.TraceEvent] = []
     alloc = cs.binary_wmms(inst, trace=trace)
-    assert cs.replay_trace(inst.n, inst.m, trace) == alloc
+    assert {e.chore: e.agent for e in trace} == dict(enumerate(alloc.owner))
     assert [e.step for e in trace] == [0, 1, 2]
 
 
@@ -414,12 +414,8 @@ def test_binary_trace_events(shares, values, events):
     trace: list[cs.TraceEvent] = []
     alloc = cs.binary_wmms(inst, trace=trace)
     assert [(e.step, e.chore, e.agent, e.quantity) for e in trace] == events
-    assert cs.replay_trace(inst.n, inst.m, trace) == alloc == cs.binary_wmms(inst)
-
-
-def test_replay_trace_needs_every_chore():
-    with pytest.raises(ValueError, match="does not cover every chore"):
-        cs.replay_trace(2, 2, [cs.TraceEvent(0, 1, 0, F(0))])
+    assert {e.chore: e.agent for e in trace} == dict(enumerate(alloc.owner))
+    assert alloc == cs.binary_wmms(inst)
 
 
 def test_algorithms_deterministic():

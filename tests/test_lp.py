@@ -28,7 +28,7 @@ def test_build_program_table2_at_four_thirds(table2):
     point = lp.check_feasible(prog)
     assert point is not None
     assert point.values == {(0, 0): F(1), (0, 1): F(1)}
-    assert point.nonzeros() <= table2.n + table2.m
+    assert len(point.values) <= table2.n + table2.m
     alloc = lp.round_extreme_point(prog, point)
     assert alloc.owner == (0, 0)
 
@@ -51,11 +51,17 @@ EDGE_VALUES = st.sampled_from([F(0), F(-1, 4), F(-1, 2), F(-1), F(-3, 2)])
 
 @st.composite
 def programs(draw):
-    """An instance, a threshold c >= 0 and nonpositive references."""
+    """An instance, a threshold c >= 0 and nonpositive references.
+
+    c is drawn as often from the instance's own breakpoints V_ij / r_i, where
+    eligibility holds with equality, as from a fixed grid.
+    """
     n, m = draw(st.integers(1, 4)), draw(st.integers(0, 6))
     values = tuple(tuple(draw(EDGE_VALUES) for _ in range(m)) for _ in range(n))
-    c = draw(st.sampled_from([F(0), F(1, 2), F(1), F(4, 3), F(2)]))
     refs = tuple(draw(EDGE_VALUES) for _ in range(n))
+    grid = st.sampled_from([F(0), F(1, 2), F(1), F(4, 3), F(2)])
+    breakpoints = sorted({v / r for r, row in zip(refs, values) if r for v in row})
+    c = draw(st.one_of(grid, st.sampled_from(breakpoints)) if breakpoints else grid)
     return cs.Instance((F(1, n),) * n, values), c, refs
 
 
@@ -76,6 +82,16 @@ def test_program_views_match_a_recomputation(drawn):
     assert prog.trivially_infeasible == any(
         all((i, j) not in eligible for i in agents) for j in chores
     )
+
+
+@pytest.mark.parametrize("c", [F(-1), F(-1, 10**9)])
+def test_build_program_rejects_negative_thresholds(c):
+    # At c < 0 the Fraction rule V_ij >= c * r_i would still make the
+    # zero-valued chores of an agent with r_i = 0 eligible; the integer rule
+    # would not.  No threshold below 0 is defined.
+    inst = cs.Instance((HALF, HALF), ((F(0),), (F(-1),)))
+    with pytest.raises(ValueError, match="negative"):
+        lp.build_program(inst, c, (F(0), F(-1)))
 
 
 def test_trivially_infeasible_program():
@@ -235,7 +251,7 @@ def test_linpro_trace_is_the_rounding(table1):
         (3, 3, 0, F(521, 1024)),
     ]
     assert all(e.quantity == result.point.values[(e.agent, e.chore)] for e in trace)
-    assert cs.replay_trace(table1.n, table1.m, trace) == result.allocation
+    assert {e.chore: e.agent for e in trace} == dict(enumerate(result.allocation.owner))
 
 
 def test_linpro_solves_each_threshold_once(table1, table2, monkeypatch):
@@ -342,7 +358,7 @@ def test_linpro_rejects_nonpositive_eps(table1):
 def test_linpro_structure_on_seeded_instances():
     for inst in quick_instances(seeds=2):
         result = lp.linpro(inst, F(1, 100))
-        assert result.point.nonzeros() <= inst.n + inst.m
+        assert len(result.point.values) <= inst.n + inst.m
         assert lp.build_assignment_graph(result.point).is_pseudoforest()
         assert sorted(
             j for b in result.allocation.bundles() for j in b
@@ -398,6 +414,13 @@ def test_min_feasible_c_with_zero_references_on_negative_values():
     inst = cs.Instance((HALF, HALF), ((F(-1), F(-1)), (F(-1), F(0))))
     with pytest.raises(cs.NoFeasibleAllocation, match="infeasible at every threshold"):
         lp.min_feasible_c(inst, (F(0), F(0)))
+
+
+def test_min_feasible_c_is_nonnegative_on_positive_values():
+    # A positive value is eligible at every c >= 0; its breakpoint V_ij / r_i
+    # is negative, where no program is defined.
+    inst = cs.Instance((HALF, HALF), ((F(1), F(-1)), (F(1, 2), F(0))))
+    assert lp.min_feasible_c(inst, (F(-1), F(-1))) == 0
 
 
 def test_min_feasible_c_rejects_positive_refs(table1):

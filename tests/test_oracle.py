@@ -65,20 +65,20 @@ def test_single_agent_owmms():
 def test_owmms_witness_tight(table2):
     wmms = cs.exact_wmms(table2).wmms
     res = cs.exact_owmms(table2, wmms)
-    assert cs.verify_alpha(table2, res.witness, wmms, res.alpha_star)
+    assert cs.fairness_report(table2, res.witness, wmms).satisfied_at(res.alpha_star)
     # just below alpha*, not even the witness (nor anything else) passes
     probe = res.alpha_star - F(1, 1000)
     for owners in product(range(2), repeat=2):
-        assert not cs.verify_alpha(table2, cs.Allocation(2, owners), wmms, probe)
+        assert not cs.fairness_report(table2, cs.Allocation(2, owners), wmms).satisfied_at(probe)
 
 
-def test_verify_alpha_examples(table2):
+def test_satisfied_at_examples(table2):
     wmms = (F(-3, 4), F(-1, 3))
-    witness = cs.Allocation(2, (0, 0))
-    assert cs.verify_alpha(table2, witness, wmms, F(4, 3))
-    assert not cs.verify_alpha(table2, witness, wmms, F(5, 4))
+    report = cs.fairness_report(table2, cs.Allocation(2, (0, 0)), wmms)
+    assert report.satisfied_at(F(4, 3))
+    assert not report.satisfied_at(F(5, 4))
     empty = cs.Instance((HALF, HALF), ((), ()))
-    assert cs.verify_alpha(empty, cs.Allocation(2, ()), (F(0), F(0)), F(100))
+    assert cs.fairness_report(empty, cs.Allocation(2, ()), (F(0), F(0))).satisfied_at(F(100))
 
 
 def test_table4_wmms_matches_printed_values():
@@ -87,23 +87,33 @@ def test_table4_wmms_matches_printed_values():
     assert res.wmms == (-eps, -eps, -1 + 2 * eps)
 
 
+# The makespan form of the maxmin computation: with disutility D = -V
+# (Q||Cmax with speeds = shares), agent i's least largest per-share bundle
+# disutility is -w[i].
 def test_makespan_table1(table1):
-    assert cs.exact_makespan_f(table1, 0) == F(1)
-    assert cs.exact_makespan_f(table1, 1) == F(1)
+    assert [-w for w in cs.exact_wmms(table1).w] == [F(1), F(1)]
 
 
 def test_makespan_uniform_balanced_split():
     # three chores at -1/3 between two speed-1/2 agents: best split is 2+1,
     # so the bottleneck bundle carries (2/3)/(1/2) = 4/3
     inst = cs.Instance((HALF, HALF), ((F(-1, 3),) * 3,) * 2)
-    assert cs.exact_makespan_f(inst, 0) == F(4, 3)
+    assert -cs.exact_wmms(inst).w[0] == F(4, 3)
 
 
 def test_makespan_negates_w():
     for inst in quick_instances(seeds=2) + quick_instances("binary", seeds=2):
         res = cs.exact_wmms(inst)
+        partitions = [
+            cs.Allocation(inst.n, owners).bundles()
+            for owners in product(range(inst.n), repeat=inst.m)
+        ]
         for i in range(inst.n):
-            assert cs.exact_makespan_f(inst, i) == -res.w[i]
+            makespan = min(
+                max(-cs.bundle_value(inst, i, b) / s for b, s in zip(bundles, inst.shares))
+                for bundles in partitions
+            )
+            assert makespan == -res.w[i]
 
 
 def test_weighted_mean_bound_on_normalized():
@@ -141,8 +151,6 @@ def test_budget_guard():
         cs.exact_wmms(small, budget=10)
     with pytest.raises(cs.BudgetExceeded):
         cs.exact_owmms(small, cs.exact_wmms(small).wmms, budget=10)
-    with pytest.raises(cs.BudgetExceeded):
-        cs.exact_makespan_f(small, 0, budget=10)
 
 
 def test_owmms_rejects_positive_refs(table2):

@@ -1,10 +1,10 @@
-"""Differential tests: probes decided on integer loads against the LPProgram reference.
+"""Differential tests: probes decided on integer loads against the Fraction reference.
 
-``lp._loads`` and ``lp._certificate`` decide eligibility and floors on
-integers; the reference (``fraction_probes``) reads eligibility from
-``build_program`` and checks every floor as a Fraction.  For every drawn
-instance, threshold and references, zero references included, both must
-select the same eligible pairs and certify the same allocation.
+``lp._eligible`` and ``lp._certificate`` decide eligibility and floors on
+``lp._loads``'s integers; the reference (``fraction_probes``) decides both
+as Fractions, ``V_ij >= c * r_i``.  For every drawn instance, threshold and
+references, zero references included, ``build_program`` must select the
+reference's eligible pairs and both must certify the same allocation.
 """
 
 from fractions import Fraction
@@ -46,14 +46,7 @@ def test_integer_probe_matches_program_reference(drawn):
     inst, c, refs = drawn
     loads, scale = lp._loads(inst, refs)
     assert scale > 0
-    eligible = tuple(
-        (i, j)
-        for i, row in enumerate(loads)
-        for j, load in enumerate(row)
-        if load is not None and load * c.denominator <= c.numerator * scale
-    )
-    prog = lp.build_program(inst, c, refs)
-    assert eligible == prog.variables
+    assert lp.build_program(inst, c, refs).variables == reference.eligible_pairs(inst, c, refs)
     assert lp._certificate(loads, scale, c) == reference._certificate(
-        prog, reference._loads(inst, refs)
+        inst, c, refs, reference._loads(inst, refs)
     )

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,47 @@ def test_parse_ratio_refuses_what_cannot_be_printed():
         cs.parse_instance(doc)
     inst = cs.Instance((F(1),), ((longest,),))
     assert cs.parse_instance(cs.serialize_instance(inst)) == inst
+
+
+def _parsed_with_peak(parse, *args):
+    """What ``parse(*args)`` returned, or its ParseError's message, and the most memory it held."""
+    tracemalloc.start()
+    try:
+        try:
+            result = parse(*args)
+        except cs.ParseError as exc:
+            result = str(exc)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# 10**(10**6) alone takes 415 kB; each token below is refused, or read as 0,
+# without building it.
+def test_parse_ratio_refuses_long_exponents_before_building_them():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter prints ints of any length")
+    for token in ("1e1000000", "-1e1000000", "1e-1000000", "-7.5e-1000000", "12_3.4E+1_000_000"):
+        message, peak = _parsed_with_peak(cs.parse_ratio, token, "field")
+        assert message == f"field: more than {limit} digits in numerator or denominator"
+        assert peak < 50_000
+    for token in ("0e1000000", "-0.000e-1000000", "0_0.0E1000000"):
+        value, peak = _parsed_with_peak(cs.parse_ratio, token)
+        assert value == 0 and peak < 50_000
+
+
+def test_parse_instance_refuses_long_bare_numbers_with_context():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter prints ints of any length")
+    for number in ("-1e1000000", "-" + "1" * (limit + 1), "-1." + "5" * (limit + 1)):
+        doc = f'{{"agents": [{{"share": "1", "values": [-1, {number}]}}]}}'
+        message, peak = _parsed_with_peak(cs.parse_instance, doc)
+        assert message == f"agent 0 value 1: more than {limit} digits in numerator or denominator"
+        assert peak < 100_000
+    doc = '{"agents": [{"share": 1, "values": [-0.5, -1, 0e1000000, -2E-1]}]}'
+    assert cs.parse_instance(doc).values == ((F(-1, 2), F(-1), F(0), F(-1, 5)),)
 
 
 def test_parse_errors_carry_context():
