@@ -68,6 +68,11 @@ def _fmt(x: Fraction, decimal: bool = False) -> str:
     return text
 
 
+def _spaced(items) -> str:
+    """Items as space-separated text, or "-" when there are none."""
+    return " ".join(map(str, items)) or "-"
+
+
 def _ratio_text(report: FairnessReport, i: int) -> str:
     agent = report.agents[i]
     if agent.ratio is not None:
@@ -139,8 +144,7 @@ def _cmd_validate(args) -> int:
 
 def _lp_lines(result: lp.LinProResult) -> list[str]:
     prog = result.program
-    names = [f"x[{i},{j}]" for i, j in prog.variables]
-    lines = [f"lp-variables: {' '.join(names) if names else '-'}"]
+    lines = [f"lp-variables: {_spaced(f'x[{i},{j}]' for i, j in prog.variables)}"]
     for i in range(prog.inst.n):
         terms = [
             f"{format_ratio(prog.inst.values[i][j])}*x[{i},{j}]"
@@ -152,10 +156,8 @@ def _lp_lines(result: lp.LinProResult) -> list[str]:
         terms = [f"x[{i},{j}]" for i in prog.eligible_agents[j]]
         lhs = " + ".join(terms) if terms else "0"
         lines.append(f"lp-chore {j}: {lhs} = 1")
-    entries = " ".join(
-        f"x[{i},{j}]={format_ratio(v)}" for (i, j), v in sorted(result.point.values.items())
-    )
-    lines.append(f"lp-point: {entries if entries else '-'}")
+    entries = (f"x[{i},{j}]={format_ratio(v)}" for (i, j), v in sorted(result.point.values.items()))
+    lines.append(f"lp-point: {_spaced(entries)}")
     return lines
 
 
@@ -172,67 +174,52 @@ def _cmd_solve(args) -> int:
         inst, args.algorithm, eps=eps, tie_rule=args.tie_rule, order=order, trace=trace
     )
 
+    # One document of exact values; json.dumps prints each Fraction through
+    # format_ratio, and the text form reads the same fields.
     bundles = alloc.bundles()
-    values = [bundle_value(inst, i, b) for i, b in enumerate(bundles)]
-    report = None
+    doc: dict = {
+        "algorithm": args.algorithm,
+        "owner": list(alloc.owner),
+        "bundles": [list(b) for b in bundles],
+        "values": [bundle_value(inst, i, b) for i, b in enumerate(bundles)],
+    }
+    if result is not None:
+        doc["c_final"] = result.c_final
     if args.oracle:
         wmms = oracle.exact_wmms(inst, budget=args.budget).wmms
         report = fairness_report(inst, alloc, wmms)
-        ratios = [_ratio_text(report, i) for i in range(inst.n)]
         worst = report.worst_ratio()
-
-    if args.json:
-        doc: dict = {
-            "algorithm": args.algorithm,
-            "owner": list(alloc.owner),
-            "bundles": [list(b) for b in bundles],
-            "values": [format_ratio(v) for v in values],
+        doc["report"] = {
+            "wmms": [a.reference for a in report.agents],
+            "ratios": [_ratio_text(report, i) for i in range(inst.n)],
+            "worst_ratio": "violated" if worst is None else worst,
         }
-        if result is not None:
-            doc["c_final"] = format_ratio(result.c_final)
-        if report is not None:
-            doc["report"] = {
-                "wmms": [format_ratio(a.reference) for a in report.agents],
-                "ratios": ratios,
-                "worst_ratio": format_ratio(worst) if worst is not None else "violated",
-            }
-        if trace is not None:
-            doc["trace"] = [
-                {
-                    "step": e.step,
-                    "chore": e.chore,
-                    "agent": e.agent,
-                    "quantity": format_ratio(e.quantity),
-                }
-                for e in trace
-            ]
-        print(json.dumps(doc, indent=2))
-        return 0
-
-    # Formatted in full before printing, as in _cmd_oracle: wmms[i] and the
-    # LP's thresholds may not print.
-    lines = [
-        f"algorithm: {args.algorithm}",
-        f"owner: {' '.join(map(str, alloc.owner)) if alloc.owner else '-'}",
-    ]
-    for i, b in enumerate(bundles):
-        lines.append(f"bundle[{i}]: {' '.join(map(str, b)) if b else '-'}")
-    for i, v in enumerate(values):
-        lines.append(f"value[{i}]: {_fmt(v, args.decimal)}")
-    if result is not None:
-        lines.append(f"c-final: {_fmt(result.c_final, args.decimal)}")
-    if report is not None:
-        for i, agent in enumerate(report.agents):
-            lines.append(f"wmms[{i}]: {_fmt(agent.reference, args.decimal)}")
-        for i, text in enumerate(ratios):
-            lines.append(f"ratio[{i}]: {text}")
-        lines.append(f"worst-ratio: {_fmt(worst, args.decimal) if worst is not None else 'violated'}")
     if trace is not None:
-        for e in trace:
-            lines.append(
-                f"trace: step {e.step}: chore {e.chore} -> agent {e.agent} "
-                f"(quantity {format_ratio(e.quantity)})"
-            )
+        doc["trace"] = [vars(e) for e in trace]  # TraceEvent's fields, in order
+
+    # Either form is rendered in full before printing, as in _cmd_oracle:
+    # wmms[i] and the LP's thresholds may not print.
+    if args.json:
+        print(json.dumps(doc, indent=2, default=format_ratio))
+        return 0
+    fmt = functools.partial(_fmt, decimal=args.decimal)
+    lines = [
+        f"algorithm: {doc['algorithm']}",
+        f"owner: {_spaced(doc['owner'])}",
+        *(f"bundle[{i}]: {_spaced(b)}" for i, b in enumerate(doc["bundles"])),
+        *(f"value[{i}]: {fmt(v)}" for i, v in enumerate(doc["values"])),
+    ]
+    if "c_final" in doc:
+        lines.append(f"c-final: {fmt(doc['c_final'])}")
+    if args.oracle:
+        lines += [f"wmms[{i}]: {fmt(x)}" for i, x in enumerate(doc["report"]["wmms"])]
+        lines += [f"ratio[{i}]: {text}" for i, text in enumerate(doc["report"]["ratios"])]
+        lines.append(f"worst-ratio: {'violated' if worst is None else fmt(worst)}")
+    lines += [
+        f"trace: step {e['step']}: chore {e['chore']} -> agent {e['agent']} "
+        f"(quantity {format_ratio(e['quantity'])})"
+        for e in doc.get("trace", ())
+    ]
     if args.dump_lp and result is not None:
         lines += _lp_lines(result)
     print("\n".join(lines))
@@ -250,10 +237,9 @@ def _cmd_oracle(args) -> int:
     lines = [
         f"wmms: {' '.join(_fmt(x, args.decimal) for x in result.wmms)}",
         f"w: {' '.join(_fmt(x, args.decimal) for x in result.w)}",
-        *(f"witness[{i}]: {' '.join(map(str, witness.owner)) or '-'}"
-          for i, witness in enumerate(result.witness_partitions)),
+        *(f"witness[{i}]: {_spaced(witness.owner)}" for i, witness in enumerate(result.witness_partitions)),
         f"alpha-star: {_fmt(owmms.alpha_star, args.decimal)}",
-        f"alpha-witness: {' '.join(map(str, owmms.witness.owner)) or '-'}",
+        f"alpha-witness: {_spaced(owmms.witness.owner)}",
     ]
     print("\n".join(lines))
     return 0

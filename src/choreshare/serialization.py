@@ -26,10 +26,6 @@ _EXPONENT_FORM = re.compile(
 )
 
 
-class _Number(str):
-    """The text of a bare JSON number, which ``parse_instance`` leaves to ``parse_ratio``."""
-
-
 def _too_long(context: str, limit: int) -> ParseError:
     return ParseError(f"{context}: more than {limit} digits in numerator or denominator")
 
@@ -63,12 +59,14 @@ def parse_ratio(token, context: str = "value") -> Fraction:
     canonical forms, "p/q" and a plain integer with ASCII-digit parts (an
     optional leading "-" on the numerator only), are parsed with ``int``;
     every other form ("+", "_", decimals, exponents, non-ASCII digits, a
-    missing part) goes through ``Fraction(text)``.
+    missing part) goes through ``Fraction(text)``.  ``parse_instance`` passes
+    a bare JSON number here as its text.
 
     A rational whose numerator or denominator has more digits than Python
     converts to text (``sys.get_int_max_str_digits()``, 0 for no limit) is
-    refused, so whatever parses can also be printed; an exponent form is
-    refused before its power of ten is built (``_from_text``).
+    refused, so whatever parses can also be printed.  So is an exponent form
+    whose power of ten is too long, before it is built (``_from_text``), and
+    any token with a digit run too long for ``int`` to read, "1/000…0" too.
     """
     limit = _int_max_str_digits()
     if isinstance(token, str):
@@ -82,9 +80,13 @@ def parse_ratio(token, context: str = "value") -> Fraction:
         except ZeroDivisionError:
             raise ParseError(f"{context}: zero denominator in {token!r}") from None
         except ValueError:
-            if isinstance(token, _Number):  # always a rational: only its length can fail
-                raise _too_long(context, limit) from None
-            raise ParseError(f"{context}: not a rational token: {token!r}") from None
+            # Fraction's grammar does not depend on how long a digit run is, so
+            # a text that parses with every run cut to one digit is too long.
+            try:
+                Fraction(re.sub(r"\d+", "1", text))
+            except ValueError:
+                raise ParseError(f"{context}: not a rational token: {token!r}") from None
+            raise _too_long(context, limit) from None
     elif isinstance(token, bool):  # a subclass of int, but JSON true/false are not rationals
         raise ParseError(f"{context}: expected a rational, got {token!r}")
     elif isinstance(token, Fraction):
@@ -120,7 +122,7 @@ def format_ratio(x: Fraction) -> str:
 def parse_instance(text: str) -> Instance:
     """Parse an instance document; errors carry the offending agent/field."""
     try:
-        doc = json.loads(text, parse_float=_Number, parse_int=_Number)
+        doc = json.loads(text, parse_float=str, parse_int=str)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict) or "agents" not in doc:

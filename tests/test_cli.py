@@ -1,11 +1,13 @@
 import json
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import choreshare as cs
-from choreshare.cli import main, run_algorithm
+from choreshare.cli import ALGORITHM_TABLE, main, run_algorithm
 
 F = Fraction
 
@@ -679,3 +681,92 @@ def test_main_gives_every_package_error_exit_2(table1_file, capsys, monkeypatch)
     monkeypatch.setattr(cs.cli, "naive", fail)
     code, out, err = run_cli(capsys, "solve", table1_file, "naive")
     assert (code, out, err) == (2, "", "error: FreshError: no such luck\n")
+
+
+# `solve` text key -> where its value sits in the --json document; a key
+# with an index, and "trace", adds one entry to a list.
+SOLVE_FIELDS = {
+    "algorithm": ("algorithm",),
+    "owner": ("owner",),
+    "bundle": ("bundles",),
+    "value": ("values",),
+    "c-final": ("c_final",),
+    "wmms": ("report", "wmms"),
+    "ratio": ("report", "ratios"),
+    "worst-ratio": ("report", "worst_ratio"),
+    "trace": ("trace",),
+}
+
+
+def _solve_text_as_document(out: str) -> dict:
+    """The lines of `solve`'s text form, read back into the shape of its --json document."""
+    doc: dict = {}
+    for line in out.splitlines():
+        key, index, text = re.fullmatch(r"([a-z-]+)(?:\[(\d+)\])?: (.*)", line).groups()
+        if key in ("owner", "bundle"):
+            text = [] if text == "-" else [int(tok) for tok in text.split()]
+        elif key == "trace":
+            *ints, quantity = re.fullmatch(
+                r"step (\d+): chore (\d+) -> agent (\d+) \(quantity (\S+)\)", text
+            ).groups()
+            text = dict(zip(("step", "chore", "agent"), map(int, ints)), quantity=quantity)
+        *parents, name = SOLVE_FIELDS[key]
+        place = doc
+        for parent in parents:
+            place = place.setdefault(parent, {})
+        if index is None and key != "trace":
+            assert name not in place, line
+            place[name] = text
+        else:
+            entries = place.setdefault(name, [])
+            assert index is None or int(index) == len(entries), line
+            entries.append(text)
+    return doc
+
+
+# binary leaves every agent of random-binary-n3-m6-s3 a value of 0: a worst
+# ratio of 0
+@pytest.mark.parametrize(
+    "name", ["table1", "table2", "rr-family-n2", "random-binary-n2-m5-s1", "random-binary-n3-m6-s3"]
+)
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHM_TABLE))
+def test_solve_text_and_json_carry_the_same_fields(tmp_path, capsys, name, algorithm):
+    path = tmp_path / f"{name}.json"
+    cs.save_instance(_golden_instance(name), path)
+    for flags in ((), ("--oracle",), ("--trace",), ("--oracle", "--trace")):
+        argv = ("solve", str(path), algorithm, "--eps", "1/100", *flags)
+        code, text, err = run_cli(capsys, *argv)
+        json_code, out, json_err = run_cli(capsys, *argv, "--json")
+        assert (json_code, json_err) == (code, err), argv
+        if code != 0:
+            assert text == out == ""
+            continue
+        doc = json.loads(out)
+        assert _solve_text_as_document(text) == doc, argv
+        assert ("c_final" in doc) == (algorithm == "linpro")
+        assert ("report" in doc) == ("--oracle" in flags)
+        assert ("trace" in doc) == ("--trace" in flags)
+        if "report" in doc and (name, algorithm) == ("random-binary-n3-m6-s3", "binary"):
+            assert doc["report"]["worst_ratio"] == "0"
+
+
+def test_no_digit_limit_reads_validates_prints_and_solves(tmp_path, capsys):
+    # Python before 3.10.7 converts ints of any length; lifting the limit
+    # reaches the same branches on every interpreter
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert cs.parse_ratio("1" * 5000) == int("1" * 5000)
+        big = 10**4999 + 7  # 5000 digits
+        inst = cs.Instance((F(1, 2), F(1, 2)), ((F(-1, big), F(-1)), (F(-1), F(-1))))
+        assert cs.validate_instance(inst) == []
+        assert cs.format_ratio(F(-1, big)) == f"-1/{big}"
+        path = tmp_path / "long.json"
+        cs.save_instance(inst, path)
+        code, out, err = run_cli(capsys, "solve", str(path), "naive")
+        assert (code, err) == (0, "")
+        assert out.startswith("algorithm: naive\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 import sys
@@ -50,13 +51,30 @@ def test_parse_ratio_tokens():
 
 
 def _fraction_text(token: str, context: str):
-    """What parse_ratio made of a string token when it always called Fraction(text)."""
+    """What parse_ratio should make of a string token: ``Fraction(text)`` or why it failed.
+
+    A token that ``Fraction`` refuses only for the int-to-str digit limit
+    gets the digit-limit error: it reads once the limit is lifted, or, as
+    "1/000…0" does, fails there on a zero denominator it has too many
+    digits to reach.
+    """
     text = token.translate(str.maketrans({"−": "-", "–": "-"})).strip()
     try:
         return Fraction(text)
     except ZeroDivisionError:
         return f"{context}: zero denominator in {token!r}"
     except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+            try:
+                with contextlib.suppress(ZeroDivisionError):
+                    Fraction(text)
+                return f"{context}: more than {limit} digits in numerator or denominator"
+            except ValueError:
+                pass
+            finally:
+                sys.set_int_max_str_digits(limit)
         return f"{context}: not a rational token: {token!r}"
 
 
@@ -88,6 +106,10 @@ tokens = st.lists(st.sampled_from(TOKEN_PARTS), max_size=7).map("".join).filter(
 @example(" −12/007 ")
 @example("1" * 5000)
 @example("1/" + "7" * 5000)
+@example("1/" + "0" * 5000)
+@example("0." + "1" * 5000)
+@example("1" * 5000 + "e-4990")
+@example("x" + "1" * 5000)
 def test_parse_ratio_agrees_with_fraction_text(token):
     expected = _fraction_text(token, "tok")
     try:
