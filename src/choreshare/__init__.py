@@ -40,11 +40,9 @@ from .generators import (
     round_robin_family_references,
 )
 from .lp import (
-    AssignmentGraph,
     LinProResult,
     LPPoint,
     LPProgram,
-    build_assignment_graph,
     build_program,
     check_feasible,
     linpro,

@@ -26,6 +26,8 @@ from .model import (
     Allocation,
     Instance,
     bundle_value,
+    check_shares,
+    division_weights,
     integer_row,
     normalize_instance,
 )
@@ -67,12 +69,12 @@ def naive(inst: Instance, trace: list[TraceEvent] | None = None) -> Allocation:
 def _balance(shares, ints: Sequence[int], denom: int, trace: list[TraceEvent] | None = None):
     """``egal_greedy`` on the row ``ints / denom``: ``(owner, min_k V(X_k) / s_k)``.
 
-    For ``s_i = p_i / q_i`` and ``L = lcm(p_i)``, a per-share value ``x /
-    (denom * s_i)`` is ``x * w_i`` over ``L * denom`` with ``w_i = q_i * (L //
-    p_i)``, so agents compare on int keys; ties use ``integer_row(shares)``.
+    A per-share value ``x / (denom * s_i)`` is ``x * w_i / big`` with ``(w,
+    big)`` from ``model.division_weights``, so agents compare on int keys; ties
+    use ``integer_row(shares)``.  ValueError unless every share is positive.
     """
-    big = lcm(*(s.numerator for s in shares))
-    weight = [s.denominator * (big // s.numerator) for s in shares]
+    check_shares(shares)
+    weight, big = division_weights([denom] * len(shares), shares)
     tie = integer_row(shares)[0]
     totals = [0] * len(shares)
     owner = [0] * len(ints)
@@ -83,7 +85,7 @@ def _balance(shares, ints: Sequence[int], denom: int, trace: list[TraceEvent] | 
         owner[j] = best
         if trace is not None:
             trace.append(TraceEvent(step, j, best, Fraction(totals[best], denom) / shares[best]))
-    return owner, Fraction(min((t * w for t, w in zip(totals, weight)), default=0), big * denom)
+    return owner, Fraction(min((t * w for t, w in zip(totals, weight)), default=0), big)
 
 
 def egal_greedy(
@@ -100,8 +102,8 @@ def egal_greedy(
     rational, since every compared quantity scales uniformly; the loop runs
     on the row as ``model.integer_row`` scales it, with integer keys
     (``_balance``).  A ``trace`` records the picker's per-share bundle value
-    after each chore, built as a Fraction only when tracing.  Chores with no
-    agents raise ValueError.
+    after each chore, built as a Fraction only when tracing.  When there are
+    chores, ValueError unless there is an agent and every share is positive.
     """
     shares = tuple(Fraction(s) for s in shares)
     ints, denom = integer_row([Fraction(v) for v in values])
@@ -120,7 +122,8 @@ def wmms_prime(inst: Instance) -> tuple[Fraction, ...]:
     pessimistic than the true share, never more optimistic.  The alternative
     surrogate V_i(X_i) (the agent's own greedy bundle) lacks the upper half of
     that sandwich.  The greedy runs on ``inst.integer_values`` and builds no
-    Allocation: only the objective becomes a Fraction.
+    Allocation: only the objective becomes a Fraction.  ValueError unless
+    every share is positive.
     """
     return tuple(
         s * _balance(inst.shares, *row)[1] for s, row in zip(inst.shares, inst.integer_values)
@@ -200,24 +203,22 @@ def binary_wmms(inst: Instance, trace: list[TraceEvent] | None = None) -> Alloca
     return Allocation(inst.n, tuple(owner))
 
 
-def _pick(inst: Instance, rule, quantity, trace: list[TraceEvent] | None) -> Allocation:
+def _pick(inst: Instance, key, quantity, trace: list[TraceEvent] | None) -> Allocation:
     """The picking loop the negative controls share.
 
     Agent i's state is her bundle value so far, kept as an integer ``total``
-    over her row's denominator ``D_i`` (``Instance.integer_values``), and her number
-    of ``picks``.  ``rule(denoms)`` gets every ``D_i`` and returns
-    ``key(i, total, picks)``, an int tuple; at each step the agent with the
-    largest key takes her highest-value remaining chore, ties by chore index,
-    and only her key is recomputed.  A ``trace`` records ``quantity(i, j,
-    value)``, with ``value`` her bundle value before the pick as a Fraction,
-    built only when tracing.  Each agent's chores are sorted once by her
-    integer row (one positive scale, so the same order), and her iterator
-    over them skips the chores already taken.
+    over her row's denominator ``D_i`` (``Instance.integer_values``), and her
+    number of ``picks``.  ``key(i, total, picks)`` is an int tuple; at each
+    step the agent with the largest key takes her highest-value remaining
+    chore, ties by chore index, and only her key is recomputed.  A ``trace``
+    records ``quantity(i, j, value)``, with ``value`` her bundle value before
+    the pick as a Fraction, built only when tracing.  Each agent's chores are
+    sorted once by her integer row (one positive scale, so the same order),
+    and her iterator over them skips the chores already taken.
     """
     rows = inst.integer_values
     # a stable sort: equal values keep ascending chore order, even reversed
     prefs = [iter(sorted(range(inst.m), key=ints.__getitem__, reverse=True)) for ints, _ in rows]
-    key = rule([denom for _, denom in rows])
     owner = [-1] * inst.m
     totals = [0] * inst.n
     picks = [0] * inst.n
@@ -251,12 +252,8 @@ def round_robin(
         raise ValueError(f"order {picking} is not a permutation of the {inst.n} agents")
     position = {agent: k for k, agent in enumerate(picking)}
     # fewest picks first, then the earlier turn: picking[step % n] picks at step
-    return _pick(
-        inst,
-        lambda denoms: lambda i, total, picks: (-picks, -position[i]),
-        lambda i, j, value: inst.values[i][j],
-        trace,
-    )
+    return _pick(inst, lambda i, total, picks: (-picks, -position[i]),
+                 lambda i, j, value: inst.values[i][j], trace)
 
 
 def multiplicative_greedy(
@@ -270,22 +267,19 @@ def multiplicative_greedy(
     (equivalently, maximal V_i(X_i)/s_i) picks her highest-value remaining
     chore (ties by chore index).  Load ties go to the larger or smaller share
     per ``tie_rule``, then to the lower index.  The trace records the
-    picker's V_i(X_i)/s_i.  Negative control.
+    picker's V_i(X_i)/s_i.  ValueError unless every share is positive.
+    Negative control.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}")
     sign = 1 if tie_rule == "largest-share" else -1
     shares = inst.shares
+    check_shares(shares)
     tie = [sign * s for s in integer_row(shares)[0]]
-
-    def rule(denoms):
-        # V_i/s_i = T_i*q_i / (D_i*p_i) for s_i = p_i/q_i, times L = lcm(D_i*p_i)
-        scales = [d * s.numerator for d, s in zip(denoms, shares)]
-        big = lcm(*scales)
-        weight = [s.denominator * (big // scale) for s, scale in zip(shares, scales)]
-        return lambda i, total, picks: (total * weight[i], tie[i], -i)
-
-    return _pick(inst, rule, lambda i, j, value: value / shares[i], trace)
+    # V_i/s_i = T_i/(D_i*s_i) = T_i*w_i/big, one denominator for every agent
+    weight, _ = division_weights([denom for _, denom in inst.integer_values], shares)
+    return _pick(inst, lambda i, total, picks: (total * weight[i], tie[i], -i),
+                 lambda i, j, value: value / shares[i], trace)
 
 
 def additive_greedy(
@@ -299,12 +293,9 @@ def additive_greedy(
     """
     shares = inst.shares
     tie = integer_row(shares)[0]
-
-    def rule(denoms):
-        # s_i + T_i/D_i = p_i/q_i + T_i/D_i, times L = lcm(all q_i, all D_i)
-        big = lcm(*(s.denominator for s in shares), *denoms)
-        base = [s.numerator * (big // s.denominator) for s in shares]
-        weight = [big // d for d in denoms]
-        return lambda i, total, picks: (base[i] + total * weight[i], tie[i], -i)
-
-    return _pick(inst, rule, lambda i, j, value: shares[i] + value, trace)
+    # s_i + T_i/D_i = p_i/q_i + T_i/D_i, times L = lcm(all q_i, all D_i)
+    big = lcm(*(s.denominator for s in shares), *(d for _, d in inst.integer_values))
+    base = [s.numerator * (big // s.denominator) for s in shares]
+    weight = [big // d for _, d in inst.integer_values]
+    return _pick(inst, lambda i, total, picks: (base[i] + total * weight[i], tie[i], -i),
+                 lambda i, j, value: shares[i] + value, trace)

@@ -148,12 +148,13 @@ def _lp_lines(result: lp.LinProResult) -> list[str]:
     for i in range(prog.inst.n):
         terms = [
             f"{format_ratio(prog.inst.values[i][j])}*x[{i},{j}]"
-            for j in prog.eligible_chores[i]
+            for a, j in prog.variables if a == i
         ]
         lhs = " + ".join(terms) if terms else "0"
         lines.append(f"lp-agent {i}: {lhs} >= {format_ratio(prog.thresholds[i])}")
     for j in range(prog.inst.m):
-        terms = [f"x[{i},{j}]" for i in prog.eligible_agents[j]]
+        # variables are sorted by (i, j), so each chore's agents come out ascending
+        terms = [f"x[{i},{j}]" for i, c in prog.variables if c == j]
         lhs = " + ".join(terms) if terms else "0"
         lines.append(f"lp-chore {j}: {lhs} = 1")
     entries = (f"x[{i},{j}]={format_ratio(v)}" for (i, j), v in sorted(result.point.values.items()))

@@ -4,9 +4,9 @@ The program for a threshold c >= 0 and reference vector r has a variable x_ij
 for every pair with V_ij >= c*r_i, one covering constraint per chore and one
 floor constraint per agent (bundle value at least c*r_i).  A basic feasible
 point of it touches at most n+m variables, its positive-support bipartite
-graph is a pseudoforest, and rounding along that graph costs each agent at
-most one extra eligible chore, i.e. the integral allocation clears the
-doubled floor.
+graph is a pseudoforest (``_is_pseudoforest`` checks it), and rounding along
+that graph (Lenstra, Shmoys and Tardos, 1990) costs each agent at most one
+extra eligible chore, i.e. the integral allocation clears the doubled floor.
 
 ``_eligible`` alone decides eligibility, on the integer loads of ``_loads``;
 the program's variables, ``linpro``'s probes and ``min_feasible_c``'s
@@ -19,11 +19,9 @@ rounded is always Bland's vertex of the program at the final threshold.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import simplex
 from .algorithms import TraceEvent, wmms_prime
@@ -32,30 +30,17 @@ from .errors import (
     RoundingInvariantViolation,
     UpperBoundInfeasible,
 )
-from .model import ONE, ZERO, Allocation, Instance, bundle_value, check_references
+from .model import ONE, ZERO, Allocation, Instance, bundle_value, check_references, division_weights
 from .simplex import StandardForm
 
 
 @dataclass(frozen=True)
 class LPProgram:
-    """The chore-covering feasibility program at one threshold setting.
-
-    Eligibility is stored once, as ``variables``; the other views derive from it.
-    """
+    """The chore-covering feasibility program at one threshold; eligibility is its ``variables``."""
 
     inst: Instance
     thresholds: tuple[Fraction, ...]  # per-agent cutoff t_i, also the bundle floor
     variables: tuple[tuple[int, int], ...]  # (i, j) with V_ij >= t_i, lexicographic
-
-    @property
-    def eligible_chores(self) -> tuple[tuple[int, ...], ...]:
-        """Per agent i: the chores j with V_ij >= t_i, ascending."""
-        return tuple(tuple(j for a, j in self.variables if a == i) for i in range(self.inst.n))
-
-    @property
-    def eligible_agents(self) -> tuple[tuple[int, ...], ...]:
-        """Per chore j: the agents eligible for it, ascending."""
-        return tuple(tuple(i for i, c in self.variables if c == j) for j in range(self.inst.m))
 
     @property
     def trivially_infeasible(self) -> bool:
@@ -68,24 +53,6 @@ class LPPoint:
     """A feasible point, keyed by (agent, chore); zeros are omitted."""
 
     values: dict[tuple[int, int], Fraction]
-
-
-@dataclass(frozen=True)
-class AssignmentGraph:
-    """Positive-support bipartite graph of a point, with its components.
-
-    Each component is (agent nodes, chore nodes, edge count); in a
-    pseudoforest every component has at most one more edge than a tree.
-    """
-
-    edges: tuple[tuple[int, int], ...]
-    components: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
-
-    def is_pseudoforest(self) -> bool:
-        return all(
-            edges <= len(agents) + len(chores)
-            for agents, chores, edges in self.components
-        )
 
 
 @dataclass(frozen=True)
@@ -136,9 +103,14 @@ def check_feasible(prog: LPProgram) -> LPPoint | None:
     return LPPoint({var: x[k] for k, var in enumerate(prog.variables) if x[k] != 0})
 
 
-def build_assignment_graph(point: LPPoint) -> AssignmentGraph:
-    edges = tuple(sorted(point.values.keys()))
+def _is_pseudoforest(edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether no component of the graph on distinct (agent, chore) ``edges`` has two cycles.
+
+    One union-find pass: an edge inside a component closes a cycle, an edge
+    joining two adds their cycles up, and a second cycle returns False.
+    """
     parent: dict[tuple[str, int], tuple[str, int]] = {}
+    cycles: dict[tuple[str, int], int] = {}  # per root: cycles closed in its component
 
     def find(node):  # a node seen for the first time is its own root
         while parent.setdefault(node, node) != node:
@@ -147,19 +119,14 @@ def build_assignment_graph(point: LPPoint) -> AssignmentGraph:
 
     for i, j in edges:
         ra, rc = find(("a", i)), find(("c", j))
-        if ra != rc:
+        if ra == rc:
+            cycles[rc] = cycles.get(rc, 0) + 1
+        else:
             parent[ra] = rc
-    groups: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for node in parent:
-        groups.setdefault(find(node), []).append(node)
-    edge_count = Counter(find(("a", i)) for i, _ in edges)
-    components = []
-    for root in sorted(groups):
-        members = groups[root]
-        agents = tuple(sorted(k for kind, k in members if kind == "a"))
-        chores = tuple(sorted(k for kind, k in members if kind == "c"))
-        components.append((agents, chores, edge_count[root]))
-    return AssignmentGraph(edges=edges, components=tuple(components))
+            cycles[rc] = cycles.get(rc, 0) + cycles.pop(ra, 0)
+        if cycles[rc] > 1:
+            return False
+    return True
 
 
 def round_extreme_point(
@@ -167,6 +134,7 @@ def round_extreme_point(
 ) -> Allocation:
     """Round a basic feasible point to an integral chore assignment.
 
+    The point's positive support must be a pseudoforest (``_is_pseudoforest``).
     Degree-1 chores carry their whole unit of mass and are peeled off first
     (one pass: peeling a chore changes no other chore's degree); the chores
     left all have degree >= 2 inside pseudotree components, which therefore
@@ -179,13 +147,11 @@ def round_extreme_point(
     each with the x_ij that assigned it.
     """
     inst = prog.inst
-    graph = build_assignment_graph(point)
-    if not graph.is_pseudoforest():
+    if not _is_pseudoforest(point.values):
         raise RoundingInvariantViolation("support graph is not a pseudoforest")
 
     chore_adj: dict[int, list[int]] = {j: [] for j in range(inst.m)}  # agents ascending
-    for i, j in graph.edges:
-        v = point.values[(i, j)]
+    for (i, j), v in sorted(point.values.items()):
         if v < 0 or v > 1:
             raise RoundingInvariantViolation(f"x[{i},{j}] = {v} outside [0, 1]")
         chore_adj[j].append(i)
@@ -247,12 +213,11 @@ def _loads(inst: Instance, refs: Sequence[Fraction]) -> tuple[list[list[int | No
     ``refs`` pass ``check_references``.
     """
     refs = check_references(inst, refs)
-    # V_ij / r_i = a_ij * q_i / (D_i * p_i) for V_ij = a_ij / D_i and r_i = p_i / q_i
-    units = [denom * r.numerator for r, (_, denom) in zip(refs, inst.integer_values)]
-    scale = lcm(*filter(None, units))
+    # V_ij / r_i = a_ij / (D_i * r_i) = a_ij * w_i / scale for V_ij = a_ij / D_i
+    weights, scale = division_weights([denom for _, denom in inst.integer_values], refs)
     return [
-        [a * r.denominator * (scale // u) if u else (None if a < 0 else 0) for a in ints]
-        for r, (ints, _), u in zip(refs, inst.integer_values, units)
+        [a * w if w else (None if a < 0 else 0) for a in ints]
+        for w, (ints, _) in zip(weights, inst.integer_values)
     ], scale
 
 

@@ -36,6 +36,25 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [num * (denom // d) for num, d in pairs], denom
 
 
+def division_weights(denoms: Sequence[int], xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``(w, big)`` with ``t / (D_i * x_i) == t * w_i / big`` and ``w_i = 0`` where ``x_i = 0``.
+
+    For ``x_i = p_i / q_i``: ``big = lcm(D_i * p_i) > 0`` over the nonzero
+    ``x_i`` and ``w_i = q_i * (big // (D_i * p_i))``, of the sign of ``x_i``.
+    Every layer that divides by a per-agent share or reference weights here.
+    """
+    units = [d * x.numerator for d, x in zip(denoms, xs)]
+    big = lcm(*filter(None, units))
+    return [x.denominator * (big // u) if u else 0 for x, u in zip(xs, units)], big
+
+
+def check_shares(shares: Sequence[Fraction]) -> None:
+    """ValueError unless every share is positive, as every rule that divides by one needs."""
+    for i, s in enumerate(shares):
+        if s <= 0:
+            raise ValueError(f"share {s} of agent {i} is not positive")
+
+
 def _exact(xs: Iterable) -> tuple[Fraction, ...]:
     """``xs`` as a tuple of Fractions; entries that already are Fractions are kept."""
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)

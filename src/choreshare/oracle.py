@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, NoFeasibleAllocation
-from .model import Allocation, Instance, check_references, integer_row, unfairness_degree
+from .model import Allocation, Instance, check_references, check_shares, integer_row, unfairness_degree
 
 DEFAULT_BUDGET = 10**8
 
@@ -66,8 +66,7 @@ def check_budget(n: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
 
 def _check_signs(inst: Instance) -> None:
     """The search's sign rule: pruning is sound only on nonpositive values, positive shares."""
-    if any(s <= 0 for s in inst.shares):
-        raise ValueError("needs positive shares")
+    check_shares(inst.shares)
     if any(v > 0 for row in inst.values for v in row):
         raise ValueError("needs nonpositive values")
 
@@ -140,7 +139,7 @@ def _lex_min_max(
     ``(a_k, b_k)`` with ``a_k > 0``, and ``b_k = 0`` means k's load must stay 0.
     Returns the optimum's numerator, denominator and owner vector (None when
     no owner vector keeps those agents at 0).  Its two callers are here:
-    ``_wmms_witness`` (``exact_wmms``) and ``exact_owmms``.
+    ``exact_wmms`` and ``exact_owmms``.
 
     Two passes of ``_search``.  Phase A finds the optimal value by branch and
     bound over the chores in descending order of their largest load (ties by
@@ -170,25 +169,19 @@ def exact_wmms(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
     n = inst.n
     check_budget(n, inst.m, budget)
     _check_signs(inst)
+    weights = [(1, s) for s in integer_row(inst.shares)[0]]
     by_row: dict[tuple[Fraction, ...], Allocation] = {}
-    for row in inst.values:
+    for row, (ints, _) in zip(inst.values, inst.integer_values):
         if row not in by_row:
-            by_row[row] = _wmms_witness(inst, row)
+            # max min_k V(X_k) / s_k = -(min max_k load(X_k) / s_k), load = -V
+            owners = _lex_min_max([[-v] * n for v in ints], weights)[2]
+            by_row[row] = Allocation(n, owners)
 
     # The search only ranks integer quotients; the exact rational values are
     # reconstructed here from the witnesses.
     witnesses = tuple(by_row[row] for row in inst.values)
     w = tuple(unfairness_degree(inst, i, witnesses[i]) for i in range(n))
     return OracleResult(tuple(s * w_i for s, w_i in zip(inst.shares, w)), w, witnesses)
-
-
-def _wmms_witness(inst: Instance, row: tuple[Fraction, ...]) -> Allocation:
-    """The lexicographically first partition maximizing min_k V(X_k) / s_k for one row."""
-    sh, _ = integer_row(inst.shares)
-    ints, _ = integer_row(row)
-    # max min_k V(X_k) / s_k = -(min max_k load(X_k) / s_k), load = -V
-    _, _, owners = _lex_min_max([[-v] * inst.n for v in ints], [(1, s) for s in sh])
-    return Allocation(inst.n, owners)
 
 
 def exact_owmms(

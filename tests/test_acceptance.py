@@ -16,6 +16,7 @@ from itertools import product
 import pytest
 
 import choreshare as cs
+import component_search
 from choreshare import lp
 from choreshare.cli import main as cli_main
 from conftest import agent_values, oracle_alpha, oracle_wmms, suite_instances
@@ -217,7 +218,7 @@ def test_criterion_3_lp_structure(suite, linpro_runs):
     for name, inst in suite:
         result = linpro_runs[name]
         ok = ok and len(result.point.values) <= inst.n + inst.m
-        ok = ok and lp.build_assignment_graph(result.point).is_pseudoforest()
+        ok = ok and component_search.is_pseudoforest(result.point.values)
         ok = ok and sorted(
             j for b in result.allocation.bundles() for j in b
         ) == list(range(inst.m))

@@ -76,6 +76,29 @@ def test_egal_greedy_rejects_chores_without_agents():
     assert cs.egal_greedy((F(0), F(1)), ()) == cs.Allocation(2, ())  # no chores: shares unread
 
 
+SHARED_ROW = (F(-1), F(-2))
+
+
+@pytest.mark.parametrize("shares", [(F(0), F(1)), (F(-1), F(2))])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda shares: cs.egal_greedy(shares, SHARED_ROW),
+        lambda shares: cs.wmms_prime(cs.Instance(shares, (SHARED_ROW,) * 2)),
+        lambda shares: cs.multiplicative_greedy(cs.Instance(shares, (SHARED_ROW,) * 2)),
+        lambda shares: cs.multiplicative_greedy(
+            cs.Instance(shares, (SHARED_ROW,) * 2), tie_rule="smallest-share"
+        ),
+    ],
+    ids=["egal_greedy", "wmms_prime", "mult-greedy", "mult-greedy-smallest-share"],
+)
+def test_dividing_by_a_share_refuses_a_nonpositive_one(call, shares):
+    # a zero share used to raise ZeroDivisionError, and egal_greedy gave a
+    # negative one every chore without complaint
+    with pytest.raises(ValueError, match=f"^share {shares[0]} of agent 0 is not positive$"):
+        call(shares)
+
+
 def test_egal_greedy_scale_invariant():
     shares = (F(2, 7), F(5, 7))
     row = [F(-1, 3), F(-1, 6), F(-1, 4), F(-1, 4)]

@@ -401,7 +401,8 @@ def test_bench_deterministic_and_json(tmp_path, capsys):
 
 
 def test_bench_scales_each_instance_row_once(tmp_path, capsys, monkeypatch):
-    # validate and the three picking rules all read Instance.integer_values
+    # validate, the three picking rules and both oracles all read
+    # Instance.integer_values; exact_wmms scales the shares once
     inst = cs.random_instance(4, 9, 3)
     path = tmp_path / "inst.json"
     cs.save_instance(inst, path)
@@ -413,10 +414,14 @@ def test_bench_scales_each_instance_row_once(tmp_path, capsys, monkeypatch):
 
     for module in (cs.model, cs.algorithms, cs.oracle, cs.simplex):
         monkeypatch.setattr(module, "integer_row", counting)
-    code, _, _ = run_cli(capsys, "bench", str(path), "--algs", "round-robin,mult-greedy,add-greedy")
-    assert code == 0
     assert len(set(inst.values)) == inst.n
-    assert [scaled.count(row) for row in inst.values] == [1] * inst.n
+    for oracle, share_scalings in ((), 2), (("--oracle",), 3):
+        scaled.clear()
+        algs = ("--algs", "round-robin,mult-greedy,add-greedy")
+        code, _, _ = run_cli(capsys, "bench", str(path), *algs, *oracle)
+        assert code == 0
+        assert [scaled.count(row) for row in inst.values] == [1] * inst.n
+        assert scaled.count(inst.shares) == share_scalings  # the two greedies' tie keys, exact_wmms
 
 
 def test_bench_times_column(capsys):

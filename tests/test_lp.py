@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import choreshare as cs
+import component_search as reference
 from choreshare import lp
 from conftest import agent_values, oracle_alpha, oracle_wmms, quick_instances
 
@@ -16,9 +17,7 @@ T2_REFS = (F(-3, 4), F(-1, 3))
 
 def test_build_program_table2_at_one(table2):
     prog = lp.build_program(table2, F(1), T2_REFS)
-    assert prog.eligible_chores == ((0, 1), ())  # the small-share agent prices out
-    assert prog.eligible_agents == ((0,), (0,))
-    assert prog.variables == ((0, 0), (0, 1))
+    assert prog.variables == ((0, 0), (0, 1))  # the small-share agent prices out
     assert not prog.trivially_infeasible
     assert lp.check_feasible(prog) is None  # -1 misses the floor -3/4
 
@@ -73,12 +72,6 @@ def test_program_views_match_a_recomputation(drawn):
     eligible = {(i, j) for i in agents for j in chores if inst.values[i][j] >= c * refs[i]}
     assert prog.thresholds == tuple(c * r for r in refs)
     assert prog.variables == tuple(sorted(eligible))
-    assert prog.eligible_chores == tuple(
-        tuple(j for j in chores if (i, j) in eligible) for i in agents
-    )
-    assert prog.eligible_agents == tuple(
-        tuple(i for i in agents if (i, j) in eligible) for j in chores
-    )
     assert prog.trivially_infeasible == any(
         all((i, j) not in eligible for i in agents) for j in chores
     )
@@ -181,51 +174,15 @@ def test_round_rejects_non_pseudoforest():
         lp.round_extreme_point(prog, dense)
 
 
-def test_assignment_graph_components():
-    point = lp.LPPoint(
-        values={(0, 0): HALF, (1, 0): HALF, (2, 1): F(1)}
-    )
-    graph = lp.build_assignment_graph(point)
-    assert graph.edges == ((0, 0), (1, 0), (2, 1))
-    assert len(graph.components) == 2
-    assert graph.is_pseudoforest()
-
-
-def _search_components(edges):
-    """(agents, chores, edge count) per connected component, by breadth-first search."""
-    adjacent: dict[tuple[str, int], set[tuple[str, int]]] = {}
-    for i, j in edges:
-        adjacent.setdefault(("a", i), set()).add(("c", j))
-        adjacent.setdefault(("c", j), set()).add(("a", i))
-    seen: set[tuple[str, int]] = set()
-    components = []
-    for start in sorted(adjacent):
-        if start in seen:
-            continue
-        component, frontier = {start}, [start]
-        while frontier:
-            frontier = [n for node in frontier for n in adjacent[node] if n not in component]
-            component.update(frontier)
-        seen |= component
-        agents = tuple(sorted(k for kind, k in component if kind == "a"))
-        chores = tuple(sorted(k for kind, k in component if kind == "c"))
-        components.append((agents, chores, sum(1 for i, _ in edges if i in agents)))
-    return components
-
-
-@given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=14))
-@example(set())
-@example({(0, 0), (0, 1), (1, 0), (1, 1)})  # one cycle: still a pseudoforest
-@example({(i, j) for i in range(2) for j in range(3)})  # K_{2,3}: two cycles, not one
-@example({(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 2), (2, 3)})
+# Lists, so the order in which the union-find pass meets the edges is drawn too.
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), unique=True, max_size=14))
+@example([])
+@example([(0, 0), (0, 1), (1, 0), (1, 1)])  # one cycle: still a pseudoforest
+@example([(i, j) for i in range(2) for j in range(3)])  # K_{2,3}: two cycles, not one
+@example([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 2), (2, 3)])
+@example([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (0, 2)])  # joined last
 def test_assignment_graph_matches_a_search(edges):
-    graph = lp.build_assignment_graph(lp.LPPoint({e: HALF for e in edges}))
-    expected = _search_components(edges)
-    assert graph.edges == tuple(sorted(edges))
-    assert sorted(graph.components) == sorted(expected)
-    assert graph.is_pseudoforest() == all(
-        count <= len(agents) + len(chores) for agents, chores, count in expected
-    )
+    assert lp._is_pseudoforest(edges) == reference.is_pseudoforest(edges)
 
 
 def test_linpro_table1(table1):
@@ -350,6 +307,15 @@ def test_linpro_rejects_an_instance_without_agents():
         lp.linpro(cs.Instance((), ()), F(1, 100))
 
 
+@pytest.mark.parametrize("shares", [(F(0), F(1)), (F(-1), F(2))])
+def test_linpro_rejects_a_nonpositive_share(shares):
+    # wmms_prime divides by every share: a zero one raised ZeroDivisionError,
+    # and a negative one reached the search as an UpperBoundInfeasible
+    inst = cs.Instance(shares, ((F(-1), F(-2)),) * 2)
+    with pytest.raises(ValueError, match="of agent 0 is not positive"):
+        lp.linpro(inst, F(1, 100))
+
+
 def test_linpro_rejects_nonpositive_eps(table1):
     with pytest.raises(ValueError):
         lp.linpro(table1, F(0))
@@ -359,7 +325,7 @@ def test_linpro_structure_on_seeded_instances():
     for inst in quick_instances(seeds=2):
         result = lp.linpro(inst, F(1, 100))
         assert len(result.point.values) <= inst.n + inst.m
-        assert lp.build_assignment_graph(result.point).is_pseudoforest()
+        assert reference.is_pseudoforest(result.point.values)
         assert sorted(
             j for b in result.allocation.bundles() for j in b
         ) == list(range(inst.m))

@@ -12,16 +12,16 @@ from choreshare.cli import console_main, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The 57 public names of the package, one per definition imported in
+# The 55 public names of the package, one per definition imported in
 # ``choreshare/__init__.py``.
 PUBLIC_NAMES = {
-    "AgentReport", "Allocation", "AssignmentGraph", "BudgetExceeded",
+    "AgentReport", "Allocation", "BudgetExceeded",
     "ChoreShareError", "DEFAULT_BUDGET", "FairnessReport", "Instance", "LPPoint",
     "LPProgram", "LinProResult", "NoFeasibleAllocation", "NoIntegralM",
     "NormalizationImpossible", "NotBinary", "OracleResult", "OwmmsResult",
     "ParameterInconsistent", "ParseError", "RoundingInvariantViolation",
     "TraceEvent", "Unbounded", "UpperBoundInfeasible",
-    "additive_greedy", "binary_wmms", "build_assignment_graph", "build_program",
+    "additive_greedy", "binary_wmms", "build_program",
     "bundle_value", "check_budget", "check_feasible", "divide_and_choose",
     "egal_greedy", "egal_greedy_failure_family", "exact_owmms", "exact_wmms",
     "fairness_report", "format_ratio", "linpro", "load_instance",
@@ -37,7 +37,7 @@ def test_star_import_binds_exactly_the_public_names():
     namespace: dict = {}
     exec("from choreshare import *", namespace)
     namespace.pop("__builtins__")
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 55
     assert set(namespace) == PUBLIC_NAMES
     assert not any(isinstance(obj, types.ModuleType) for obj in namespace.values())
     assert all(getattr(choreshare, name) is obj for name, obj in namespace.items())
