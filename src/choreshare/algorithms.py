@@ -66,26 +66,30 @@ def naive(inst: Instance, trace: list[TraceEvent] | None = None) -> Allocation:
     return _emit(trace, inst.n, (i_star,) * inst.m, inst.shares[i_star])
 
 
-def _balance(shares, ints: Sequence[int], denom: int, trace: list[TraceEvent] | None = None):
-    """``egal_greedy`` on the row ``ints / denom``: ``(owner, min_k V(X_k) / s_k)``.
+def _balance(shares, rows, trace: list[TraceEvent] | None = None):
+    """``egal_greedy`` on each row ``(ints, denom)``: yields ``(owner, min_k V(X_k) / s_k)``.
 
-    A per-share value ``x / (denom * s_i)`` is ``x * w_i / big`` with ``(w,
-    big)`` from ``model.division_weights``, so agents compare on int keys; ties
-    use ``integer_row(shares)``.  ValueError unless every share is positive.
+    A per-share value ``x / (denom * s_i)`` is ``x * w_i / (denom * big)``
+    with ``(w, big) = model.division_weights([1] * n, shares)``, so agents
+    compare on int keys, and the weights serve every row.  ``w_i`` is
+    ``big / s_i``: a larger share has a smaller weight, and ties use
+    ``-w_i``.  ValueError unless every share is positive.
     """
     check_shares(shares)
-    weight, big = division_weights([denom] * len(shares), shares)
-    tie = integer_row(shares)[0]
-    totals = [0] * len(shares)
-    owner = [0] * len(ints)
-    for step, j in enumerate(sorted(range(len(ints)), key=ints.__getitem__)):
-        v = ints[j]
-        best = max(range(len(shares)), key=lambda i: ((totals[i] + v) * weight[i], tie[i], -i))
-        totals[best] += v
-        owner[j] = best
-        if trace is not None:
-            trace.append(TraceEvent(step, j, best, Fraction(totals[best], denom) / shares[best]))
-    return owner, Fraction(min((t * w for t, w in zip(totals, weight)), default=0), big)
+    weight, big = division_weights([1] * len(shares), shares)
+    agents = range(len(shares))
+    for ints, denom in rows:
+        totals = [0] * len(shares)
+        owner = [0] * len(ints)
+        for step, j in enumerate(sorted(range(len(ints)), key=ints.__getitem__)):
+            v = ints[j]
+            best = max(agents, key=lambda i: ((totals[i] + v) * weight[i], -weight[i], -i))
+            totals[best] += v
+            owner[j] = best
+            if trace is not None:
+                quantity = Fraction(totals[best], denom) / shares[best]
+                trace.append(TraceEvent(step, j, best, quantity))
+        yield owner, Fraction(min(t * w for t, w in zip(totals, weight)), denom * big)
 
 
 def egal_greedy(
@@ -109,7 +113,8 @@ def egal_greedy(
     ints, denom = integer_row([Fraction(v) for v in values])
     if ints and not shares:
         raise ValueError("need at least one agent")
-    owner = _balance(shares, ints, denom, trace)[0] if ints else ()  # no chores: shares unread
+    # no chores: shares unread
+    owner = next(_balance(shares, [(ints, denom)], trace))[0] if ints else ()
     return Allocation(len(shares), tuple(owner))
 
 
@@ -125,9 +130,8 @@ def wmms_prime(inst: Instance) -> tuple[Fraction, ...]:
     Allocation: only the objective becomes a Fraction.  ValueError unless
     every share is positive.
     """
-    return tuple(
-        s * _balance(inst.shares, *row)[1] for s, row in zip(inst.shares, inst.integer_values)
-    )
+    balanced = _balance(inst.shares, inst.integer_values)
+    return tuple(s * objective for s, (_, objective) in zip(inst.shares, balanced))
 
 
 def divide_and_choose(

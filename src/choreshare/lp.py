@@ -8,13 +8,14 @@ graph is a pseudoforest (``_is_pseudoforest`` checks it), and rounding along
 that graph (Lenstra, Shmoys and Tardos, 1990) costs each agent at most one
 extra eligible chore, i.e. the integral allocation clears the doubled floor.
 
-``_eligible`` alone decides eligibility, on the integer loads of ``_loads``;
-the program's variables, ``linpro``'s probes and ``min_feasible_c``'s
-breakpoints all read it.  ``linpro``'s binary search needs only a verdict
-from each probe.  A probe is first offered to a greedy integral assignment on
-those loads; one that passes proves the probe feasible without a program or
-a simplex solve, and one that fails gets the simplex verdict.  The vertex
-rounded is always Bland's vertex of the program at the final threshold.
+``_eligible`` alone decides eligibility, on the integer loads of
+``model._loads``; the program's variables, ``linpro``'s probes and
+``min_feasible_c``'s breakpoints all read it.  ``linpro``'s binary search
+needs only a verdict from each probe.  A probe is first offered to a greedy
+integral assignment on those loads; one that passes proves the probe
+feasible without a program or a simplex solve, and one that fails gets the
+simplex verdict.  The vertex rounded is always Bland's vertex of the program
+at the final threshold.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     RoundingInvariantViolation,
     UpperBoundInfeasible,
 )
-from .model import ONE, ZERO, Allocation, Instance, bundle_value, check_references, division_weights
+from .model import ONE, ZERO, Allocation, Instance, _loads, bundle_value, check_references
 from .simplex import StandardForm
 
 
@@ -201,24 +202,6 @@ def round_extreme_point(
                 f"agent {i} at {got} misses the doubled floor {2 * prog.thresholds[i]}"
             )
     return alloc
-
-
-def _loads(inst: Instance, refs: Sequence[Fraction]) -> tuple[list[list[int | None]], int]:
-    """Each load ``V_ij / r_i`` as an integer over one ``scale > 0``: ``(loads, scale)``.
-
-    Where ``r_i = 0`` the load is 0 if ``V_ij >= 0``, else None (never
-    eligible).  The loads do not depend on c: ``_eligible`` reads each
-    threshold's eligibility from them, and at ``c >= 0`` a bundle clears agent
-    i's floor iff its loads sum to at most ``c * scale``.  ValueError unless
-    ``refs`` pass ``check_references``.
-    """
-    refs = check_references(inst, refs)
-    # V_ij / r_i = a_ij / (D_i * r_i) = a_ij * w_i / scale for V_ij = a_ij / D_i
-    weights, scale = division_weights([denom for _, denom in inst.integer_values], refs)
-    return [
-        [a * w if w else (None if a < 0 else 0) for a in ints]
-        for w, (ints, _) in zip(weights, inst.integer_values)
-    ], scale
 
 
 def _eligible(loads: list[list[int | None]], scale: int, c: Fraction) -> list[list[int]]:

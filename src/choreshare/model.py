@@ -41,7 +41,8 @@ def division_weights(denoms: Sequence[int], xs: Sequence[Fraction]) -> tuple[lis
 
     For ``x_i = p_i / q_i``: ``big = lcm(D_i * p_i) > 0`` over the nonzero
     ``x_i`` and ``w_i = q_i * (big // (D_i * p_i))``, of the sign of ``x_i``.
-    Every layer that divides by a per-agent share or reference weights here.
+    Every layer that divides by a per-agent share or reference weights here:
+    ``multiplicative_greedy``, the balance greedy, ``_loads`` and ``exact_wmms``.
     """
     units = [d * x.numerator for d, x in zip(denoms, xs)]
     big = lcm(*filter(None, units))
@@ -248,6 +249,24 @@ def check_references(inst: Instance, refs: Sequence[Fraction]) -> tuple[Fraction
         if ref > 0:
             raise ValueError(f"reference {ref} of agent {i} is positive")
     return refs
+
+
+def _loads(inst: Instance, refs: Sequence[Fraction]) -> tuple[list[list[int | None]], int]:
+    """Each load ``V_ij / r_i`` as an integer over one ``scale > 0``: ``(loads, scale)``.
+
+    Where ``r_i = 0`` the load is 0 if ``V_ij >= 0``, else None: agent i may
+    never take chore j.  This is the one zero-reference rule; ``lp``'s
+    eligibility and ``oracle.exact_owmms`` read it.  At ``c >= 0`` a bundle
+    clears agent i's floor ``c * r_i`` iff its loads sum to at most ``c *
+    scale``.  ValueError unless ``refs`` pass ``check_references``.
+    """
+    refs = check_references(inst, refs)
+    # V_ij / r_i = a_ij / (D_i * r_i) = a_ij * w_i / scale for V_ij = a_ij / D_i
+    weights, scale = division_weights([denom for _, denom in inst.integer_values], refs)
+    return [
+        [a * w if w else (None if a < 0 else 0) for a in ints]
+        for w, (ints, _) in zip(weights, inst.integer_values)
+    ], scale
 
 
 def fairness_report(

@@ -6,10 +6,11 @@ score all n^m owner vectors in lexicographic order and keep the first strictly
 better one.  ``divide_and_choose`` is ``choreshare.algorithms``'s function as
 it was before the divider's split went through that search: it scores all 2^m
 subsets in bitmask order and keeps the first strictly better one.
-``lex_min_max`` scans every owner vector of the search's own inputs, per-agent
-integer loads and weights, in lexicographic order.  They are slow but
-obviously exact; the differential tests require the search to return the
-same values, witnesses, splits and traces.
+``lex_min_max`` scans every owner vector of the search's own input, integer
+loads per chore and agent with None where the agent may not take the chore,
+in lexicographic order.  They are slow but obviously exact; the
+differential tests require the search to return the same values,
+witnesses, splits and traces.
 """
 
 from __future__ import annotations
@@ -29,23 +30,21 @@ def _scaled_row(row: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return [int(v * denom) for v in row], denom
 
 
-def lex_min_max(
-    loads: list[list[int]], weights: list[tuple[int, int]]
-) -> tuple[Fraction, tuple[int, ...]] | None:
-    """The first owner vector minimizing max_k load_k * a_k / b_k, with its value.
+def lex_min_max(loads: list[list[int | None]]) -> tuple[int, tuple[int, ...]] | None:
+    """The first owner vector minimizing the largest per-agent load sum, with that sum.
 
-    An agent with b_k = 0 must keep load 0 and adds no key; None when no owner
-    vector keeps all of them at 0.
+    ``loads[j][k]`` is None where agent k may not take chore j; None when
+    every owner vector gives some chore to such an agent.
     """
+    n = len(loads[0]) if loads else 0
     best = None
-    for owners in product(range(len(weights)), repeat=len(loads)):
-        sums = [0] * len(weights)
+    for owners in product(range(n), repeat=len(loads)):
+        if any(row[k] is None for row, k in zip(loads, owners)):
+            continue
+        sums = [0] * n
         for row, k in zip(loads, owners):
             sums[k] += row[k]
-        if any(s and not b for s, (_, b) in zip(sums, weights)):
-            continue
-        keys = [Fraction(s * a, b) for s, (a, b) in zip(sums, weights) if b]
-        key = max(keys, default=Fraction(0))
+        key = max(sums, default=0)
         if best is None or key < best[0]:
             best = (key, owners)
     return best

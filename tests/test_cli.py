@@ -402,7 +402,7 @@ def test_bench_deterministic_and_json(tmp_path, capsys):
 
 def test_bench_scales_each_instance_row_once(tmp_path, capsys, monkeypatch):
     # validate, the three picking rules and both oracles all read
-    # Instance.integer_values; exact_wmms scales the shares once
+    # Instance.integer_values; the oracles scale no shares
     inst = cs.random_instance(4, 9, 3)
     path = tmp_path / "inst.json"
     cs.save_instance(inst, path)
@@ -412,16 +412,16 @@ def test_bench_scales_each_instance_row_once(tmp_path, capsys, monkeypatch):
         scaled.append(tuple(row))
         return scale(row)
 
-    for module in (cs.model, cs.algorithms, cs.oracle, cs.simplex):
+    for module in (cs.model, cs.algorithms, cs.simplex):
         monkeypatch.setattr(module, "integer_row", counting)
     assert len(set(inst.values)) == inst.n
-    for oracle, share_scalings in ((), 2), (("--oracle",), 3):
+    for oracle in (), ("--oracle",):
         scaled.clear()
         algs = ("--algs", "round-robin,mult-greedy,add-greedy")
         code, _, _ = run_cli(capsys, "bench", str(path), *algs, *oracle)
         assert code == 0
         assert [scaled.count(row) for row in inst.values] == [1] * inst.n
-        assert scaled.count(inst.shares) == share_scalings  # the two greedies' tie keys, exact_wmms
+        assert scaled.count(inst.shares) == 2  # the two greedies' tie keys
 
 
 def test_bench_times_column(capsys):
@@ -673,6 +673,18 @@ def test_solve_divcho_past_the_budget_exits_3(tmp_path, capsys):
     assert (code, out) == (3, "")
     assert err == (
         "error: BudgetExceeded: 2^27 = 134217728 owner vectors exceeds enumeration budget 100000000\n"
+    )
+
+
+@pytest.mark.parametrize("args", [("oracle",), ("solve", "div-cho")])
+def test_budget_past_the_digit_limit_exits_3(tmp_path, capsys, args):
+    # 2^15000 has 4516 digits, more than Python prints by default
+    path = tmp_path / "wider.json"
+    cs.save_instance(cs.Instance((F(1, 2), F(1, 2)), ((F(-1),) * 15000,) * 2), path)
+    code, out, err = run_cli(capsys, args[0], str(path), *args[1:])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: BudgetExceeded: 2^15000 owner vectors exceeds enumeration budget 100000000\n"
     )
 
 

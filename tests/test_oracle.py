@@ -151,6 +151,11 @@ def test_budget_guard():
         cs.exact_wmms(small, budget=10)
     with pytest.raises(cs.BudgetExceeded):
         cs.exact_owmms(small, cs.exact_wmms(small).wmms, budget=10)
+    # 10^5000 and 2^14000 have more digits than Python prints by default
+    for n, m in (10, 5000), (2, 14000):
+        message = rf"^{n}\^{m} owner vectors exceeds enumeration budget 100000000$"
+        with pytest.raises(cs.BudgetExceeded, match=message):
+            cs.check_budget(n, m)
 
 
 def test_owmms_rejects_positive_refs(table2):

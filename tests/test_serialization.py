@@ -28,6 +28,35 @@ def test_round_trip_generated():
         assert cs.parse_instance(cs.serialize_instance(inst)) == inst
 
 
+# Zero, negative, and numerators of up to 4299 digits: below the default
+# int-to-text limit of 4300 digits, so every value prints.
+drawn_values = st.one_of(
+    st.just(F(0)),
+    st.fractions(max_value=0, max_denominator=10**6),
+    st.builds(F, st.integers(-(10**4299) + 1, 0), st.integers(1, 10**20)),
+)
+
+
+@st.composite
+def drawn_instances(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 6))
+    raw = draw(st.lists(st.integers(1, 10**12), min_size=n, max_size=n))  # unequal shares
+    shares = tuple(F(r, sum(raw)) for r in raw)
+    rows = [draw(st.lists(drawn_values, min_size=m, max_size=m)) for _ in range(n)]
+    return cs.Instance(shares, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_instances())
+@example(cs.Instance((F(1, 3), F(2, 3)), ((), ())))
+def test_round_trip_drawn(inst):
+    text = cs.serialize_instance(inst)
+    again = cs.parse_instance(text)
+    assert again == inst
+    assert cs.serialize_instance(again) == text
+
+
 def test_parse_decimal_exactly():
     doc = '{"agents": [{"share": "1", "values": ["-0.375", -0.2, "−0.375"]}]}'
     inst = cs.parse_instance(doc)
