@@ -312,7 +312,13 @@ def _bench_instances(spec: str) -> list[tuple[str, Instance, tuple[Fraction, ...
     """Resolve a bench target: a directory of documents, one file, or a generator spec."""
     path = Path(spec)
     if path.is_dir():
-        return [(child.stem, load_instance(child), None) for child in sorted(path.glob("*.json"))]
+        instances = []
+        for child in sorted(path.glob("*.json")):
+            try:
+                instances.append((child.stem, load_instance(child), None))
+            except ParseError as exc:  # named as violations are: "b: ..."
+                raise ParseError(f"{child.stem}: {exc}") from None
+        return instances
     if path.is_file():
         return [(path.stem, load_instance(path), None)]
 

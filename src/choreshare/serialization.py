@@ -8,6 +8,10 @@ Rationals may be written as "p/q" strings, as decimal-literal strings, or as
 bare JSON numbers; all are parsed exactly (JSON floats are converted from
 their literal text, never through a binary double).  Serialization always
 emits canonical "p/q" strings, so a parse/serialize round trip is bit-exact.
+
+A row of canonical tokens ("p/q" or a plain integer in ASCII digits, the
+form serialization writes) is read in one pass; any other row goes through
+``parse_ratio`` one token at a time, which writes every ParseError message.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from .errors import ParseError
 from .model import ZERO, Instance, _int_max_str_digits
 
 _MINUS_VARIANTS = str.maketrans({"−": "-", "–": "-"})
+# The canonical token: ASCII digits, "-" only before the numerator, "/q" optional.
+_CANONICAL = r"-?\d+(?:/\d+)?"
+_CANONICAL_TOKEN = re.compile(_CANONICAL, re.ASCII)
+_CANONICAL_ROW = re.compile(rf"{_CANONICAL}(?:,{_CANONICAL})*", re.ASCII)
 # Fraction's grammar for a decimal with an exponent: whole, fraction, exponent.
 _EXPONENT_FORM = re.compile(
     r"[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)"
@@ -56,11 +64,12 @@ def parse_ratio(token, context: str = "value") -> Fraction:
 
     A string token means what ``Fraction(text)`` reads from it once "−" and
     "–" are mapped to "-" and surrounding whitespace is stripped.  The
-    canonical forms, "p/q" and a plain integer with ASCII-digit parts (an
-    optional leading "-" on the numerator only), are parsed with ``int``;
-    every other form ("+", "_", decimals, exponents, non-ASCII digits, a
-    missing part) goes through ``Fraction(text)``.  ``parse_instance`` passes
-    a bare JSON number here as its text.
+    canonical forms (``_CANONICAL``: "p/q" and a plain integer with
+    ASCII-digit parts, an optional leading "-" on the numerator only) are
+    parsed with ``int``; every other form ("+", "_", decimals, exponents,
+    non-ASCII digits, a missing part) goes through ``Fraction(text)``.
+    ``parse_instance`` passes a bare JSON number here as its text, and calls
+    this once per token on any row that ``_canonical_row`` does not read.
 
     A rational whose numerator or denominator has more digits than Python
     converts to text (``sys.get_int_max_str_digits()``, 0 for no limit) is
@@ -71,9 +80,9 @@ def parse_ratio(token, context: str = "value") -> Fraction:
     limit = _int_max_str_digits()
     if isinstance(token, str):
         text = token.translate(_MINUS_VARIANTS).strip()
-        num, slash, den = text.partition("/")
         try:
-            if text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            if _CANONICAL_TOKEN.fullmatch(text):
+                num, slash, den = text.partition("/")
                 value = Fraction(int(num), int(den) if slash else 1)
             else:
                 value = _from_text(text, context, limit)
@@ -119,8 +128,41 @@ def format_ratio(x: Fraction) -> str:
         raise ValueError(f"a result has more than {limit} digits and cannot be printed") from None
 
 
+def _canonical_row(values: list, limit: int) -> tuple[Fraction, ...] | None:
+    """``values`` read in one pass when every token is canonical, else None.
+
+    The joined row must match the canonical grammar with one comma fewer
+    than there are tokens, so no token holds a comma.  A token of at most
+    ``limit`` characters has no digit run past the limit, and reducing the
+    fraction only shrinks it, so ``parse_ratio``'s digit-limit check cannot
+    fire and is skipped.  A non-string token, a zero denominator or a digit
+    run ``int`` refuses also gives None, leaving every message to
+    ``parse_ratio``.
+    """
+    try:
+        joined = ",".join(values)
+        if (
+            _CANONICAL_ROW.fullmatch(joined) is None
+            or joined.count(",") != len(values) - 1
+            or (limit and max(map(len, values)) > limit)
+        ):
+            return None
+        return tuple(
+            Fraction(int(num), int(den)) if den else Fraction(int(num))
+            for num, _, den in (v.partition("/") for v in values)
+        )
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
 def parse_instance(text: str) -> Instance:
-    """Parse an instance document; errors carry the offending agent/field."""
+    """Parse an instance document; errors carry the offending agent/field.
+
+    Each row of values is read in one pass when all its tokens are
+    canonical (``_canonical_row``), and otherwise one token at a time by
+    ``parse_ratio`` with an ``agent i value j`` context; either way the
+    values, and every message, are what the token-at-a-time reading gives.
+    """
     try:
         doc = json.loads(text, parse_float=str, parse_int=str)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -130,6 +172,7 @@ def parse_instance(text: str) -> Instance:
     agents = doc["agents"]
     if not isinstance(agents, list) or not agents:
         raise ParseError("'agents' must be a non-empty list")
+    limit = _int_max_str_digits()
     shares = []
     rows = []
     for i, entry in enumerate(agents):
@@ -139,12 +182,10 @@ def parse_instance(text: str) -> Instance:
         values = entry["values"]
         if not isinstance(values, list):
             raise ParseError(f"agent {i}: 'values' must be a list")
-        rows.append(
-            tuple(
-                parse_ratio(v, context=f"agent {i} value {j}")
-                for j, v in enumerate(values)
-            )
-        )
+        row = _canonical_row(values, limit)
+        if row is None:
+            row = tuple(parse_ratio(v, context=f"agent {i} value {j}") for j, v in enumerate(values))
+        rows.append(row)
     return Instance(tuple(shares), tuple(rows))
 
 

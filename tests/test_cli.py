@@ -356,6 +356,19 @@ def test_bench_empty_directory(tmp_path, capsys):
     assert out.splitlines() == ["instance\talgorithm\tratios\tworst_ratio\talpha_star"]
 
 
+def test_bench_directory_names_the_document_that_fails_to_parse(tmp_path, capsys):
+    (tmp_path / "a.json").write_text(cs.serialize_instance(cs.paper_table(2)), encoding="utf-8")
+    (tmp_path / "b.json").write_text(
+        '{"agents": [{"share": "1", "values": ["-1", "oops"]}]}', encoding="utf-8"
+    )
+    code, out, err = run_cli(capsys, "bench", str(tmp_path), "--algs", "naive")
+    assert (code, out) == (2, "")
+    assert err == "error: ParseError: b: agent 0 value 1: not a rational token: 'oops'\n"
+    code, out, err = run_cli(capsys, "bench", str(tmp_path / "b.json"), "--algs", "naive")
+    assert (code, out) == (2, "")
+    assert err == "error: ParseError: agent 0 value 1: not a rational token: 'oops'\n"
+
+
 def test_bench_table_spec(capsys):
     code, out, _ = run_cli(
         capsys, "bench", "table:2", "--algs", "div-cho,naive", "--oracle"

@@ -10,9 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import choreshare as cs
+import token_parse as reference
 from conftest import quick_instances
 
 F = Fraction
+# Python's int-to-text digit limit when the module loads, 0 for none.
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def test_round_trip_fixtures(table1, table2):
@@ -28,12 +31,13 @@ def test_round_trip_generated():
         assert cs.parse_instance(cs.serialize_instance(inst)) == inst
 
 
-# Zero, negative, and numerators of up to 4299 digits: below the default
-# int-to-text limit of 4300 digits, so every value prints.
+# Zero, negative, and numerators of up to one digit fewer than the
+# int-to-text limit (4299 digits when there is none), so every value prints.
+NUMERATOR_DIGITS = (LIMIT or 4300) - 1
 drawn_values = st.one_of(
     st.just(F(0)),
     st.fractions(max_value=0, max_denominator=10**6),
-    st.builds(F, st.integers(-(10**4299) + 1, 0), st.integers(1, 10**20)),
+    st.builds(F, st.integers(-(10**NUMERATOR_DIGITS) + 1, 0), st.integers(1, 10**20)),
 )
 
 
@@ -147,6 +151,54 @@ def test_parse_ratio_agrees_with_fraction_text(token):
         got = str(exc)
     assert got == expected
     assert type(got) is type(expected)
+
+
+# The JSON text of one value in a row: a canonical token, quoted or bare; a
+# drawn near miss; a bare decimal; or something that is no rational at all.
+canonical_tokens = st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,6})?", fullmatch=True)
+value_texts = st.one_of(
+    canonical_tokens.map(json.dumps),
+    st.integers(-(10**8), 10**8).map(str),
+    tokens.map(json.dumps),
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.sampled_from(["true", "false", "null", "[-1]", '{"-1": -1}', '"-1,-2"']),
+)
+# Token lengths at the one-pass reader's bound: the limit, or 4300 when there is none.
+EDGE = LIMIT or 4300
+
+
+def _parsed(parse, *args):
+    """What ``parse(*args)`` returned, or its ParseError's message."""
+    try:
+        return parse(*args)
+    except cs.ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(value_texts, max_size=8))
+@example(['"1,2"'])
+@example(['"-1"', '"1/0"', '"-2"'])
+@example(['"2/4"', '"-007/010"'])
+@example(['"-0"'])
+@example([])
+@example(['"-1"', "true"])
+@example(['"-1"', "null"])
+@example(['"-1"', '["-1"]'])
+@example([f'"{"1" * EDGE}"', "1" * EDGE])
+@example([f'"-{"1" * EDGE}"', "-" + "1" * EDGE])
+@example([f'"{"1" * (EDGE + 1)}"'])
+@example(["-1", "1" * (EDGE + 1)])
+@example([f'"1/{"7" * (EDGE - 2)}"', f'"1/{"7" * (EDGE + 1)}"'])
+def test_parse_instance_rows_agree_with_token_parse(texts):
+    doc = '{"agents": [{"share": "1", "values": [' + ", ".join(texts) + "]}]}"
+    values = json.loads(doc, parse_float=str, parse_int=str)["agents"][0]["values"]
+    expected = _parsed(reference.parse_row, values, 0)
+    got = _parsed(lambda: cs.parse_instance(doc).values[0])
+    assert got == expected
+    assert type(got) is type(expected)
+    if isinstance(got, tuple):
+        assert all(type(x) is Fraction for x in got)
 
 
 def test_parse_ratio_refuses_what_cannot_be_printed():
