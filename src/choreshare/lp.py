@@ -20,7 +20,7 @@ at the final threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -31,7 +31,7 @@ from .errors import (
     RoundingInvariantViolation,
     UpperBoundInfeasible,
 )
-from .model import ONE, ZERO, Allocation, Instance, _loads, bundle_value, check_references
+from .model import ZERO, Allocation, Instance, _loads, bundle_value, check_references
 from .simplex import StandardForm
 
 
@@ -81,16 +81,20 @@ def build_program(
 
 
 def _standard_form(prog: LPProgram) -> StandardForm:
+    """Integer rows: each agent's floor, then each chore's cover ``sum_i x_ij = 1``.
+
+    For ``V_ij = a_ij / D_i`` (``Instance.integer_values``) and ``t_i * D_i =
+    p_i / q_i`` in lowest terms, agent i's row is ``sum_j a_ij * q_i * x_ij >=
+    p_i``: the floor ``sum_j V_ij x_ij >= t_i`` times ``D_i * q_i > 0``, so a
+    positive multiple of it, with the same sign of right-hand side.
+    """
     sf = StandardForm(num_vars=len(prog.variables))
-    agent_rows = [[ZERO] * sf.num_vars for _ in range(prog.inst.n)]
-    chore_rows = [[ZERO] * sf.num_vars for _ in range(prog.inst.m)]
-    for k, (i, j) in enumerate(prog.variables):
-        agent_rows[i][k] = prog.inst.values[i][j]
-        chore_rows[j][k] = ONE
-    for coeffs, threshold in zip(agent_rows, prog.thresholds):
-        sf.add(coeffs, threshold, "ge")
-    for coeffs in chore_rows:
-        sf.add(coeffs, ONE, "eq")
+    for i, ((ints, denom), t) in enumerate(zip(prog.inst.integer_values, prog.thresholds)):
+        bound = t * denom
+        q = bound.denominator
+        sf.add([ints[j] * q if a == i else 0 for a, j in prog.variables], bound.numerator, "ge")
+    for j in range(prog.inst.m):
+        sf.add([int(c == j) for _, c in prog.variables], 1, "eq")
     return sf
 
 
@@ -299,20 +303,20 @@ def min_feasible_c(inst: Instance, refs: Sequence[Fraction]) -> Fraction:
     for b in sorted(breakpoints):
         if best is not None and b >= best:
             break
-        # The eligibility pattern at b, with c a variable: agent rows become
-        # V_i . x_i - c * refs[i] >= 0, and c >= b.
+        # The eligibility pattern at b, with c a variable: a floor that reads
+        # coeffs . x >= rhs at c = 1 reads coeffs . x - c * rhs >= 0; and c >= b.
         prog = build_program(inst, b, refs)
         if prog.trivially_infeasible:
             continue
-        fixed = _standard_form(prog)
-        sf = StandardForm(num_vars=fixed.num_vars + 1)
-        for k, (coeffs, rhs, sense) in enumerate(fixed.rows):
+        unit = _standard_form(replace(prog, thresholds=refs))
+        sf = StandardForm(num_vars=unit.num_vars + 1)
+        for k, (coeffs, rhs, sense) in enumerate(unit.rows):
             if k < inst.n:
-                sf.add(coeffs + (-refs[k],), ZERO, sense)
+                sf.add(coeffs + (-rhs,), 0, sense)
             else:
-                sf.add(coeffs + (ZERO,), rhs, sense)
-        sf.add((ZERO,) * fixed.num_vars + (ONE,), b, "ge")
-        result = simplex.minimize(sf, [ZERO] * fixed.num_vars + [ONE])
+                sf.add(coeffs + (0,), rhs, sense)
+        sf.add((0,) * unit.num_vars + (b.denominator,), b.numerator, "ge")
+        result = simplex.minimize(sf, [0] * unit.num_vars + [1])
         if result is not None and (best is None or result[0] < best):
             best = result[0]
     if best is None:

@@ -27,9 +27,10 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
 
     Returns ``(ints, denom)`` with ``ints[j] / denom == row[j]``; ``int``
     entries are accepted.  ``denom > 0``, so each int has its entry's sign
-    and the ints order like the entries.  Every layer that works on integers
-    scales here; an instance's rows are scaled once, in
-    ``Instance.integer_values``.
+    and the ints order like the entries.  Callers: ``Instance.integer_values``,
+    which scales each instance row once for every layer that reads the rows
+    (``lp._standard_form`` among them), ``egal_greedy``'s row, and the share
+    tie keys of ``multiplicative_greedy`` and ``additive_greedy``.
     """
     pairs = [v.as_integer_ratio() for v in row]
     denom = lcm(*[d for _, d in pairs])

@@ -3,6 +3,8 @@
 Phase 1 (artificial-variable) simplex with Bland's anti-cycling rule, used as
 a feasibility engine returning basic feasible points (vertices); an optional
 phase 2 minimizes a linear objective, which the threshold diagnostic needs.
+Callers give integer constraint rows and an integer objective, and the
+simplex solves exactly that program: phase 1 costs 1 per artificial column.
 The tableau holds integer rows over one positive common denominator and is
 updated by integer-preserving (Edmonds/Bareiss) pivots, so every division is
 exact.  Everything is exact: constraints hold with zero residual at returned
@@ -13,32 +15,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from operator import index
 from typing import Sequence
 
 from .errors import Unbounded
-from .model import integer_row
 
 
 @dataclass
 class StandardForm:
-    """Constraints over nonnegative variables: rows are (coeffs, rhs, sense).
+    """Integer constraints over nonnegative variables: rows are (coeffs, rhs, sense).
 
-    ``sense`` is "eq" or "ge"; coefficient vectors have length ``num_vars``.
-    Slack and artificial augmentation happen inside the solver and are
-    invisible to callers.
+    ``sense`` is "eq" or "ge"; coefficient vectors have length ``num_vars``,
+    and ``add`` refuses a non-integer entry (TypeError).  Slack and
+    artificial augmentation happen inside the solver and are invisible to
+    callers.
     """
 
     num_vars: int
-    rows: list[tuple[tuple[Fraction, ...], Fraction, str]] = field(default_factory=list)
+    rows: list[tuple[tuple[int, ...], int, str]] = field(default_factory=list)
 
-    def add(self, coeffs: Sequence[Fraction], rhs: Fraction, sense: str) -> None:
+    def add(self, coeffs: Sequence[int], rhs: int, sense: str) -> None:
         if len(coeffs) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} coefficients, got {len(coeffs)}")
         if sense not in ("eq", "ge"):
             raise ValueError(f"unknown sense {sense!r}")
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-        self.rows.append((coeffs, Fraction(rhs), sense))
+        self.rows.append((tuple(map(index, coeffs)), index(rhs), sense))
 
 
 def _eliminate(row: list[int], pivot: list[int], c: int, p: int, d: int) -> list[int]:
@@ -57,13 +58,10 @@ def _eliminate(row: list[int], pivot: list[int], c: int, p: int, d: int) -> list
 class _Tableau:
     """Integer rows, right-hand side last, over one positive denominator ``d``.
 
-    ``rows[r] / d`` is row r of the textbook tableau for the program with
-    every constraint row scaled to integers and every surplus and artificial
-    column rescaled to +-1.  Row scaling leaves B^-1 A unchanged, and positive
-    column scaling keeps the signs of reduced costs and the order of ratios
-    within a column, so Bland's rule pivots exactly as on the unscaled
-    program and reaches the same vertex.  Each constraint row and the
-    phase-2 objective are scaled by ``model.integer_row``.
+    ``rows[r] / d`` is row r of the textbook tableau for the given integer
+    program, with a surplus column per ">=" row and an artificial column per
+    row that does not start with its surplus basic; each artificial costs 1
+    in phase 1.
     """
 
     def __init__(self, sf: StandardForm):
@@ -75,16 +73,10 @@ class _Tableau:
         self.d = 1
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
-        scaled = [integer_row((*coeffs, b)) for coeffs, b, _ in sf.rows]
-        # Unit phase-1 cost per unscaled artificial, times lcm(scales) so the
-        # cost of each rescaled artificial is an integer.
-        weight = lcm(*(scale for _, scale in scaled))
-        self.phase1_costs = [0] * self.width
         surplus, artificial = sf.num_vars, self.artificial_start
-        for (_, b, sense), (ints, scale) in zip(sf.rows, scaled):
+        for coeffs, b, sense in sf.rows:
             sign = -1 if b < 0 else 1
-            row = ints if sign > 0 else [-a for a in ints]
-            row[-1:-1] = [0] * (self.width - sf.num_vars)
+            row = [sign * a for a in coeffs] + [0] * (self.width - sf.num_vars) + [sign * b]
             if sense == "ge":
                 row[surplus] = -sign
                 surplus += 1
@@ -96,7 +88,6 @@ class _Tableau:
             else:
                 row[artificial] = 1
                 self.basis.append(artificial)
-                self.phase1_costs[artificial] = weight // scale
                 artificial += 1
             self.rows.append(row)
 
@@ -144,7 +135,8 @@ class _Tableau:
 
     def phase1(self) -> bool:
         """Drive artificials to zero; False means the constraints are infeasible."""
-        self._optimize(self.phase1_costs, self.width)
+        costs = [0] * self.artificial_start + [1] * (self.width - self.artificial_start)
+        self._optimize(costs, self.width)
         if any(
             row[-1] != 0
             for row, b in zip(self.rows, self.basis)
@@ -164,12 +156,11 @@ class _Tableau:
                 del self.rows[r], self.basis[r]
         return True
 
-    def phase2(self, objective: Sequence[Fraction]) -> Fraction:
-        costs, scale = integer_row([Fraction(c) for c in objective])
-        costs += [0] * (self.width - len(costs))
+    def phase2(self, objective: Sequence[int]) -> Fraction:
+        costs = [*objective] + [0] * (self.width - len(objective))
         self._optimize(costs, self.artificial_start)
         value = sum(costs[b] * row[-1] for row, b in zip(self.rows, self.basis))
-        return Fraction(value, scale * self.d)
+        return Fraction(value, self.d)
 
     def point(self) -> list[Fraction]:
         x = [Fraction(0)] * self.n_struct
@@ -188,14 +179,16 @@ def feasible_basic_point(sf: StandardForm) -> list[Fraction] | None:
 
 
 def minimize(
-    sf: StandardForm, objective: Sequence[Fraction]
+    sf: StandardForm, objective: Sequence[int]
 ) -> tuple[Fraction, list[Fraction]] | None:
-    """Minimize a linear objective; returns (optimal value, optimal vertex).
+    """Minimize an integer objective; returns (optimal value, optimal vertex).
 
-    Returns None when infeasible; raises Unbounded when no minimum exists.
+    Returns None when infeasible; raises Unbounded when no minimum exists,
+    and TypeError for an objective entry that is not an integer.
     """
     if len(objective) != sf.num_vars:
         raise ValueError(f"expected {sf.num_vars} objective coefficients")
+    objective = list(map(index, objective))
     tableau = _Tableau(sf)
     if not tableau.phase1():
         return None

@@ -4,7 +4,12 @@ This is the tableau ``choreshare.simplex`` used before it moved to
 fraction-free integer pivoting.  Every row is normalized so its pivot is 1,
 so it is slow but obviously exact; the property tests require the integer
 tableau to return the same vertex, infeasibility verdict, optimum or
-``Unbounded`` on every form.
+``Unbounded`` on every form.  Entries may be ints or Fractions; each is
+read as a Fraction.
+
+``standard_form`` is the Fraction program ``lp._standard_form`` built
+before it moved to integer rows: each agent's floor with the instance's
+values as coefficients and its threshold as right-hand side.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from choreshare.errors import Unbounded
+from choreshare.lp import LPProgram
 from choreshare.simplex import StandardForm
 
 _ZERO = Fraction(0)
@@ -30,7 +36,8 @@ class _Tableau:
         rhs: list[Fraction] = []
         needs_artificial: list[bool] = []
         for r, (coeffs, b, sense) in enumerate(sf.rows):
-            row = list(coeffs) + [_ZERO] * len(ge_rows)
+            row = [Fraction(c) for c in coeffs] + [_ZERO] * len(ge_rows)
+            b = Fraction(b)
             if sense == "ge":
                 row[surplus_of[r]] = -_ONE
             if b < 0:
@@ -172,3 +179,16 @@ def minimize(
         return None
     value = tableau.phase2(objective)
     return value, tableau.point()
+
+
+def standard_form(prog: LPProgram) -> StandardForm:
+    """The program as Fraction rows: each agent's floor, then each chore's cover."""
+    agent_rows = [[_ZERO] * len(prog.variables) for _ in range(prog.inst.n)]
+    chore_rows = [[_ZERO] * len(prog.variables) for _ in range(prog.inst.m)]
+    for k, (i, j) in enumerate(prog.variables):
+        agent_rows[i][k] = prog.inst.values[i][j]
+        chore_rows[j][k] = _ONE
+    rows = [(tuple(coeffs), t, "ge") for coeffs, t in zip(agent_rows, prog.thresholds)]
+    rows += [(tuple(coeffs), _ONE, "eq") for coeffs in chore_rows]
+    # Built directly: StandardForm.add takes integer entries only.
+    return StandardForm(num_vars=len(prog.variables), rows=rows)

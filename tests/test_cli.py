@@ -167,12 +167,17 @@ def test_solve_linpro_trace_reports_rounding(table1_file, capsys):
     ]
 
 
-def test_solve_linpro_dump_lp(table2_file, capsys):
-    code, out, _ = run_cli(capsys, "solve", table2_file, "linpro", "--dump-lp")
-    assert code == 0
-    assert "lp-variables:" in out
-    assert "lp-chore 0:" in out
-    assert "lp-point:" in out
+def test_solve_linpro_dump_lp(table1_file, table2_file, capsys):
+    # the exact bytes of Bland's vertex of each final program
+    table1_point = "x[0,0]=505/1024 x[0,3]=521/1024 x[1,0]=519/1024 x[1,1]=1 x[1,2]=1 x[1,3]=503/1024"
+    for path, point in ((table1_file, table1_point), (table2_file, "x[0,0]=1 x[0,1]=1")):
+        code, out, _ = run_cli(capsys, "solve", path, "linpro", "--dump-lp")
+        assert code == 0
+        assert "lp-variables:" in out
+        assert "lp-chore 0:" in out
+        assert [line for line in out.splitlines() if line.startswith("lp-point:")] == [
+            f"lp-point: {point}"
+        ]
 
 
 def test_oracle_command(table2_file, capsys):
@@ -425,7 +430,7 @@ def test_bench_scales_each_instance_row_once(tmp_path, capsys, monkeypatch):
         scaled.append(tuple(row))
         return scale(row)
 
-    for module in (cs.model, cs.algorithms, cs.simplex):
+    for module in (cs.model, cs.algorithms):
         monkeypatch.setattr(module, "integer_row", counting)
     assert len(set(inst.values)) == inst.n
     for oracle in (), ("--oracle",):

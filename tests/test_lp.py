@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import choreshare as cs
 import component_search as reference
-from choreshare import lp
+import fraction_simplex
+from choreshare import lp, simplex
 from conftest import agent_values, oracle_alpha, oracle_wmms, quick_instances
 
 F = Fraction
@@ -75,6 +76,19 @@ def test_program_views_match_a_recomputation(drawn):
     assert prog.trivially_infeasible == any(
         all((i, j) not in eligible for i in agents) for j in chores
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs())
+def test_integer_rows_have_the_fraction_rows_vertex(drawn):
+    # Each integer floor is a positive multiple of its Fraction floor, and
+    # the chore rows are the same.  On nonpositive values the only other rows
+    # with an artificial are floors at t_i = 0, which are all zeros, so unit
+    # artificial costs take Bland's path on the Fraction program.
+    inst, c, refs = drawn
+    prog = lp.build_program(inst, c, refs)
+    expected = fraction_simplex.feasible_basic_point(fraction_simplex.standard_form(prog))
+    assert simplex.feasible_basic_point(lp._standard_form(prog)) == expected
 
 
 @pytest.mark.parametrize("c", [F(-1), F(-1, 10**9)])

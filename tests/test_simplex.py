@@ -3,15 +3,18 @@ from fractions import Fraction
 import pytest
 
 from choreshare import Unbounded
+from choreshare.model import integer_row
 from choreshare.simplex import StandardForm, feasible_basic_point, minimize
 
 F = Fraction
 
 
 def _form(num_vars, rows):
+    """The rational rows, each scaled to integers as the simplex takes them."""
     sf = StandardForm(num_vars=num_vars)
     for coeffs, rhs, sense in rows:
-        sf.add([F(c) for c in coeffs], F(rhs), sense)
+        ints, _ = integer_row([*map(F, coeffs), F(rhs)])
+        sf.add(ints[:-1], ints[-1], sense)
     return sf
 
 
@@ -55,23 +58,23 @@ def test_exact_satisfaction_and_basic_support():
 
 def test_minimize_simple():
     sf = _form(2, [((1, 1), 1, "eq")])
-    value, point = minimize(sf, [F(0), F(1)])
+    value, point = minimize(sf, [0, 1])
     assert value == 0
     assert point == [F(1), F(0)]
-    value, point = minimize(sf, [F(3), F(1)])
+    value, point = minimize(sf, [3, 1])
     assert value == 1
     assert point == [F(0), F(1)]
 
 
 def test_minimize_infeasible_reported():
     sf = _form(1, [((1,), 1, "eq"), ((1,), 2, "eq")])
-    assert minimize(sf, [F(1)]) is None
+    assert minimize(sf, [1]) is None
 
 
 def test_minimize_unbounded_raises():
     sf = _form(1, [((1,), 0, "ge")])
     with pytest.raises(Unbounded):
-        minimize(sf, [F(-1)])
+        minimize(sf, [-1])
 
 
 def test_beale_cycling_example_terminates_at_optimum():
@@ -85,8 +88,9 @@ def test_beale_cycling_example_terminates_at_optimum():
             ((0, 0, -1, 0), -1, "ge"),
         ],
     )
-    value, point = minimize(sf, [F(-3, 4), F(150), F(-1, 50), F(6)])
-    assert value == F(-1, 20)
+    objective, scale = integer_row([F(-3, 4), F(150), F(-1, 50), F(6)])
+    value, point = minimize(sf, objective)
+    assert value / scale == F(-1, 20)
     assert point == [F(1, 25), F(0), F(1), F(0)]
 
 
@@ -98,8 +102,16 @@ def test_determinism():
 def test_rejects_bad_rows():
     sf = StandardForm(num_vars=2)
     with pytest.raises(ValueError):
-        sf.add([F(1)], F(0), "eq")
+        sf.add([1], 0, "eq")
     with pytest.raises(ValueError):
-        sf.add([F(1), F(1)], F(0), "le")
+        sf.add([1, 1], 0, "le")
     with pytest.raises(ValueError):
-        minimize(_form(2, []), [F(1)])
+        minimize(_form(2, []), [1])
+    # A rational entry would be floored by the integer pivots: refused.
+    with pytest.raises(TypeError):
+        sf.add([F(1, 2), 1], 0, "eq")
+    with pytest.raises(TypeError):
+        sf.add([1, 1], F(1, 2), "eq")
+    with pytest.raises(TypeError):
+        minimize(_form(2, []), [F(1, 2), 1])
+    assert sf.rows == []

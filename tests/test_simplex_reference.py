@@ -1,8 +1,9 @@
 """Differential tests: the integer simplex against the Fraction reference.
 
-Both tableaus run Bland's rule from the same starting basis, so on every
-form they must agree on the vertex, the infeasibility verdict, the optimum
-and unboundedness, not merely on feasibility.
+Both tableaus run Bland's rule from the same starting basis on the same
+integer program, so on every form they must agree on the vertex, the
+infeasibility verdict, the optimum and unboundedness, not merely on
+feasibility.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import fraction_simplex as reference
 from choreshare import Unbounded, random_instance, wmms_prime
 from choreshare import lp, simplex
+from choreshare.model import integer_row
 from choreshare.simplex import StandardForm
 
 F = Fraction
@@ -41,10 +43,13 @@ def forms(draw):
         if kind == "contradictory":
             rhs += draw(st.sampled_from([F(1), F(-1, 2)]))
         rows.append((coeffs, rhs, "eq"))
+    # Each row and the objective scaled to integers: one integer program
+    # for both solvers.
     sf = StandardForm(num_vars=num_vars)
-    for row in rows:
-        sf.add(*row)
-    objective = draw(st.lists(coeff, min_size=num_vars, max_size=num_vars))
+    for coeffs, rhs, sense in rows:
+        ints, _ = integer_row((*coeffs, rhs))
+        sf.add(ints[:-1], ints[-1], sense)
+    objective, _ = integer_row(draw(st.lists(coeff, min_size=num_vars, max_size=num_vars)))
     return sf, objective
 
 
@@ -60,18 +65,25 @@ def _minimize(solver, sf, objective):
 TIE_BREAK_FORM = StandardForm(
     num_vars=3,
     rows=[
-        ((F(1, 2), F(0), F(0)), F(3, 2), "eq"),
-        ((F(-1, 3), F(1), F(0)), F(-1), "ge"),
-        ((F(1, 2), F(0), F(0)), F(3, 2), "eq"),
-        ((F(0), F(0), F(0)), F(0), "eq"),
-        ((F(0), F(1), F(1)), F(1), "eq"),
+        ((1, 0, 0), 3, "eq"),
+        ((-1, 3, 0), -3, "ge"),
+        ((1, 0, 0), 3, "eq"),
+        ((0, 0, 0), 0, "eq"),
+        ((0, 1, 1), 1, "eq"),
     ],
+)
+
+# Fed ints, a reference that divided rhs / a without turning either into a
+# Fraction took a float ratio here and left basis [1, 0], not [0, 1].
+FLOAT_RATIO_FORM = StandardForm(
+    num_vars=4,
+    rows=[((0, -5, 0, 0), -6, "eq"), ((-15, -5, 0, 0), -6, "eq")],
 )
 
 
 @settings(max_examples=400, deadline=None)
 @given(forms())
-@example((TIE_BREAK_FORM, [F(0), F(0), F(0)]))
+@example((TIE_BREAK_FORM, [0, 0, 0]))
 def test_same_vertex_and_optimum_as_reference(case):
     sf, objective = case
     assert simplex.feasible_basic_point(sf) == reference.feasible_basic_point(sf)
@@ -80,6 +92,7 @@ def test_same_vertex_and_optimum_as_reference(case):
 
 @settings(max_examples=400, deadline=None)
 @given(forms())
+@example((FLOAT_RATIO_FORM, [0, 0, 0, 0]))
 def test_same_bases_as_reference(case):
     # Equal bases after each phase mean both took the same Bland path, which
     # degenerate forms expose more often than the vertex they end at.
@@ -108,6 +121,5 @@ def test_same_vertex_on_linpro_probes():
             prog = lp.build_program(inst, c, refs)
             if prog.trivially_infeasible:
                 continue
-            sf = lp._standard_form(prog)
-            ours = simplex.feasible_basic_point(sf)
-            assert ours == reference.feasible_basic_point(sf)
+            ours = simplex.feasible_basic_point(lp._standard_form(prog))
+            assert ours == reference.feasible_basic_point(reference.standard_form(prog))
