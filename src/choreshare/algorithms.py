@@ -110,7 +110,7 @@ def egal_greedy(
     chores, ValueError unless there is an agent and every share is positive.
     """
     shares = tuple(Fraction(s) for s in shares)
-    ints, denom = integer_row([Fraction(v) for v in values])
+    ints, denom = integer_row(values)
     if ints and not shares:
         raise ValueError("need at least one agent")
     # no chores: shares unread
@@ -184,14 +184,14 @@ def binary_wmms(inst: Instance, trace: list[TraceEvent] | None = None) -> Alloca
     index), costing its owner nothing.  The remaining chores are worth -1 to
     everyone, and on such uniform values the balance greedy is exact.
     """
-    for i, row in enumerate(inst.values):
-        for j, v in enumerate(row):
-            if v != 0 and v != -1:
-                raise NotBinary(f"value {v} at agent {i}, chore {j} is not in {{0, -1}}")
+    for i, (ints, denom) in enumerate(inst.integer_values):
+        for j, a in enumerate(ints):
+            if a != 0 and a != -denom:
+                raise NotBinary(f"value {Fraction(a, denom)} at agent {i}, chore {j} is not in {{0, -1}}")
     owner = [-1] * inst.m
     for j in range(inst.m):
         for i in range(inst.n):
-            if inst.values[i][j] == 0:
+            if inst.integer_values[i][0][j] == 0:
                 owner[j] = i
                 break
     free = [j for j in range(inst.m) if owner[j] >= 0]
@@ -257,7 +257,7 @@ def round_robin(
     position = {agent: k for k, agent in enumerate(picking)}
     # fewest picks first, then the earlier turn: picking[step % n] picks at step
     return _pick(inst, lambda i, total, picks: (-picks, -position[i]),
-                 lambda i, j, value: inst.values[i][j], trace)
+                 lambda i, j, value: bundle_value(inst, i, (j,)), trace)
 
 
 def multiplicative_greedy(

@@ -81,7 +81,7 @@ def _ratio_text(report: FairnessReport, i: int) -> str:
 
 
 def _egal_greedy(inst, trace, **_):
-    if any(row != inst.values[0] for row in inst.values):
+    if any(row != inst.integer_values[0] for row in inst.integer_values):
         raise ValueError("egal-greedy requires identical valuation rows")
     return egal_greedy(inst.shares, inst.values[0], trace=trace)
 

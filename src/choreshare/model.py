@@ -1,8 +1,8 @@
 """Core data model: instances, allocations and exact fairness evaluation.
 
-All numeric data is held as `fractions.Fraction`, so every share, value and
-ratio in the package is an exact rational; nothing in the solver path touches
-floating point.
+Every share, value and ratio in the package is an exact rational; nothing in
+the solver path touches floating point.  Shares and ratios are Fractions, and
+each value row is held once, as integers in lowest terms (``Instance``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NormalizationImpossible
@@ -22,19 +22,27 @@ ONE = Fraction(1)
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """A rational row as integers over the lcm of its denominators.
+def _lowest_terms(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """The row of rationals ``num / den`` as ``(ints, denom)`` in lowest terms.
 
-    Returns ``(ints, denom)`` with ``ints[j] / denom == row[j]``; ``int``
-    entries are accepted.  ``denom > 0``, so each int has its entry's sign
-    and the ints order like the entries.  Callers: ``Instance.integer_values``,
-    which scales each instance row once for every layer that reads the rows
-    (``lp._standard_form`` among them), ``egal_greedy``'s row, and the share
-    tie keys of ``multiplicative_greedy`` and ``additive_greedy``.
+    ``denom > 0`` is the least common denominator of the entries, and no
+    factor is shared by all the ints and ``denom``, so equal rows give equal
+    pairs.  Each int has its entry's sign, and the ints order like the
+    entries.  A zero ``den`` raises ZeroDivisionError.
     """
-    pairs = [v.as_integer_ratio() for v in row]
     denom = lcm(*[d for _, d in pairs])
-    return [num * (denom // d) for num, d in pairs], denom
+    ints = [num * (denom // d) for num, d in pairs]
+    g = gcd(denom, *ints)
+    return tuple([a // g for a in ints] if g > 1 else ints), denom // g
+
+
+def integer_row(row: Iterable) -> tuple[tuple[int, ...], int]:
+    """A row of anything ``Fraction()`` reads, as ``_lowest_terms`` gives it.
+
+    Callers: ``Instance(shares, values)`` for each row, ``egal_greedy``'s
+    row, and the share tie keys of ``multiplicative_greedy`` and ``additive_greedy``.
+    """
+    return _lowest_terms([x.as_integer_ratio() for x in _exact(row)])
 
 
 def division_weights(denoms: Sequence[int], xs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -62,22 +70,29 @@ def _exact(xs: Iterable) -> tuple[Fraction, ...]:
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instance:
     """A chore allocation problem.
 
     ``shares[i]`` is agent i's liability weight; a valid instance has every
-    share in (0, 1] and the shares summing to exactly 1.  ``values[i][j]`` is
-    agent i's (nonpositive) value for chore j.  Instances are immutable and
-    safe to share between workers.
+    share in (0, 1] and the shares summing to exactly 1.  Agent i values
+    chore j at ``ints[j] / denom <= 0``, ``(ints, denom) = integer_values[i]``
+    in lowest terms; the argument ``values`` holds anything ``Fraction()``
+    reads.  Instances are immutable and safe to share between workers.
     """
 
     shares: tuple[Fraction, ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    integer_values: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shares", _exact(self.shares))
-        object.__setattr__(self, "values", tuple(map(_exact, self.values)))
+    def __init__(self, shares: Iterable, values: Iterable[Iterable]) -> None:
+        self.__dict__.update(shares=_exact(shares), integer_values=tuple(map(integer_row, values)))
+
+    @classmethod
+    def from_pairs(cls, shares: Iterable, rows: Iterable[Sequence[tuple[int, int]]]) -> Instance:
+        """The instance whose agent i values chore j at ``num / den`` for ``rows[i][j]``."""
+        inst = cls.__new__(cls)
+        inst.__dict__.update(shares=_exact(shares), integer_values=tuple(map(_lowest_terms, rows)))
+        return inst
 
     @property
     def n(self) -> int:
@@ -85,15 +100,16 @@ class Instance:
 
     @property
     def m(self) -> int:
-        return len(self.values[0]) if self.values else 0
+        return len(self.integer_values[0][0]) if self.integer_values else 0
 
     @cached_property
-    def integer_values(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each row as ``integer_row`` gives it, ints as a tuple; computed once per instance."""
-        return tuple((tuple(ints), denom) for ints, denom in map(integer_row, self.values))
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as Fractions, built on first read and outside ``==``, ``hash`` and ``repr``."""
+        return tuple(tuple(Fraction(a, denom) for a in ints) for ints, denom in self.integer_values)
 
     def row_total(self, i: int) -> Fraction:
-        return sum(self.values[i], ZERO)
+        ints, denom = self.integer_values[i]
+        return Fraction(sum(ints), denom)
 
 
 @dataclass(frozen=True)
@@ -173,11 +189,11 @@ def validate_instance(inst: Instance) -> list[str]:
     n = len(inst.shares)
     if n < 1:
         violations.append("instance has no agents; need n >= 1")
-    if len(inst.values) != n:
+    if len(inst.integer_values) != n:
         violations.append(
-            f"value matrix has {len(inst.values)} rows for {n} agents"
+            f"value matrix has {len(inst.integer_values)} rows for {n} agents"
         )
-    lengths = {len(row) for row in inst.values}
+    lengths = {len(ints) for ints, _ in inst.integer_values}
     if len(lengths) > 1:
         violations.append(f"value rows have unequal lengths {sorted(lengths)}")
     for i, s in enumerate(inst.shares):
@@ -187,10 +203,10 @@ def validate_instance(inst: Instance) -> list[str]:
     if n >= 1 and total != ONE:
         violations.append(f"shares sum to {total} != 1")
     limit = _int_max_str_digits()
-    for i, (row, (ints, denom)) in enumerate(zip(inst.values, inst.integer_values)):
+    for i, (ints, denom) in enumerate(inst.integer_values):
         for j, x in enumerate(ints):
             if x > 0:
-                violations.append(f"positive value {row[j]} at agent {i}, chore {j}")
+                violations.append(f"positive value {Fraction(x, denom)} at agent {i}, chore {j}")
         # Each bundle value of agent i is p/q with |p| <= sum |ints| and q | denom,
         # so it prints when both do.  An int of b bits has at most 0.302 * b + 1
         # digits: only past 3 * limit bits are the digits counted exactly.
@@ -220,17 +236,18 @@ def normalize_instance(inst: Instance) -> Instance:
     values every chore at 0 (callers fall back to the degenerate/binary path).
     """
     rows = []
-    for i in range(inst.n):
-        total = inst.row_total(i)
+    for i, (ints, _) in enumerate(inst.integer_values):
+        total = sum(ints)
         if total == 0:
             raise NormalizationImpossible(f"agent {i} values every chore at 0")
-        rows.append(tuple(v / -total for v in inst.values[i]))
-    return Instance(inst.shares, tuple(rows))
+        rows.append([(a, -total) for a in ints])
+    return Instance.from_pairs(inst.shares, rows)
 
 
 def bundle_value(inst: Instance, i: int, chores: Iterable[int]) -> Fraction:
     """Exact additive value of a chore set to agent i."""
-    return sum((inst.values[i][j] for j in chores), ZERO)
+    ints, denom = inst.integer_values[i]
+    return Fraction(sum(map(ints.__getitem__, chores)), denom)
 
 
 def unfairness_degree(inst: Instance, i: int, alloc: Allocation) -> Fraction:

@@ -63,7 +63,7 @@ def check_budget(n: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
 def _check_signs(inst: Instance) -> None:
     """The search's sign rule: pruning is sound only on nonpositive values, positive shares."""
     check_shares(inst.shares)
-    if any(v > 0 for row in inst.values for v in row):
+    if any(a > 0 for ints, _ in inst.integer_values for a in ints):
         raise ValueError("needs nonpositive values")
 
 
@@ -157,17 +157,17 @@ def exact_wmms(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
     check_budget(n, inst.m, budget)
     _check_signs(inst)
     weight, _ = division_weights([1] * n, inst.shares)
-    by_row: dict[tuple[Fraction, ...], Allocation] = {}
-    for row, (ints, _) in zip(inst.values, inst.integer_values):
+    by_row: dict[tuple[tuple[int, ...], int], Allocation] = {}
+    for row in inst.integer_values:
         if row not in by_row:
             # max min_k V(X_k) / s_k = -(min max_k -V(X_k) / s_k), and the
             # rows' own denominators scale every agent alike
-            owners = _lex_min_max([[-v * w for w in weight] for v in ints])[1]
+            owners = _lex_min_max([[-v * w for w in weight] for v in row[0]])[1]
             by_row[row] = Allocation(n, owners)
 
     # The search only ranks integer load sums; the exact rational values are
     # reconstructed here from the witnesses.
-    witnesses = tuple(by_row[row] for row in inst.values)
+    witnesses = tuple(by_row[row] for row in inst.integer_values)
     w = tuple(unfairness_degree(inst, i, witnesses[i]) for i in range(n))
     return OracleResult(tuple(s * w_i for s, w_i in zip(inst.shares, w)), w, witnesses)
 

@@ -10,8 +10,9 @@ their literal text, never through a binary double).  Serialization always
 emits canonical "p/q" strings, so a parse/serialize round trip is bit-exact.
 
 A row of canonical tokens ("p/q" or a plain integer in ASCII digits, the
-form serialization writes) is read in one pass; any other row goes through
-``parse_ratio`` one token at a time, which writes every ParseError message.
+form serialization writes) is read in one pass into integer pairs; any
+other row goes through ``parse_ratio`` one token at a time, which writes
+every ParseError message.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 from .model import ZERO, Instance, _int_max_str_digits
 
 _MINUS_VARIANTS = str.maketrans({"−": "-", "–": "-"})
-# The canonical token: ASCII digits, "-" only before the numerator, "/q" optional.
-_CANONICAL = r"-?\d+(?:/\d+)?"
-_CANONICAL_TOKEN = re.compile(_CANONICAL, re.ASCII)
+# The canonical token: ASCII digits, "-" only before the numerator, an optional nonzero "/q".
+_CANONICAL = r"-?\d+(?:/0*[1-9]\d*)?"
 _CANONICAL_ROW = re.compile(rf"{_CANONICAL}(?:,{_CANONICAL})*", re.ASCII)
 # Fraction's grammar for a decimal with an exponent: whole, fraction, exponent.
 _EXPONENT_FORM = re.compile(
@@ -63,11 +64,7 @@ def parse_ratio(token, context: str = "value") -> Fraction:
     """Parse an exact rational from "p/q", a decimal literal, or an int.
 
     A string token means what ``Fraction(text)`` reads from it once "−" and
-    "–" are mapped to "-" and surrounding whitespace is stripped.  The
-    canonical forms (``_CANONICAL``: "p/q" and a plain integer with
-    ASCII-digit parts, an optional leading "-" on the numerator only) are
-    parsed with ``int``; every other form ("+", "_", decimals, exponents,
-    non-ASCII digits, a missing part) goes through ``Fraction(text)``.
+    "–" are mapped to "-" and surrounding whitespace is stripped.
     ``parse_instance`` passes a bare JSON number here as its text, and calls
     this once per token on any row that ``_canonical_row`` does not read.
 
@@ -81,11 +78,7 @@ def parse_ratio(token, context: str = "value") -> Fraction:
     if isinstance(token, str):
         text = token.translate(_MINUS_VARIANTS).strip()
         try:
-            if _CANONICAL_TOKEN.fullmatch(text):
-                num, slash, den = text.partition("/")
-                value = Fraction(int(num), int(den) if slash else 1)
-            else:
-                value = _from_text(text, context, limit)
+            value = _from_text(text, context, limit)
         except ZeroDivisionError:
             raise ParseError(f"{context}: zero denominator in {token!r}") from None
         except ValueError:
@@ -115,29 +108,34 @@ def parse_ratio(token, context: str = "value") -> Fraction:
     return value
 
 
-def format_ratio(x: Fraction) -> str:
-    """Canonical text for a rational: "p/q", or a bare integer when q == 1.
+def _ratio_texts(ints, denom: int) -> list[str]:
+    """Each ``a / denom`` as canonical text: "p/q" in lowest terms, or a bare integer when q == 1.
 
-    Raises ValueError when the numerator or denominator has more digits than
+    Raises ValueError when a numerator or denominator has more digits than
     Python converts to text (``sys.get_int_max_str_digits()``).
     """
     try:
-        return str(x)
+        return [f"{a // g}/{denom // g}" if (g := gcd(a, denom)) != denom else str(a // g) for a in ints]
     except ValueError:
         limit = _int_max_str_digits()
         raise ValueError(f"a result has more than {limit} digits and cannot be printed") from None
 
 
-def _canonical_row(values: list, limit: int) -> tuple[Fraction, ...] | None:
-    """``values`` read in one pass when every token is canonical, else None.
+def format_ratio(x: Fraction) -> str:
+    """Canonical text for a rational, as ``_ratio_texts`` writes it."""
+    return _ratio_texts((x.numerator,), x.denominator)[0]
+
+
+def _canonical_row(values: list, limit: int) -> list[tuple[int, int]] | None:
+    """``values`` read in one pass as ``(num, den)`` pairs when every token is canonical, else None.
 
     The joined row must match the canonical grammar with one comma fewer
     than there are tokens, so no token holds a comma.  A token of at most
     ``limit`` characters has no digit run past the limit, and reducing the
     fraction only shrinks it, so ``parse_ratio``'s digit-limit check cannot
-    fire and is skipped.  A non-string token, a zero denominator or a digit
-    run ``int`` refuses also gives None, leaving every message to
-    ``parse_ratio``.
+    fire and is skipped.  A non-string token, a zero denominator (outside
+    the grammar) or a digit run ``int`` refuses also gives None, leaving
+    every message to ``parse_ratio``.
     """
     try:
         joined = ",".join(values)
@@ -147,11 +145,8 @@ def _canonical_row(values: list, limit: int) -> tuple[Fraction, ...] | None:
             or (limit and max(map(len, values)) > limit)
         ):
             return None
-        return tuple(
-            Fraction(int(num), int(den)) if den else Fraction(int(num))
-            for num, _, den in (v.partition("/") for v in values)
-        )
-    except (TypeError, ValueError, ZeroDivisionError):
+        return [(int(num), int(den) if den else 1) for num, _, den in (v.partition("/") for v in values)]
+    except (TypeError, ValueError):
         return None
 
 
@@ -184,9 +179,9 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"agent {i}: 'values' must be a list")
         row = _canonical_row(values, limit)
         if row is None:
-            row = tuple(parse_ratio(v, context=f"agent {i} value {j}") for j, v in enumerate(values))
+            row = [parse_ratio(v, f"agent {i} value {j}").as_integer_ratio() for j, v in enumerate(values)]
         rows.append(row)
-    return Instance(tuple(shares), tuple(rows))
+    return Instance.from_pairs(shares, rows)
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -195,7 +190,7 @@ def serialize_instance(inst: Instance) -> str:
         "agents": [
             {
                 "share": format_ratio(inst.shares[i]),
-                "values": [format_ratio(v) for v in inst.values[i]],
+                "values": _ratio_texts(*inst.integer_values[i]),
             }
             for i in range(inst.n)
         ]

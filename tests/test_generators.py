@@ -159,6 +159,15 @@ def test_random_instance_determinism_and_styles():
     assert cs.validate_instance(a) == [] and cs.validate_instance(b) == []
 
 
+@pytest.mark.parametrize("style", ["normalized", "binary"])
+@pytest.mark.parametrize("n, m, seed", [(3, 6, 9), (4, 1, 2), (2, 0, 3), (5, 40, 11)])
+def test_random_instance_is_the_instance_of_its_fractions(style, n, m, seed):
+    inst = cs.random_instance(n, m, seed, style)
+    same = cs.Instance(inst.shares, inst.values)
+    assert inst == same and hash(inst) == hash(same)
+    assert inst.integer_values == same.integer_values
+
+
 def test_random_instance_rejects_bad_arguments():
     with pytest.raises(ValueError):
         cs.random_instance(0, 3, seed=1)

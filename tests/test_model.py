@@ -1,6 +1,7 @@
+import dataclasses
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given
@@ -47,13 +48,37 @@ def test_validate_empty_chores_is_legal():
     assert cs.validate_instance(inst) == []
 
 
-def test_integer_values_is_a_cached_view_outside_equality():
-    inst = cs.Instance((F(1, 2), F(1, 2)), ((F(-1, 2), F(-1, 3)), (F(0), F(-2))))
-    fresh = cs.Instance(inst.shares, inst.values)
+def test_integer_values_is_the_field_and_values_a_cached_view():
+    assert [f.name for f in dataclasses.fields(cs.Instance)] == ["shares", "integer_values"]
+    inst = cs.Instance((F(1, 2), F(1, 2)), ((F(-1, 2), "-1/3"), (0, F(-4, 2))))
     assert inst.integer_values == (((-3, -2), 6), ((0, -2), 1))
-    assert inst.integer_values is inst.integer_values
+    assert "values" not in inst.__dict__
+    assert inst.values == ((F(-1, 2), F(-1, 3)), (F(0), F(-2)))
+    assert inst.values is inst.values
+    fresh = cs.Instance(inst.shares, inst.values)
     assert inst == fresh and hash(inst) == hash(fresh) and repr(inst) == repr(fresh)
-    assert "integer_values" not in repr(inst)
+    assert "Fraction(-1, 3)" not in repr(inst) and repr(inst).count("values=") == 1
+
+
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-12, 12).filter(bool)), max_size=6))
+@example([])
+@example([(2, 4), (-6, 9), (0, 7), (7, 14)])
+@example([(0, 3), (0, -5)])
+@example([(3, -6), (-1, 2)])
+def test_from_pairs_is_the_instance_of_the_same_fractions(pairs):
+    inst = cs.Instance.from_pairs((1,), [pairs])
+    same = cs.Instance((1,), [[F(num, den) for num, den in pairs]])
+    assert inst == same and hash(inst) == hash(same)
+    assert inst.integer_values == same.integer_values
+    (ints, denom), = inst.integer_values
+    assert denom > 0 and gcd(denom, *ints) == 1
+    assert [F(a, denom) for a in ints] == [F(num, den) for num, den in pairs]
+
+
+def test_from_pairs_refuses_a_zero_denominator():
+    for pairs in ([(1, 0)], [(0, 0)], [(-1, 2), (1, 0)]):
+        with pytest.raises(ZeroDivisionError):
+            cs.Instance.from_pairs((1,), [pairs])
 
 
 def test_normalize_scales_rows():

@@ -136,6 +136,8 @@ tokens = st.lists(st.sampled_from(TOKEN_PARTS), max_size=7).map("".join).filter(
 @example("1/0")
 @example("3/-4")
 @example("-0/5")
+@example("-0")
+@example("007/14")
 @example(" −12/007 ")
 @example("1" * 5000)
 @example("1/" + "7" * 5000)
@@ -199,6 +201,39 @@ def test_parse_instance_rows_agree_with_token_parse(texts):
     assert type(got) is type(expected)
     if isinstance(got, tuple):
         assert all(type(x) is Fraction for x in got)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        ["2/4", "-6/9", "0/7", "007/14"],
+        ["-1/2", "-1/3", "-5/6", "0"],
+        ["-2/6", "-4/12", "-10/30"],
+        ["-0", "-3", "-007"],
+        ["-2/4", "1", "-3/7", "0/1"],
+    ],
+)
+def test_unreduced_canonical_rows_store_the_same_instance(row):
+    doc = json.dumps({"agents": [{"share": "1/2", "values": row}, {"share": "1/2", "values": row[::-1]}]})
+    inst = cs.parse_instance(doc)
+    fractions = [F(v) for v in row]
+    same = cs.Instance((F(1, 2), F(1, 2)), (fractions, fractions[::-1]))
+    assert inst == same and hash(inst) == hash(same)
+    assert inst.integer_values == same.integer_values
+    assert inst.values == same.values
+
+
+def test_parsed_document_never_builds_its_fraction_view(tmp_path):
+    inst = cs.random_instance(3, 12, 4)
+    parsed = cs.parse_instance(cs.serialize_instance(inst))
+    assert cs.validate_instance(parsed) == []
+    for rule in (cs.naive, cs.round_robin, cs.multiplicative_greedy, cs.additive_greedy):
+        rule(parsed, trace=[])
+    cs.linpro(parsed, F(1, 100))
+    cs.exact_owmms(parsed, cs.exact_wmms(parsed).wmms)
+    assert cs.serialize_instance(parsed) == cs.serialize_instance(inst)
+    assert "values" not in parsed.__dict__
+    assert parsed == inst
 
 
 def test_parse_ratio_refuses_what_cannot_be_printed():
