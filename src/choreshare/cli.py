@@ -83,7 +83,8 @@ def _ratio_text(report: FairnessReport, i: int) -> str:
 def _egal_greedy(inst, trace, **_):
     if any(row != inst.integer_values[0] for row in inst.integer_values):
         raise ValueError("egal-greedy requires identical valuation rows")
-    return egal_greedy(inst.shares, inst.values[0], trace=trace)
+    ints, denom = inst.integer_values[0]
+    return egal_greedy(inst.shares, [Fraction(a, denom) for a in ints], trace=trace)
 
 
 # Algorithm name -> (run, bound).  run returns the allocation (linpro: its

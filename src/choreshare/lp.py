@@ -8,9 +8,9 @@ graph is a pseudoforest (``_is_pseudoforest`` checks it), and rounding along
 that graph (Lenstra, Shmoys and Tardos, 1990) costs each agent at most one
 extra eligible chore, i.e. the integral allocation clears the doubled floor.
 
-``_eligible`` alone decides eligibility, on the integer loads of
-``model._loads``; the program's variables, ``linpro``'s probes and
-``min_feasible_c``'s breakpoints all read it.  ``linpro``'s binary search
+``_eligible`` alone decides eligibility, by bisecting each chore's integer
+loads of ``model._loads`` (sorted once per ``linpro`` call by ``_by_load``);
+the program's variables and ``linpro``'s probes read it.  The binary search
 needs only a verdict from each probe.  A probe is first offered to a greedy
 integral assignment on those loads; one that passes proves the probe
 feasible without a program or a simplex solve, and one that fails gets the
@@ -20,6 +20,7 @@ at the final threshold.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -75,8 +76,9 @@ def build_program(
     if c < 0:
         raise ValueError(f"threshold {c} is negative")
     refs = check_references(inst, refs)
-    eligible = _eligible(*_loads(inst, refs), c)
-    variables = tuple(sorted((i, j) for j, agents in enumerate(eligible) for i in agents))
+    loads, scale = _loads(inst, refs)
+    eligible = _eligible(_by_load(loads), c.numerator * scale // c.denominator)
+    variables = tuple(sorted((i, j) for j, pairs in enumerate(eligible) for _, i in pairs))
     return LPProgram(inst=inst, thresholds=tuple(c * r for r in refs), variables=variables)
 
 
@@ -208,33 +210,36 @@ def round_extreme_point(
     return alloc
 
 
-def _eligible(loads: list[list[int | None]], scale: int, c: Fraction) -> list[list[int]]:
-    """Per chore, its agents with ``V_ij >= c * r_i`` (c >= 0): loads not None, ``<= c * scale``."""
-    cap, q = c.numerator * scale, c.denominator
-    return [[i for i, x in enumerate(xs) if x is not None and x * q <= cap] for xs in zip(*loads)]
+def _by_load(loads: list[list[int | None]]) -> list[list[tuple[int, int]]]:
+    """Per chore, its ``(load, agent)`` pairs in ascending order, None loads dropped."""
+    return [sorted((x, i) for i, x in enumerate(xs) if x is not None) for xs in zip(*loads)]
 
 
-def _certificate(loads: list[list[int | None]], scale: int, c: Fraction) -> Allocation | None:
+def _eligible(ranked: list[list[tuple[int, int]]], top: int) -> list[list[tuple[int, int]]]:
+    """Per chore of ``_by_load``, the pairs with ``V_ij >= c * r_i``: load <= top = floor(c*scale)."""
+    return [pairs[: bisect_left(pairs, (top + 1,))] for pairs in ranked]
+
+
+def _certificate(ranked: list[list[tuple[int, int]]], n: int, top: int) -> Allocation | None:
     """A greedy integral point of the program at ``c``, or None when the greedy misses.
 
-    Eligibility comes from ``_eligible``, as in ``build_program``.  Chores go
+    ``ranked`` is ``_by_load(loads)`` and ``top = floor(c * scale)``;
+    eligibility comes from ``_eligible``, as in ``build_program``.  Chores go
     in descending order of their largest eligible load, each to the eligible
     agent with the least load after taking it (lowest index on ties).  The
     candidate is returned only if every chore has an eligible owner and every
-    floor holds (``used_i <= c * scale``), so a returned allocation proves the
+    floor holds (``used_i <= top``), so a returned allocation proves the
     program feasible; None proves nothing.
     """
-    eligible = _eligible(loads, scale, c)
-    if not all(eligible):
+    prefixes = _eligible(ranked, top)
+    if not all(prefixes):
         return None
-    used = [0] * len(loads)
-    owner = [0] * len(eligible)
-    for j in sorted(range(len(eligible)), key=lambda j: -max(loads[a][j] for a in eligible[j])):
-        i = min(eligible[j], key=lambda a: used[a] + loads[a][j])
-        owner[j] = i
-        used[i] += loads[i][j]
-    cap, q = c.numerator * scale, c.denominator
-    return None if any(u * q > cap for u in used) else Allocation(len(loads), tuple(owner))
+    used = [0] * n
+    owner = [0] * len(ranked)
+    for j in sorted(range(len(ranked)), key=lambda j: -prefixes[j][-1][0]):
+        load, i = min([(used[a] + x, a) for x, a in prefixes[j]])
+        owner[j], used[i] = i, load
+    return None if max(used) > top else Allocation(n, tuple(owner))
 
 
 def linpro(
@@ -244,15 +249,16 @@ def linpro(
 
     References come from ``wmms_prime``.  The search keeps an invariant of
     "upper end feasible" over [1, n] (n is feasible: the largest-share agent
-    can absorb everything) and stops once the bracket is within eps/4.  Each
-    probe is certified feasible by ``_certificate`` when it can be, and only
-    otherwise gets a program, decided by ``check_feasible``; both give the
-    same verdict on every probe the certificate accepts.  The vertex rounded
-    is Bland's vertex of the program at c_final: the last simplex-decided
-    probe's when that probe was the last feasible one, else one solve at
-    c_final (c = n when no probe was feasible).  The returned allocation
-    gives every agent at least 2*c_final times her reference.  ``trace``
-    receives the rounding decisions (see ``round_extreme_point``).
+    can absorb everything), kept as integers over ``den = 2^k``, and stops
+    once the bracket is within eps/4.  Each probe is certified feasible by
+    ``_certificate`` when it can be, and only otherwise gets a program,
+    decided by ``check_feasible``; both give the same verdict on every probe
+    the certificate accepts.  The vertex rounded is Bland's vertex of the
+    program at c_final: the last simplex-decided probe's when that probe was
+    the last feasible one, else one solve at c_final (c = n when no probe was
+    feasible).  The returned allocation gives every agent at least
+    2*c_final times her reference.  ``trace`` receives the rounding
+    decisions (see ``round_extreme_point``).
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -261,19 +267,21 @@ def linpro(
         raise ValueError("need at least one agent")
     refs = wmms_prime(inst)
     loads, scale = _loads(inst, refs)
-    upper = Fraction(inst.n)
-    lower = Fraction(1)
+    ranked = _by_load(loads)
+    lo, hi, den = 1, inst.n, 1
     iterations = 0
     point = None
-    while upper - lower > eps / 4:
-        mid = (upper + lower) / 2
-        if _certificate(loads, scale, mid) is not None:
-            upper, point = mid, None
-        elif (found := check_feasible(build_program(inst, mid, refs))) is not None:
-            upper, point = mid, found
+    while 4 * (hi - lo) * eps.denominator > eps.numerator * den:
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        if _certificate(ranked, inst.n, mid * scale // den) is not None:
+            hi, point = mid, None
+        elif (found := check_feasible(build_program(inst, Fraction(mid, den), refs))) is not None:
+            hi, point = mid, found
         else:
-            lower = mid
+            lo = mid
         iterations += 1
+    upper, lower = Fraction(hi, den), Fraction(lo, den)
     prog = build_program(inst, upper, refs)
     if point is None:
         point = check_feasible(prog)

@@ -5,10 +5,11 @@ a feasibility engine returning basic feasible points (vertices); an optional
 phase 2 minimizes a linear objective, which the threshold diagnostic needs.
 Callers give integer constraint rows and an integer objective, and the
 simplex solves exactly that program: phase 1 costs 1 per artificial column.
-The tableau holds integer rows over one positive common denominator and is
-updated by integer-preserving (Edmonds/Bareiss) pivots, so every division is
-exact.  Everything is exact: constraints hold with zero residual at returned
-points, and identical inputs produce identical vertices.
+The tableau holds integer rows, each over its own positive denominator; an
+integer-preserving (Edmonds/Bareiss) pivot rewrites only the rows with a
+nonzero entry in its column, and every division is exact.  Constraints hold
+with zero residual at returned points, and identical inputs produce
+identical vertices.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ class StandardForm:
 def _eliminate(row: list[int], pivot: list[int], c: int, p: int, d: int) -> list[int]:
     """``row`` after pivoting on entry ``p`` (column ``c``) of row ``pivot``.
 
-    Both rows are over the denominator ``d`` and the result is over ``p``;
-    every quotient is exact because each entry is a minor of the scaled
-    constraint matrix (Bareiss).
+    Both rows are over the current denominator ``d`` and the result is over
+    ``p``; every quotient is exact because each entry is a minor of the
+    scaled constraint matrix (Bareiss).  The reduced cost row, kept over
+    ``d``, is the one row rescaled when its entry in column c is zero.
     """
     f = row[c]
     if f == 0:
@@ -56,12 +58,13 @@ def _eliminate(row: list[int], pivot: list[int], c: int, p: int, d: int) -> list
 
 
 class _Tableau:
-    """Integer rows, right-hand side last, over one positive denominator ``d``.
+    """Integer rows, right-hand side last, each over its own positive denominator.
 
-    ``rows[r] / d`` is row r of the textbook tableau for the given integer
-    program, with a surplus column per ">=" row and an artificial column per
-    row that does not start with its surplus basic; each artificial costs 1
-    in phase 1.
+    ``rows[r] / den[r]`` is row r of the textbook tableau for the given
+    integer program, with a surplus column per ">=" row and an artificial
+    column per row that does not start with its surplus basic; each
+    artificial costs 1 in phase 1.  ``den[r]`` is the last pivot entry
+    ``d`` as of row r's last rewrite, and ``rows[r] * d // den[r]`` is exact.
     """
 
     def __init__(self, sf: StandardForm):
@@ -72,6 +75,7 @@ class _Tableau:
         self.width = self.artificial_start + len(sf.rows) - flipped
         self.d = 1
         self.rows: list[list[int]] = []
+        self.den = [1] * len(sf.rows)
         self.basis: list[int] = []
         surplus, artificial = sf.num_vars, self.artificial_start
         for coeffs, b, sense in sf.rows:
@@ -91,29 +95,44 @@ class _Tableau:
                 artificial += 1
             self.rows.append(row)
 
-    def _pivot(self, r: int, c: int) -> None:
-        pivot_row = self.rows[r]
+    def _scaled(self, r: int) -> list[int]:
+        """Row r over the current denominator ``d``."""
+        row, dr, d = self.rows[r], self.den[r], self.d
+        return row if dr == d else [a * d // dr for a in row]
+
+    def _pivot(self, r: int, c: int, reduced: list[int] | None = None) -> list[int] | None:
+        """Pivot on row r, column c; returns ``reduced`` (over ``d``) eliminated too.
+
+        Row i, ``R / den[i]``, with ``f = R[c] != 0`` becomes ``(R * p - f *
+        B) // den[i]`` over ``p`` for the pivot row ``B / d``: the integers
+        one common denominator would give.  Other rows are left as they are.
+        """
+        rows, den, d = self.rows, self.den, self.d
+        pivot_row = self._scaled(r)
         p = pivot_row[c]
         if p < 0:
             # Only the artificial clean-up pivots on a negative entry; the
-            # negated pivot row keeps the common denominator positive.
-            pivot_row = self.rows[r] = [-a for a in pivot_row]
+            # negated pivot row keeps every denominator positive.
+            pivot_row = [-a for a in pivot_row]
             p = -p
-        d = self.d
-        for i, row in enumerate(self.rows):
-            if i != r:
-                self.rows[i] = _eliminate(row, pivot_row, c, p, d)
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(a * p - f * b) // den[i] for a, b in zip(row, pivot_row)]
+                den[i] = p
+        rows[r], den[r] = pivot_row, p
         self.d = p
         self.basis[r] = c
+        return None if reduced is None else _eliminate(reduced, pivot_row, c, p, d)
 
     def _optimize(self, costs: list[int], limit: int) -> None:
         """Bland-rule simplex: minimize costs over columns below ``limit``."""
         rows, basis = self.rows, self.basis
         reduced = [c * self.d for c in costs] + [0]
-        for row, b in zip(rows, basis):
+        for r, b in enumerate(basis):
             cb = costs[b]
             if cb != 0:
-                reduced = [x - cb * a for x, a in zip(reduced, row)]
+                reduced = [x - cb * a for x, a in zip(reduced, self._scaled(r))]
         while True:
             entering = next((j for j in range(limit) if reduced[j] < 0), -1)
             if entering < 0:
@@ -123,15 +142,14 @@ class _Tableau:
                 a = row[entering]
                 if a > 0:
                     if leaving < 0:
-                        leaving, num, den = r, row[-1], a
+                        leaving, num, lead = r, row[-1], a
                         continue
-                    lhs, rhs = row[-1] * den, num * a
+                    lhs, rhs = row[-1] * lead, num * a
                     if lhs < rhs or (lhs == rhs and basis[r] < basis[leaving]):
-                        leaving, num, den = r, row[-1], a
+                        leaving, num, lead = r, row[-1], a
             if leaving < 0:
                 raise Unbounded("objective unbounded below")
-            reduced = _eliminate(reduced, rows[leaving], entering, den, self.d)
-            self._pivot(leaving, entering)
+            reduced = self._pivot(leaving, entering, reduced)
 
     def phase1(self) -> bool:
         """Drive artificials to zero; False means the constraints are infeasible."""
@@ -153,20 +171,18 @@ class _Tableau:
             if col >= 0:
                 self._pivot(r, col)
             else:
-                del self.rows[r], self.basis[r]
+                del self.rows[r], self.den[r], self.basis[r]
         return True
 
-    def phase2(self, objective: Sequence[int]) -> Fraction:
+    def phase2(self, objective: Sequence[int]) -> None:
         costs = [*objective] + [0] * (self.width - len(objective))
         self._optimize(costs, self.artificial_start)
-        value = sum(costs[b] * row[-1] for row, b in zip(self.rows, self.basis))
-        return Fraction(value, self.d)
 
     def point(self) -> list[Fraction]:
         x = [Fraction(0)] * self.n_struct
-        for row, b in zip(self.rows, self.basis):
+        for row, dr, b in zip(self.rows, self.den, self.basis):
             if b < self.n_struct:
-                x[b] = Fraction(row[-1], self.d)
+                x[b] = Fraction(row[-1], dr)
         return x
 
 
@@ -192,5 +208,6 @@ def minimize(
     tableau = _Tableau(sf)
     if not tableau.phase1():
         return None
-    value = tableau.phase2(objective)
-    return value, tableau.point()
+    tableau.phase2(objective)
+    x = tableau.point()
+    return sum((a * v for a, v in zip(objective, x)), Fraction(0)), x

@@ -806,3 +806,11 @@ def test_no_digit_limit_reads_validates_prints_and_solves(tmp_path, capsys):
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def test_egal_greedy_builds_no_fraction_rows():
+    # egal-greedy reads row 0 only; the Fraction view of every row is not built.
+    inst = cs.round_robin_family(3)
+    alloc = ALGORITHM_TABLE["egal-greedy"][0](inst, None)
+    assert "values" not in inst.__dict__
+    assert alloc == cs.egal_greedy(inst.shares, inst.values[0])

@@ -266,7 +266,7 @@ def test_linpro_single_agent():
 
 
 def test_linpro_raises_when_the_fallback_probe_is_infeasible(table2, monkeypatch):
-    monkeypatch.setattr(lp, "_certificate", lambda loads, scale, c: None)
+    monkeypatch.setattr(lp, "_certificate", lambda ranked, n, top: None)
     monkeypatch.setattr(lp, "check_feasible", lambda prog: None)
     with pytest.raises(cs.UpperBoundInfeasible, match="threshold 2 infeasible"):
         lp.linpro(table2, F(1, 100))
@@ -283,10 +283,16 @@ def test_linpro_raises_when_the_certified_final_probe_is_infeasible(table1, monk
 
 @given(programs())
 @example((cs.Instance((F(1),), ((-HALF, -HALF),)), F(3, 4), (F(-1),)))  # each chore fits, both miss
+@example((cs.Instance((HALF, HALF), ((-HALF, -HALF),) * 2), F(2), (F(-1), F(-1))))  # equal loads
+@example((cs.Instance((HALF, HALF), ((-HALF, -HALF),) * 2), HALF, (F(-1), F(-1))))  # top is a load
+@example((cs.Instance((HALF, HALF), ((F(0), F(-1)), (F(-1), F(0)))), F(0), (F(-1), F(-1))))
+# Agent 0 may not take chore 0: its load is None.
+@example((cs.Instance((HALF, HALF), ((F(-1), F(0)), (-HALF, -HALF))), F(1), (F(0), F(-1))))
 def test_certificate_uses_eligible_pairs_and_clears_every_floor(drawn):
     inst, c, refs = drawn
     prog = lp.build_program(inst, c, refs)
-    alloc = lp._certificate(*lp._loads(inst, refs), c)
+    loads, scale = lp._loads(inst, refs)
+    alloc = lp._certificate(lp._by_load(loads), inst.n, c.numerator * scale // c.denominator)
     if alloc is None:
         return
     assert all((i, j) in prog.variables for j, i in enumerate(alloc.owner))
@@ -311,7 +317,7 @@ def linpro_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(linpro_instances(), st.sampled_from([F(1, 3), F(1, 100), F(1, 1000)]))
 def test_linpro_is_the_same_when_the_certificate_refuses(inst, eps):
-    with mock.patch.object(lp, "_certificate", lambda loads, scale, c: None):
+    with mock.patch.object(lp, "_certificate", lambda ranked, n, top: None):
         every_probe_solved = lp.linpro(inst, eps)
     assert lp.linpro(inst, eps) == every_probe_solved
 

@@ -1,8 +1,9 @@
 """Differential tests: probes decided on integer loads against the Fraction reference.
 
 ``lp._eligible`` and ``lp._certificate`` decide eligibility and floors on
-``lp._loads``'s integers; the reference (``fraction_probes``) decides both
-as Fractions, ``V_ij >= c * r_i``.  For every drawn instance, threshold and
+``lp._loads``'s integers (``_certificate`` on the pairs ``lp._by_load``
+ranks); the reference (``fraction_probes``) decides both as Fractions,
+``V_ij >= c * r_i``.  For every drawn instance, threshold and
 references, zero references included, ``build_program`` must select the
 reference's eligible pairs and both must certify the same allocation.
 """
@@ -38,15 +39,26 @@ def probes(draw):
     return cs.Instance(shares, rows), draw(thresholds), refs
 
 
+HALVES = ((F(-1, 2), F(-1, 2)),) * 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(probes())
 @example((cs.Instance((F(1),), ((F(-1, 2), F(-1, 2)),)), F(3, 4), (F(-1),)))  # each fits, both miss
 @example((cs.Instance((F(1, 2),) * 2, ((F(0), F(-1)), (F(-1), F(0)))), F(1), (F(0), F(0))))
+@example((cs.Instance((F(1, 2),) * 2, HALVES), F(2), (F(-1), F(-1))))  # equal loads: lowest index
+@example((cs.Instance((F(1, 2),) * 2, HALVES), F(1, 2), (F(-1), F(-1))))  # c * scale is a load
+@example((cs.Instance((F(1, 2),) * 2, ((F(0), F(-1)), (F(-1), F(0)))), F(0), (F(-1), F(-1))))
+# A positive value is a negative load: a floor passed midway holds at the end.
+@example((cs.Instance((F(1),), ((F(-1), F(-1, 2), F(1, 2)),)), F(1), (F(-1),)))
+# Agent 0 may not take chore 0: its load is None.
+@example((cs.Instance((F(1, 2),) * 2, ((F(-1), F(0)), HALVES[0])), F(1), (F(0), F(-1))))
 def test_integer_probe_matches_program_reference(drawn):
     inst, c, refs = drawn
     loads, scale = lp._loads(inst, refs)
     assert scale > 0
     assert lp.build_program(inst, c, refs).variables == reference.eligible_pairs(inst, c, refs)
-    assert lp._certificate(loads, scale, c) == reference._certificate(
+    top = c.numerator * scale // c.denominator
+    assert lp._certificate(lp._by_load(loads), inst.n, top) == reference._certificate(
         inst, c, refs, reference._loads(inst, refs)
     )

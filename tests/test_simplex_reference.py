@@ -123,3 +123,39 @@ def test_same_vertex_on_linpro_probes():
                 continue
             ours = simplex.feasible_basic_point(lp._standard_form(prog))
             assert ours == reference.feasible_basic_point(reference.standard_form(prog))
+
+
+def _assert_rows_match(ours, theirs):
+    assert len(ours.rows) == len(ours.den) == len(theirs.rows)
+    for row, den, ref_row, ref_rhs in zip(ours.rows, ours.den, theirs.rows, theirs.rhs):
+        assert [F(a, den) for a in row] == ref_row + [ref_rhs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms())
+@example((TIE_BREAK_FORM, [0, 0, 0]))
+def test_rows_over_their_denominators_are_the_reference_rows(case):
+    # rows[r] / den[r] is the reference's (pivot-normalized) row, and a pivot
+    # leaves a row with a zero in its column as the same list.
+    sf, objective = case
+    ours, theirs = simplex._Tableau(sf), reference._Tableau(sf)
+    pivot = ours._pivot
+
+    def pivot_keeping_zero_rows(r, c, reduced=None):
+        kept = [(i, row, ours.den[i]) for i, row in enumerate(ours.rows) if i != r and row[c] == 0]
+        out = pivot(r, c, reduced)
+        assert all(ours.rows[i] is row and ours.den[i] == den for i, row, den in kept)
+        return out
+
+    ours._pivot = pivot_keeping_zero_rows
+    if not theirs.phase1():
+        assert not ours.phase1()
+        return
+    assert ours.phase1()
+    _assert_rows_match(ours, theirs)
+    try:
+        theirs.phase2(objective)
+    except Unbounded:
+        return
+    ours.phase2(objective)
+    _assert_rows_match(ours, theirs)
