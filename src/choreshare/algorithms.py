@@ -6,8 +6,9 @@ method), ``divide_and_choose`` (two agents, factor 3/2) and ``binary_wmms``
 (exact when every value is 0 or -1).  ``round_robin``,
 ``multiplicative_greedy`` and ``additive_greedy`` are kept as negative
 controls: natural-looking picking rules that can be arbitrarily unfair once
-shares are asymmetric.  They share one picking loop (``_pick``) and differ
-only in which agent picks next and what the trace records.
+shares are asymmetric.  They share one picking loop (``_pick``) over one chore
+order per agent, sorted once per instance, and differ only in which agent
+picks next and what the trace records.
 
 Every function is deterministic: each tie-breaking rule is stated in its
 docstring, and identical inputs yield identical traces and allocations.
@@ -216,21 +217,26 @@ def _pick(inst: Instance, key, quantity, trace: list[TraceEvent] | None) -> Allo
     step the agent with the largest key takes her highest-value remaining
     chore, ties by chore index, and only her key is recomputed.  A ``trace``
     records ``quantity(i, j, value)``, with ``value`` her bundle value before
-    the pick as a Fraction, built only when tracing.  Each agent's chores are
-    sorted once by her integer row (one positive scale, so the same order),
-    and her iterator over them skips the chores already taken.
+    the pick as a Fraction, built only when tracing.  Each agent's order is
+    a stable descending sort of her integer row (one positive scale, so the
+    same order), cached once per instance for every rule as
+    ``Instance._preferences``, and her cursor into it moves past the chores
+    already taken.
     """
     rows = inst.integer_values
-    # a stable sort: equal values keep ascending chore order, even reversed
-    prefs = [iter(sorted(range(inst.m), key=ints.__getitem__, reverse=True)) for ints, _ in rows]
+    prefs = inst._preferences
+    agents = range(inst.n)
     owner = [-1] * inst.m
+    cursor = [0] * inst.n
     totals = [0] * inst.n
     picks = [0] * inst.n
-    keys = [key(i, 0, 0) for i in range(inst.n)]
+    keys = [key(i, 0, 0) for i in agents]
     for step in range(inst.m):
-        i = max(range(inst.n), key=keys.__getitem__)
+        i = max(agents, key=keys.__getitem__)
         ints, denom = rows[i]
-        j = next(c for c in prefs[i] if owner[c] < 0)
+        while owner[prefs[i][cursor[i]]] >= 0:
+            cursor[i] += 1
+        j = prefs[i][cursor[i]]
         if trace is not None:
             trace.append(TraceEvent(step, j, i, quantity(i, j, Fraction(totals[i], denom))))
         totals[i] += ints[j]

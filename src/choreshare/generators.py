@@ -206,7 +206,7 @@ def random_instance(n: int, m: int, seed: int, style: str = "normalized") -> Ins
         if style == "normalized":
             raw = [1 + rng.next_below(1000) for _ in range(m)]
             row_total = sum(raw)
-            rows.append([(-a, row_total) for a in raw])
+            rows.append(([-a for a in raw], [row_total] * m))
         else:
-            rows.append([(-rng.next_below(2), 1) for _ in range(m)])
+            rows.append(([-rng.next_below(2) for _ in range(m)], [1] * m))
     return Instance.from_pairs(shares, rows)

@@ -7,6 +7,7 @@ each value row is held once, as integers in lowest terms (``Instance``).
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,16 +23,16 @@ ONE = Fraction(1)
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _lowest_terms(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
-    """The row of rationals ``num / den`` as ``(ints, denom)`` in lowest terms.
+def _lowest_terms(nums: Sequence[int], dens: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The row of rationals ``nums[j] / dens[j]`` as ``(ints, denom)`` in lowest terms.
 
     ``denom > 0`` is the least common denominator of the entries, and no
     factor is shared by all the ints and ``denom``, so equal rows give equal
     pairs.  Each int has its entry's sign, and the ints order like the
-    entries.  A zero ``den`` raises ZeroDivisionError.
+    entries.  A zero in ``dens`` raises ZeroDivisionError.
     """
-    denom = lcm(*[d for _, d in pairs])
-    ints = [num * (denom // d) for num, d in pairs]
+    denom = lcm(*dens)
+    ints = [num * (denom // d) for num, d in zip(nums, dens)]
     g = gcd(denom, *ints)
     return tuple([a // g for a in ints] if g > 1 else ints), denom // g
 
@@ -42,7 +43,8 @@ def integer_row(row: Iterable) -> tuple[tuple[int, ...], int]:
     Callers: ``Instance(shares, values)`` for each row, ``egal_greedy``'s
     row, and the share tie keys of ``multiplicative_greedy`` and ``additive_greedy``.
     """
-    return _lowest_terms([x.as_integer_ratio() for x in _exact(row)])
+    row = _exact(row)
+    return _lowest_terms([x.numerator for x in row], [x.denominator for x in row])
 
 
 def division_weights(denoms: Sequence[int], xs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -88,10 +90,10 @@ class Instance:
         self.__dict__.update(shares=_exact(shares), integer_values=tuple(map(integer_row, values)))
 
     @classmethod
-    def from_pairs(cls, shares: Iterable, rows: Iterable[Sequence[tuple[int, int]]]) -> Instance:
-        """The instance whose agent i values chore j at ``num / den`` for ``rows[i][j]``."""
+    def from_pairs(cls, shares: Iterable, rows: Iterable[tuple[Sequence[int], Sequence[int]]]) -> Instance:
+        """The instance whose agent i values chore j at ``nums[j] / dens[j]``, ``(nums, dens) = rows[i]``."""
         inst = cls.__new__(cls)
-        inst.__dict__.update(shares=_exact(shares), integer_values=tuple(map(_lowest_terms, rows)))
+        inst.__dict__.update(shares=_exact(shares), integer_values=tuple(_lowest_terms(*row) for row in rows))
         return inst
 
     @property
@@ -101,6 +103,12 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.integer_values[0][0]) if self.integer_values else 0
+
+    @cached_property
+    def _preferences(self) -> tuple[tuple[int, ...], ...]:
+        """Each agent's chores in ``algorithms._pick``'s order; cached like ``values``."""
+        rows = self.integer_values
+        return tuple(tuple(sorted(range(len(ints)), key=ints.__getitem__, reverse=True)) for ints, _ in rows)
 
     @cached_property
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -116,15 +124,15 @@ class Instance:
 class Allocation:
     """A partition of the chore set, stored as an owner vector.
 
-    ``owner[j]`` is the index of the agent receiving chore j; the induced
-    bundles partition the chore set.
+    ``owner[j]`` is the int index (``operator.index``) of the agent receiving
+    chore j; the induced bundles partition the chore set.
     """
 
     n: int
     owner: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "owner", tuple(int(o) for o in self.owner))
+        object.__setattr__(self, "owner", tuple(map(operator.index, self.owner)))
 
     @property
     def m(self) -> int:
@@ -240,7 +248,7 @@ def normalize_instance(inst: Instance) -> Instance:
         total = sum(ints)
         if total == 0:
             raise NormalizationImpossible(f"agent {i} values every chore at 0")
-        rows.append([(a, -total) for a in ints])
+        rows.append((ints, [-total] * len(ints)))
     return Instance.from_pairs(inst.shares, rows)
 
 

@@ -10,9 +10,9 @@ their literal text, never through a binary double).  Serialization always
 emits canonical "p/q" strings, so a parse/serialize round trip is bit-exact.
 
 A row of canonical tokens ("p/q" or a plain integer in ASCII digits, the
-form serialization writes) is read in one pass into integer pairs; any
-other row goes through ``parse_ratio`` one token at a time, which writes
-every ParseError message.
+form serialization writes) is read in one pass into its numerators and
+denominators, one ``int`` pass per side; any other row goes through
+``parse_ratio`` one token at a time, which writes every ParseError message.
 """
 
 from __future__ import annotations
@@ -126,16 +126,17 @@ def format_ratio(x: Fraction) -> str:
     return _ratio_texts((x.numerator,), x.denominator)[0]
 
 
-def _canonical_row(values: list, limit: int) -> list[tuple[int, int]] | None:
-    """``values`` read in one pass as ``(num, den)`` pairs when every token is canonical, else None.
+def _canonical_row(values: list, limit: int) -> tuple[list[int], list[int]] | None:
+    """``values`` read in one pass as ``(nums, dens)`` when every token is canonical, else None.
 
     The joined row must match the canonical grammar with one comma fewer
     than there are tokens, so no token holds a comma.  A token of at most
     ``limit`` characters has no digit run past the limit, and reducing the
     fraction only shrinks it, so ``parse_ratio``'s digit-limit check cannot
-    fire and is skipped.  A non-string token, a zero denominator (outside
-    the grammar) or a digit run ``int`` refuses also gives None, leaving
-    every message to ``parse_ratio``.
+    fire and is skipped.  A row of "p/q" tokens is split once and each side
+    read by one ``int`` pass; any other row is split token by token.  A
+    non-string token, a zero denominator (outside the grammar) or a digit run
+    ``int`` refuses gives None, leaving every message to ``parse_ratio``.
     """
     try:
         joined = ",".join(values)
@@ -145,7 +146,11 @@ def _canonical_row(values: list, limit: int) -> list[tuple[int, int]] | None:
             or (limit and max(map(len, values)) > limit)
         ):
             return None
-        return [(int(num), int(den) if den else 1) for num, _, den in (v.partition("/") for v in values)]
+        if joined.count("/") == len(values):
+            parts = joined.replace("/", ",").split(",")
+            return list(map(int, parts[0::2])), list(map(int, parts[1::2]))
+        parts = [v.partition("/") for v in values]
+        return [int(num) for num, _, _ in parts], [int(den or 1) for _, _, den in parts]
     except (TypeError, ValueError):
         return None
 
@@ -179,7 +184,8 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"agent {i}: 'values' must be a list")
         row = _canonical_row(values, limit)
         if row is None:
-            row = [parse_ratio(v, f"agent {i} value {j}").as_integer_ratio() for j, v in enumerate(values)]
+            ratios = [parse_ratio(v, f"agent {i} value {j}") for j, v in enumerate(values)]
+            row = [x.numerator for x in ratios], [x.denominator for x in ratios]
         rows.append(row)
     return Instance.from_pairs(shares, rows)
 

@@ -60,13 +60,25 @@ def test_integer_values_is_the_field_and_values_a_cached_view():
     assert "Fraction(-1, 3)" not in repr(inst) and repr(inst).count("values=") == 1
 
 
+def test_preferences_are_a_cached_order_outside_equality():
+    inst = cs.Instance((F(1, 2), F(1, 2)), ((F(-1, 2), 0, F(-1, 3), 0), (F(-2), F(-1), F(-2), F(-1))))
+    fresh = cs.Instance(inst.shares, inst.values)
+    before = repr(inst), hash(inst)
+    assert "_preferences" not in inst.__dict__
+    assert inst._preferences == ((1, 3, 2, 0), (1, 3, 0, 2))
+    assert inst._preferences is inst._preferences
+    assert inst == fresh and "_preferences" not in fresh.__dict__
+    assert (repr(inst), hash(inst)) == before == (repr(fresh), hash(fresh))
+    assert "_preferences" not in repr(inst)
+
+
 @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-12, 12).filter(bool)), max_size=6))
 @example([])
 @example([(2, 4), (-6, 9), (0, 7), (7, 14)])
 @example([(0, 3), (0, -5)])
 @example([(3, -6), (-1, 2)])
 def test_from_pairs_is_the_instance_of_the_same_fractions(pairs):
-    inst = cs.Instance.from_pairs((1,), [pairs])
+    inst = cs.Instance.from_pairs((1,), [([num for num, _ in pairs], [den for _, den in pairs])])
     same = cs.Instance((1,), [[F(num, den) for num, den in pairs]])
     assert inst == same and hash(inst) == hash(same)
     assert inst.integer_values == same.integer_values
@@ -78,7 +90,7 @@ def test_from_pairs_is_the_instance_of_the_same_fractions(pairs):
 def test_from_pairs_refuses_a_zero_denominator():
     for pairs in ([(1, 0)], [(0, 0)], [(-1, 2), (1, 0)]):
         with pytest.raises(ZeroDivisionError):
-            cs.Instance.from_pairs((1,), [pairs])
+            cs.Instance.from_pairs((1,), [([num for num, _ in pairs], [den for _, den in pairs])])
 
 
 def test_normalize_scales_rows():
@@ -274,6 +286,22 @@ def test_validate_allocation(table1):
     assert any("covers 1 chores" in v for v in short)
     wide = cs.validate_allocation(table1, cs.Allocation(3, (0, 1, 1, 0)))
     assert wide == ["allocation is over 3 agents, instance has 2"]
+
+
+@pytest.mark.parametrize(
+    "owner",
+    [(0.9, 1.7, F(3, 2), "1"), (0, 1.0), (F(1),), ("1",), (0, 1.7)],
+)
+def test_allocation_refuses_owners_that_are_not_integers(owner):
+    with pytest.raises(TypeError):
+        cs.Allocation(2, owner)
+
+
+def test_allocation_keeps_int_and_bool_owners_as_ints():
+    alloc = cs.Allocation(2, [0, 1, True, False])
+    assert alloc.owner == (0, 1, 1, 0)
+    assert all(type(i) is int for i in alloc.owner)
+    assert repr(alloc) == "Allocation(n=2, owner=(0, 1, 1, 0))"
 
 
 def test_validate_refuses_rows_whose_sums_cannot_be_printed():

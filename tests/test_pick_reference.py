@@ -61,3 +61,27 @@ def test_picking_rules_match_fraction_reference(data):
         assert alloc == ref(ref_trace) == run(None)
         assert trace == ref_trace
 
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_preferences_are_the_stable_descending_sort(inst):
+    expected = tuple(tuple(sorted(range(inst.m), key=lambda j: (-row[j], j))) for row in inst.values)
+    assert inst._preferences == expected
+
+
+def test_picking_rules_share_the_instance_preferences():
+    inst = cs.random_instance(1, 6, 3)
+    chores = (4, 0, 5, 2, 1, 3)  # not the sorted order: the rules must follow it
+    assert inst._preferences[0] != chores
+    inst.__dict__["_preferences"] = (chores,)
+    for rule in (cs.round_robin, cs.multiplicative_greedy, cs.additive_greedy):
+        trace: list[cs.TraceEvent] = []
+        rule(inst, trace=trace)
+        assert tuple(e.chore for e in trace) == chores
+        assert inst._preferences[0] is chores
+    inst = cs.random_instance(4, 30, 7)
+    cs.round_robin(inst)
+    prefs = inst.__dict__["_preferences"]
+    cs.multiplicative_greedy(inst)
+    cs.additive_greedy(inst)
+    assert inst.__dict__["_preferences"] is prefs

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import choreshare as cs
+from choreshare import serialization
 import token_parse as reference
 from conftest import quick_instances
 
@@ -193,6 +194,11 @@ def _parsed(parse, *args):
 @example(["-1", "1" * (EDGE + 1)])
 @example([f'"1/{"7" * (EDGE - 2)}"', f'"1/{"7" * (EDGE + 1)}"'])
 def test_parse_instance_rows_agree_with_token_parse(texts):
+    _agrees_with_token_parse(texts)
+
+
+def _agrees_with_token_parse(texts):
+    """Parse a one-agent document of the JSON value ``texts``; require the token-at-a-time result."""
     doc = '{"agents": [{"share": "1", "values": [' + ", ".join(texts) + "]}]}"
     values = json.loads(doc, parse_float=str, parse_int=str)["agents"][0]["values"]
     expected = _parsed(reference.parse_row, values, 0)
@@ -201,6 +207,53 @@ def test_parse_instance_rows_agree_with_token_parse(texts):
     assert type(got) is type(expected)
     if isinstance(got, tuple):
         assert all(type(x) is Fraction for x in got)
+    return values
+
+
+# Canonical numerators and nonzero denominators: leading zeros, "-0", and
+# tokens of EDGE characters (and one more) with either part long.
+numerator_texts = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.from_regex(r"-?0{1,3}[0-9]{0,4}", fullmatch=True),
+    st.sampled_from(["-0", "1" * EDGE, "-" + "1" * (EDGE - 1), "1" * (EDGE + 1), "-" + "7" * (EDGE - 4)]),
+)
+denominator_texts = st.one_of(
+    st.integers(1, 10**6).map(str),
+    st.from_regex(r"0{0,3}[1-9][0-9]{0,3}", fullmatch=True),
+    st.sampled_from(["7" * (EDGE - 2), "0" * (EDGE - 4) + "3"]),
+)
+
+
+def _json_text(token: str, bare: bool) -> str:
+    """``token`` quoted, or bare when asked and JSON reads it as a number."""
+    return token if bare and re.fullmatch(r"-?(0|[1-9]\d*)", token) else json.dumps(token)
+
+
+@st.composite
+def one_form_rows(draw):
+    """Rows of two or more tokens, all "p/q" (denominators shared or not) or all integers."""
+    nums = draw(st.lists(numerator_texts, min_size=2, max_size=8))
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            dens = [draw(denominator_texts)] * len(nums)
+        else:
+            dens = draw(st.lists(denominator_texts, min_size=len(nums), max_size=len(nums)))
+        return [json.dumps(f"{p}/{q}") for p, q in zip(nums, dens)]
+    return [_json_text(p, draw(st.booleans())) for p in nums]
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_form_rows())
+@example(['"-3/8"'])
+@example(['"-007"'])
+@example(['"-1/2"', '"3"', '"-0/7"', "-4"])
+@example(['"2/4"', '"-6/12"', '"0/8"', '"-0/7"'])
+@example(['"-0"', "-0", '"007"', "12"])
+def test_one_form_rows_agree_with_token_parse(texts):
+    values = _agrees_with_token_parse(texts)
+    # every such row within the digit limit takes the one-pass reader
+    long = bool(LIMIT and max(map(len, values)) > LIMIT)
+    assert (serialization._canonical_row(values, LIMIT) is None) == long
 
 
 @pytest.mark.parametrize(
