@@ -142,10 +142,10 @@ def divide_and_choose(
 
     With the agents ordered so the divider has the larger share: when the
     chooser's share is at most 1/3 the divider simply takes everything.
-    Otherwise the divider's split is ``exact_wmms``'s witness for the two
-    shares on her row, the first maximizer of her worst per-share bundle value
-    in bitmask order; the bundle sized for the chooser is earmarked for her,
-    and she keeps her preferred side (ties: the earmarked one).
+    Otherwise the divider's split is ``exact_wmms``'s subset-sum witness for
+    the two shares on her row, the first maximizer of her worst per-share
+    bundle value in bitmask order; the chooser's earmarked bundle is sized for
+    her, and she keeps her preferred side (ties: the earmarked one).
 
     Requires n == 2 and the search's sign rule (``oracle._check_signs``:
     positive shares, no positive value anywhere), else ValueError, and a

@@ -1,4 +1,4 @@
-"""Exact ground-truth computations by two-phase branch and bound.
+"""Exact ground-truth computations by two-phase branch and bound, or subset sums.
 
 The oracles ``exact_wmms`` (which gives ``algorithms.divide_and_choose`` its
 split) and ``exact_owmms`` solve min-max problems over per-agent loads:
@@ -11,9 +11,9 @@ exponential in the worst case: the oracles certify the polynomial-time
 algorithms, not compete with them, and a budget guard (``check_budget``,
 exact integer n^m comparison) refuses instances beyond desk scale:
 ``divide_and_choose``'s split at the default budget refuses more than 26
-chores.  The sign rule its pruning needs is checked in one place,
-``_check_signs``, which both oracles and ``divide_and_choose`` call on their
-input.
+chores.  Two-agent WMMS rows are solved as subset sums behind the same guard
+(``_two_agent_split``).  The search's sign rule is checked in ``_check_signs``,
+which both oracles and ``divide_and_choose`` call on their input.
 """
 
 from __future__ import annotations
@@ -145,13 +145,49 @@ def _lex_min_max(loads: list[list[int | None]]) -> tuple[int | None, tuple[int, 
     return _search(loads, opt + 1, True)
 
 
-def exact_wmms(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """Exact per-agent weighted maxmin shares by the two-phase search.
+# _two_agent_split's suffix sets hold m * (T + 1) bits, T the row's total size.
+# Within 2^26 bits (8 MiB) a row takes at most about 30 ms (Intel Xeon, Python
+# 3.11); past it the search, whose time does not grow with T, takes the row, as
+# T has no bound for rationals over a large lcm.
+_TWO_AGENT_BITS = 1 << 26
 
-    Agents with identical valuation rows share one search, since the result
-    depends only on the row.  The witness is the lexicographically first
-    partition attaining the optimum.  Raises ValueError when a value is
-    positive or a share is not.
+
+def _two_agent_split(xs: list[int], w0: int, w1: int) -> tuple[int, tuple[int, ...]]:
+    """``_lex_min_max([[x * w0, x * w1] for x in xs])`` for sizes ``xs[j] >= 0``.
+
+    The cost ``max(A * w0, (T - A) * w1)`` of agent 0's size A is convex, so
+    the optimum is at a reachable sum next to ``T * w1 / (w0 + w1)``.  Chore j
+    goes to agent 0 exactly when the chores after it can still bring her size
+    into the optimum's window ``[lo, hi]``: the lexicographically first witness.
+    """
+    m, total = len(xs), sum(xs)
+    suffix = [1] * (m + 1)  # bit s of suffix[j]: some subset of chores j.. sums to s
+    for j in range(m - 1, -1, -1):
+        suffix[j] = suffix[j + 1] | suffix[j + 1] << xs[j]
+    mid = total * w1 // (w0 + w1)
+    below = (suffix[0] & ((2 << mid) - 1)).bit_length() - 1
+    above = suffix[0] >> (mid + 1)
+    nearest = (below, mid + (above & -above).bit_length()) if above else (below,)
+    opt = min(max(a * w0, (total - a) * w1) for a in nearest)
+    lo, hi = max(0, total - opt // w1), opt // w0
+    owners, a = [], 0
+    for j, x in enumerate(xs):
+        start, end = max(0, lo - a - x), hi - a - x
+        if end >= start and suffix[j + 1] >> start & ((2 << (end - start)) - 1):
+            owners.append(0)
+            a += x
+        else:
+            owners.append(1)
+    return opt, tuple(owners)
+
+
+def exact_wmms(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
+    """Exact per-agent weighted maxmin shares.
+
+    Agents with identical valuation rows share one solve, since the result
+    depends only on the row: ``_two_agent_split`` within ``_TWO_AGENT_BITS``
+    on two agents, else the search, each giving the lexicographically first
+    optimal partition.  Raises ValueError when a value is positive or a share is not.
     """
     n = inst.n
     check_budget(n, inst.m, budget)
@@ -162,7 +198,11 @@ def exact_wmms(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
         if row not in by_row:
             # max min_k V(X_k) / s_k = -(min max_k -V(X_k) / s_k), and the
             # rows' own denominators scale every agent alike
-            owners = _lex_min_max([[-v * w for w in weight] for v in row[0]])[1]
+            xs = [-v for v in row[0]]
+            if n == 2 and len(xs) * (sum(xs) + 1) <= _TWO_AGENT_BITS:
+                owners = _two_agent_split(xs, *weight)[1]
+            else:
+                owners = _lex_min_max([[x * w for w in weight] for x in xs])[1]
             by_row[row] = Allocation(n, owners)
 
     # The search only ranks integer load sums; the exact rational values are

@@ -219,6 +219,19 @@ def test_divcho_bound_on_seeded_instances():
             assert value >= F(3, 2) * wmms[i]
 
 
+@pytest.mark.parametrize("style", ["normalized", "binary"])
+@pytest.mark.parametrize("m", [24, 25, 26])
+def test_divcho_bound_at_the_budget_edge(m, style):
+    # 2^26 owner vectors is the most the default budget admits; on two
+    # agents the oracle solves these rows as subset sums
+    for seed in range(3):
+        inst = cs.random_instance(2, m, seed, style)
+        alloc = cs.divide_and_choose(inst)
+        wmms = cs.exact_wmms(inst).wmms
+        for i, value in enumerate(agent_values(inst, alloc)):
+            assert value >= F(3, 2) * wmms[i]
+
+
 # ---------------------------------------------------------------- binary
 
 

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 import choreshare as cs
+from choreshare import oracle
 from conftest import oracle_alpha, oracle_wmms, quick_instances
 
 F = Fraction
@@ -156,6 +157,44 @@ def test_budget_guard():
         message = rf"^{n}\^{m} owner vectors exceeds enumeration budget 100000000$"
         with pytest.raises(cs.BudgetExceeded, match=message):
             cs.check_budget(n, m)
+
+
+def _spy_on_search(monkeypatch):
+    """The lengths of the rows ``exact_wmms`` sends to the branch and bound."""
+    rows = []
+    search = oracle._lex_min_max
+
+    def spy(loads):
+        rows.append(len(loads))
+        return search(loads)
+
+    monkeypatch.setattr(oracle, "_lex_min_max", spy)
+    return rows
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_two_agent_rows_go_to_the_search_only_past_the_bit_bound(monkeypatch, over):
+    m = 4
+    # m * (total + 1) is the bound itself, or m past it
+    total = oracle._TWO_AGENT_BITS // m - 1 + over
+    xs = [1, 2, 3, total - 6]
+    shares = (F(1, 3), F(2, 3))
+    # agent 0's share is half of agent 1's, so her load is twice as heavy
+    expected = oracle._lex_min_max([[2 * x, x] for x in xs])[1]
+    searched = _spy_on_search(monkeypatch)
+    res = cs.exact_wmms(cs.Instance(shares, (tuple(-F(x) for x in xs),) * 2))
+    assert res.witness_partitions[0].owner == expected == (0, 0, 0, 1)
+    assert searched == ([m] if over else [])
+
+
+def test_two_agent_row_of_4300_digit_values_goes_to_the_search(monkeypatch):
+    # a bitset of 10^4300 bits cannot be built: 1 << 10**4300 raises OverflowError
+    row = (F(-1, 10**4300), F(-1), F(-1))
+    expected = oracle._lex_min_max([[2 * x, x] for x in (1, 10**4300, 10**4300)])[1]
+    searched = _spy_on_search(monkeypatch)
+    res = cs.exact_wmms(cs.Instance((F(1, 3), F(2, 3)), (row, row)))
+    assert res.witness_partitions[0].owner == expected == (0, 1, 1)
+    assert searched == [3]
 
 
 def test_owmms_rejects_positive_refs(table2):

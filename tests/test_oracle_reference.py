@@ -5,16 +5,18 @@ keeps the first strictly better owner vector, so they must agree on every
 value and on every witness, not merely on the optimum.  The same holds for
 the divider's split in ``divide_and_choose``, whose owner vectors are subsets
 in bitmask order, and for the kernel ``_lex_min_max`` on its own inputs.
+The two-agent subset-sum kernel ``_two_agent_split`` must return exactly
+what ``_lex_min_max`` returns on its rows.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import choreshare as cs
 import enumeration_oracle as reference
-from choreshare.oracle import _lex_min_max
+from choreshare.oracle import _lex_min_max, _two_agent_split
 
 F = Fraction
 
@@ -36,9 +38,9 @@ def rows(draw, m, earlier):
 @st.composite
 def instances(draw):
     n = draw(st.integers(1, 4))
-    # the reference scores all n^m owner vectors; m <= 7 at n = 4 keeps it
-    # at most 4^7 vectors per row
-    m = draw(st.integers(0, 9 if n <= 3 else 7))
+    # the reference scores all n^m owner vectors: at most 4^7 per row.  Two
+    # agents reach m = 12, where exact_wmms solves rows as subset sums.
+    m = draw(st.integers(0, {1: 9, 2: 12, 3: 9, 4: 7}[n]))
     if draw(st.booleans()):
         shares = (F(1, n),) * n
     else:
@@ -115,6 +117,41 @@ def kernel_inputs(draw):
 @given(kernel_inputs())
 def test_kernel_returns_the_first_optimum_of_a_full_scan(loads):
     assert _lex_min_max(loads) == (reference.lex_min_max(loads) or (None, None))
+
+
+@st.composite
+def two_agent_rows(draw):
+    m = draw(st.integers(0, 18))
+    kind = draw(st.sampled_from(["sizes", "binary", "zero", "repeated"]))
+    if kind == "zero":
+        xs = [0] * m
+    else:
+        top = 1 if kind == "binary" else 1000
+        pool = st.integers(0, top)
+        if kind == "repeated":  # a few distinct sizes make many tied optima
+            pool = st.sampled_from(draw(st.lists(pool, min_size=1, max_size=3)))
+        xs = draw(st.lists(pool, min_size=m, max_size=m))
+    ratio = draw(st.sampled_from(["equal", "far", "any"]))
+    if ratio == "equal":
+        w0 = w1 = draw(st.integers(1, 9))
+    elif ratio == "far":
+        w0, w1 = draw(st.integers(1, 3)), draw(st.integers(50, 10**6))
+        if draw(st.booleans()):
+            w0, w1 = w1, w0
+    else:
+        w0, w1 = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+    return xs, w0, w1
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_agent_rows())
+@example(([], 1, 1))
+@example(([7], 2, 3))
+@example(([0] * 10, 1, 1))
+@example(([5] * 18, 1, 1))  # every balanced split ties
+def test_two_agent_kernel_returns_the_search_result(row):
+    xs, w0, w1 = row
+    assert _two_agent_split(xs, w0, w1) == _lex_min_max([[x * w0, x * w1] for x in xs])
 
 
 @st.composite
