@@ -32,7 +32,7 @@ from .model import (
     integer_row,
     normalize_instance,
 )
-from .oracle import _check_signs, exact_wmms
+from .oracle import _check_signs, _two_agent_split, check_budget
 
 TIE_RULES = ("largest-share", "smallest-share")  # multiplicative_greedy's load-tie rules
 
@@ -142,15 +142,15 @@ def divide_and_choose(
 
     With the agents ordered so the divider has the larger share: when the
     chooser's share is at most 1/3 the divider simply takes everything.
-    Otherwise the divider's split is ``exact_wmms``'s subset-sum witness for
-    the two shares on her row, the first maximizer of her worst per-share
-    bundle value in bitmask order; the chooser's earmarked bundle is sized for
-    her, and she keeps her preferred side (ties: the earmarked one).
+    Otherwise the divider's split is ``oracle._two_agent_split``'s witness for
+    the two shares on her integer row, the first maximizer of her worst
+    per-share bundle value in bitmask order; the chooser's earmarked bundle
+    is sized for her, and she keeps her preferred side (ties: the earmarked one).
 
     Requires n == 2 and the search's sign rule (``oracle._check_signs``:
     positive shares, no positive value anywhere), else ValueError, and a
-    normalizable instance; a split ``exact_wmms``'s default budget refuses
-    (2^m owner vectors: m > 26) raises BudgetExceeded rather than silently
+    normalizable instance; a split over more owner vectors than the oracles'
+    default budget (2^m: m > 26) raises BudgetExceeded rather than silently
     losing the guarantee.
     """
     if inst.n != 2:
@@ -166,12 +166,13 @@ def divide_and_choose(
     if norm.shares[chooser] <= Fraction(1, 3):
         return _emit(trace, 2, (divider,) * m, norm.shares[divider])
 
+    check_budget(2, m)
     # Owner 0 is the divider's bundle, owner 1 the one earmarked for the chooser.
     # With the chores fed last to first, lexicographic owner order is bitmask
     # order (bit j set: chore j earmarked), so ties go to the same split.
-    row = norm.values[divider][::-1]
-    split = exact_wmms(Instance((norm.shares[divider], norm.shares[chooser]), (row, row)))
-    side_of = split.witness_partitions[0].owner[::-1]
+    weight, _ = division_weights([1, 1], (norm.shares[divider], norm.shares[chooser]))
+    xs = [-a for a in norm.integer_values[divider][0][::-1]]
+    side_of = _two_agent_split(xs, *weight)[1][::-1]
     value = [bundle_value(norm, chooser, [j for j in range(m) if side_of[j] == s]) for s in (0, 1)]
     side = int(value[1] >= value[0])  # the chooser takes the earmarked side on a tie
     owner = [chooser if side_of[j] == side else divider for j in range(m)]

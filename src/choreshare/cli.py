@@ -19,7 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from . import generators, lp, oracle
+from . import generators, lp, oracle, serialization
 from .algorithms import (
     TIE_RULES,
     TraceEvent,
@@ -147,10 +147,8 @@ def _lp_lines(result: lp.LinProResult) -> list[str]:
     prog = result.program
     lines = [f"lp-variables: {_spaced(f'x[{i},{j}]' for i, j in prog.variables)}"]
     for i in range(prog.inst.n):
-        terms = [
-            f"{format_ratio(prog.inst.values[i][j])}*x[{i},{j}]"
-            for a, j in prog.variables if a == i
-        ]
+        coefficient = serialization._ratio_texts(*prog.inst.integer_values[i])
+        terms = [f"{coefficient[j]}*x[{i},{j}]" for a, j in prog.variables if a == i]
         lhs = " + ".join(terms) if terms else "0"
         lines.append(f"lp-agent {i}: {lhs} >= {format_ratio(prog.thresholds[i])}")
     for j in range(prog.inst.m):

@@ -1,18 +1,18 @@
 """Exact ground-truth computations by two-phase branch and bound, or subset sums.
 
-The oracles ``exact_wmms`` (which gives ``algorithms.divide_and_choose`` its
-split) and ``exact_owmms`` solve min-max problems over per-agent loads:
-WMMS_i minimizes max_k -V_i(X_k) / s_k, a uniform-machines makespan, and
-alpha* minimizes max_i V_i(X_i) / WMMS_i, an unrelated-machines one.  Each
-divides by the shares or the references with ``model.division_weights``
-(the references through ``model._loads``), so their one search,
-``_lex_min_max``, compares integer load sums on one scale.  The search is
-exponential in the worst case: the oracles certify the polynomial-time
-algorithms, not compete with them, and a budget guard (``check_budget``,
-exact integer n^m comparison) refuses instances beyond desk scale:
-``divide_and_choose``'s split at the default budget refuses more than 26
-chores.  Two-agent WMMS rows are solved as subset sums behind the same guard
-(``_two_agent_split``).  The search's sign rule is checked in ``_check_signs``,
+The oracles ``exact_wmms`` and ``exact_owmms`` solve min-max problems over
+per-agent loads: WMMS_i minimizes max_k -V_i(X_k) / s_k, a uniform-machines
+makespan, and alpha* minimizes max_i V_i(X_i) / WMMS_i, an unrelated-machines
+one.  Each divides by the shares or the references with
+``model.division_weights`` (the references through ``model._loads``), so
+their one search, ``_lex_min_max``, compares integer load sums on one scale.
+The search is exponential in the worst case: the oracles certify the
+polynomial-time algorithms, not compete with them, and a budget guard
+(``check_budget``, exact integer n^m comparison) refuses instances beyond
+desk scale.  Two-agent WMMS rows are solved as subset sums by
+``_two_agent_split``, which ``algorithms.divide_and_choose`` also calls for
+its split behind the same guard, so it refuses more than 26 chores at the
+default budget.  The search's sign rule is checked in ``_check_signs``,
 which both oracles and ``divide_and_choose`` call on their input.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, NoFeasibleAllocation
-from .model import Allocation, Instance, _loads, check_shares, division_weights, unfairness_degree
+from .model import Allocation, Instance, _loads, check_shares, division_weights
 
 DEFAULT_BUDGET = 10**8
 
@@ -122,8 +122,7 @@ def _lex_min_max(loads: list[list[int | None]]) -> tuple[int | None, tuple[int, 
     ``loads[j][k] >= 0`` is the load chore j puts on agent k, already divided
     by k's share or reference and on one scale for every agent; None means k
     may not take j.  Returns ``(opt, owners)``, or ``(None, None)`` when no
-    owner vector avoids every None.  Its two callers are here: ``exact_wmms``
-    and ``exact_owmms``.
+    owner vector avoids every None.  Every caller is in this module.
 
     A None becomes one more than the sum of all finite loads, which no cap
     admits.  Two passes of ``_search`` follow.  Phase A finds the optimal
@@ -155,12 +154,15 @@ _TWO_AGENT_BITS = 1 << 26
 def _two_agent_split(xs: list[int], w0: int, w1: int) -> tuple[int, tuple[int, ...]]:
     """``_lex_min_max([[x * w0, x * w1] for x in xs])`` for sizes ``xs[j] >= 0``.
 
-    The cost ``max(A * w0, (T - A) * w1)`` of agent 0's size A is convex, so
-    the optimum is at a reachable sum next to ``T * w1 / (w0 + w1)``.  Chore j
-    goes to agent 0 exactly when the chores after it can still bring her size
-    into the optimum's window ``[lo, hi]``: the lexicographically first witness.
+    Past ``_TWO_AGENT_BITS`` it is that call.  Within, the cost ``max(A * w0,
+    (T - A) * w1)`` of agent 0's size A is convex, so the optimum is at a
+    reachable sum next to ``T * w1 / (w0 + w1)``.  Chore j goes to agent 0
+    exactly when the chores after it can still bring her size into the
+    optimum's window ``[lo, hi]``: the lexicographically first witness.
     """
     m, total = len(xs), sum(xs)
+    if m * (total + 1) > _TWO_AGENT_BITS:
+        return _lex_min_max([[x * w0, x * w1] for x in xs])
     suffix = [1] * (m + 1)  # bit s of suffix[j]: some subset of chores j.. sums to s
     for j in range(m - 1, -1, -1):
         suffix[j] = suffix[j + 1] | suffix[j + 1] << xs[j]
@@ -185,30 +187,28 @@ def exact_wmms(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact per-agent weighted maxmin shares.
 
     Agents with identical valuation rows share one solve, since the result
-    depends only on the row: ``_two_agent_split`` within ``_TWO_AGENT_BITS``
-    on two agents, else the search, each giving the lexicographically first
-    optimal partition.  Raises ValueError when a value is positive or a share is not.
+    depends only on the row: ``_two_agent_split`` on two agents, else the
+    search, each giving the optimum and the lexicographically first optimal
+    partition.  Raises ValueError when a value is positive or a share is not.
     """
     n = inst.n
     check_budget(n, inst.m, budget)
     _check_signs(inst)
-    weight, _ = division_weights([1] * n, inst.shares)
-    by_row: dict[tuple[tuple[int, ...], int], Allocation] = {}
+    weight, big = division_weights([1] * n, inst.shares)
+    by_row: dict[tuple[tuple[int, ...], int], tuple[Fraction, Allocation]] = {}
     for row in inst.integer_values:
         if row not in by_row:
-            # max min_k V(X_k) / s_k = -(min max_k -V(X_k) / s_k), and the
-            # rows' own denominators scale every agent alike
+            # max min_k V(X_k) / s_k = -(min max_k -V(X_k) / s_k), and
+            # -V(X_k) / s_k is X_k's load sum over denom * big
             xs = [-v for v in row[0]]
-            if n == 2 and len(xs) * (sum(xs) + 1) <= _TWO_AGENT_BITS:
-                owners = _two_agent_split(xs, *weight)[1]
+            if n == 2:
+                opt, owners = _two_agent_split(xs, *weight)
             else:
-                owners = _lex_min_max([[x * w for w in weight] for x in xs])[1]
-            by_row[row] = Allocation(n, owners)
+                opt, owners = _lex_min_max([[x * w for w in weight] for x in xs])
+            by_row[row] = Fraction(-opt, row[1] * big), Allocation(n, owners)
 
-    # The search only ranks integer load sums; the exact rational values are
-    # reconstructed here from the witnesses.
-    witnesses = tuple(by_row[row] for row in inst.integer_values)
-    w = tuple(unfairness_degree(inst, i, witnesses[i]) for i in range(n))
+    w = tuple(by_row[row][0] for row in inst.integer_values)
+    witnesses = tuple(by_row[row][1] for row in inst.integer_values)
     return OracleResult(tuple(s * w_i for s, w_i in zip(inst.shares, w)), w, witnesses)
 
 

@@ -167,17 +167,63 @@ def test_solve_linpro_trace_reports_rounding(table1_file, capsys):
     ]
 
 
-def test_solve_linpro_dump_lp(table1_file, table2_file, capsys):
-    # the exact bytes of Bland's vertex of each final program
+def test_solve_linpro_dump_lp(table1_file, table2_file, tmp_path, capsys):
+    # the exact bytes of Bland's vertex of each final program, and of its
+    # agent rows: a binary document has 0 and -1 coefficients
+    binary_file = tmp_path / "binary.json"
+    binary_file.write_text(
+        '{"agents": [{"share": "1/3", "values": ["0", "-1", "-1", "-1"]},'
+        ' {"share": "2/3", "values": ["-1", "0", "-1", "0"]}]}'
+    )
     table1_point = "x[0,0]=505/1024 x[0,3]=521/1024 x[1,0]=519/1024 x[1,1]=1 x[1,2]=1 x[1,3]=503/1024"
-    for path, point in ((table1_file, table1_point), (table2_file, "x[0,0]=1 x[0,1]=1")):
+    cases = [
+        (table1_file, table1_point, [
+            "lp-agent 0: -1/4*x[0,0] + -1/4*x[0,1] + -1/4*x[0,2] + -1/4*x[0,3] >= -513/2048",
+            "lp-agent 1: -3/8*x[1,0] + -3/8*x[1,1] + -1/8*x[1,2] + -1/8*x[1,3] >= -1539/2048",
+        ]),
+        (table2_file, "x[0,0]=1 x[0,1]=1", [
+            "lp-agent 0: -3/4*x[0,0] + -1/4*x[0,1] >= -2049/2048",
+            "lp-agent 1: 0 >= -683/1536",
+        ]),
+        (str(binary_file), "x[0,0]=1 x[0,2]=1/512 x[0,3]=1 x[1,1]=1 x[1,2]=511/512", [
+            "lp-agent 0: 0*x[0,0] + -1*x[0,1] + -1*x[0,2] + -1*x[0,3] >= -513/512",
+            "lp-agent 1: -1*x[1,0] + 0*x[1,1] + -1*x[1,2] + 0*x[1,3] >= -513/256",
+        ]),
+    ]
+    for path, point, agents in cases:
         code, out, _ = run_cli(capsys, "solve", path, "linpro", "--dump-lp")
         assert code == 0
         assert "lp-variables:" in out
         assert "lp-chore 0:" in out
+        assert [line for line in out.splitlines() if line.startswith("lp-agent")] == agents
         assert [line for line in out.splitlines() if line.startswith("lp-point:")] == [
             f"lp-point: {point}"
         ]
+
+
+def test_no_solver_path_builds_the_fraction_view(tmp_path, capsys, monkeypatch):
+    # identical binary rows suit every algorithm, and the chooser's share is
+    # above 1/3, so div-cho splits the row
+    path = tmp_path / "binary.json"
+    path.write_text(
+        '{"agents": [{"share": "2/5", "values": ["0", "-1", "-1", "-1"]},'
+        ' {"share": "3/5", "values": ["0", "-1", "-1", "-1"]}]}'
+    )
+    inst = cs.load_instance(path)
+
+    def view(self):
+        raise AssertionError("Instance.values was read")
+
+    monkeypatch.setattr(cs.Instance, "values", property(view))
+    for name in ALGORITHM_TABLE:
+        run_algorithm(inst, name, trace=[])
+    for argv in (
+        ("solve", str(path), "linpro", "--dump-lp", "--oracle"),
+        ("oracle", str(path)),
+        ("bench", str(path), "--algs", ",".join(ALGORITHM_TABLE), "--oracle"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 def test_oracle_command(table2_file, capsys):

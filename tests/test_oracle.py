@@ -2,9 +2,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import choreshare as cs
 from choreshare import oracle
+import enumeration_oracle as reference
 from conftest import oracle_alpha, oracle_wmms, quick_instances
 
 F = Fraction
@@ -29,6 +32,29 @@ def test_witnesses_attain_w():
         for i in range(inst.n):
             assert cs.unfairness_degree(inst, i, res.witness_partitions[i]) == res.w[i]
             assert res.wmms[i] == inst.shares[i] * res.w[i]
+
+
+@st.composite
+def wmms_instances(draw):
+    # two-agent rows within the bit bound take the subset-sum kernel, n = 3
+    # rows the search; no enumeration runs, so both go past its sizes
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 9 if n == 3 else 60))
+    raw = [draw(st.integers(1, 9)) for _ in range(n)]
+    denoms = st.sampled_from([1, 2, 3, 4, 6])
+    values = [tuple(-F(draw(st.integers(0, 9)), draw(denoms)) for _ in range(m)) for _ in range(n)]
+    return cs.Instance([F(r, sum(raw)) for r in raw], values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wmms_instances())
+@example(cs.Instance((F(2, 5), F(3, 5)), ((F(0),) * 4, (F(-1, 2),) * 4)))
+@example(cs.Instance((F(1, 3), F(2, 3)), ((), ())))
+def test_values_are_those_of_the_witnesses(inst):
+    res = cs.exact_wmms(inst, budget=inst.n**inst.m)
+    for i in range(inst.n):
+        assert res.w[i] == cs.unfairness_degree(inst, i, res.witness_partitions[i])
+        assert res.wmms[i] == inst.shares[i] * res.w[i]
 
 
 def test_single_agent_wmms():
@@ -187,13 +213,20 @@ def test_two_agent_rows_go_to_the_search_only_past_the_bit_bound(monkeypatch, ov
     assert searched == ([m] if over else [])
 
 
-def test_two_agent_row_of_4300_digit_values_goes_to_the_search(monkeypatch):
+@pytest.mark.parametrize("solver", ["exact_wmms", "divide_and_choose"])
+def test_two_agent_row_of_4300_digit_values_goes_to_the_search(monkeypatch, solver):
     # a bitset of 10^4300 bits cannot be built: 1 << 10**4300 raises OverflowError
     row = (F(-1, 10**4300), F(-1), F(-1))
-    expected = oracle._lex_min_max([[2 * x, x] for x in (1, 10**4300, 10**4300)])[1]
+    # the chooser's share is above 1/3, so divide_and_choose splits the row
+    inst = cs.Instance((F(2, 5), F(3, 5)), (row, row))
+    # agent 0's share is 2/3 of agent 1's, so her load is 3/2 times as heavy
+    expected = oracle._lex_min_max([[3 * x, 2 * x] for x in (1, 10**4300, 10**4300)])[1]
     searched = _spy_on_search(monkeypatch)
-    res = cs.exact_wmms(cs.Instance((F(1, 3), F(2, 3)), (row, row)))
-    assert res.witness_partitions[0].owner == expected == (0, 1, 1)
+    if solver == "exact_wmms":
+        assert cs.exact_wmms(inst).witness_partitions[0].owner == expected == (1, 0, 1)
+    else:
+        trace = []
+        assert (cs.divide_and_choose(inst, trace=trace), trace) == reference.divide_and_choose(inst)
     assert searched == [3]
 
 
