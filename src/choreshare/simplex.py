@@ -3,6 +3,8 @@
 Phase 1 (artificial-variable) simplex with Bland's anti-cycling rule, used as
 a feasibility engine returning basic feasible points (vertices); an optional
 phase 2 minimizes a linear objective, which the threshold diagnostic needs.
+Each phase ends with its reduced cost row, whose last entry, ``-d`` times the
+cost, is phase 1's verdict (nonzero: infeasible) and phase 2's optimum.
 Callers give integer constraint rows and an integer objective, and the
 simplex solves exactly that program: phase 1 costs 1 per artificial column.
 The tableau holds integer rows, each over its own positive denominator; an
@@ -41,20 +43,6 @@ class StandardForm:
         if sense not in ("eq", "ge"):
             raise ValueError(f"unknown sense {sense!r}")
         self.rows.append((tuple(map(index, coeffs)), index(rhs), sense))
-
-
-def _eliminate(row: list[int], pivot: list[int], c: int, p: int, d: int) -> list[int]:
-    """``row`` after pivoting on entry ``p`` (column ``c``) of row ``pivot``.
-
-    Both rows are over the current denominator ``d`` and the result is over
-    ``p``; every quotient is exact because each entry is a minor of the
-    scaled constraint matrix (Bareiss).  The reduced cost row, kept over
-    ``d``, is the one row rescaled when its entry in column c is zero.
-    """
-    f = row[c]
-    if f == 0:
-        return row if p == d else [a * p // d for a in row]
-    return [(a * p - f * b) // d for a, b in zip(row, pivot)]
 
 
 class _Tableau:
@@ -105,7 +93,8 @@ class _Tableau:
 
         Row i, ``R / den[i]``, with ``f = R[c] != 0`` becomes ``(R * p - f *
         B) // den[i]`` over ``p`` for the pivot row ``B / d``: the integers
-        one common denominator would give.  Other rows are left as they are.
+        one common denominator would give.  Other rows are left as they are,
+        and ``reduced`` takes the same update with ``d`` for ``den[i]``.
         """
         rows, den, d = self.rows, self.den, self.d
         pivot_row = self._scaled(r)
@@ -123,10 +112,17 @@ class _Tableau:
         rows[r], den[r] = pivot_row, p
         self.d = p
         self.basis[r] = c
-        return None if reduced is None else _eliminate(reduced, pivot_row, c, p, d)
+        if reduced is None:
+            return None
+        f = reduced[c]
+        return [(a * p - f * b) // d for a, b in zip(reduced, pivot_row)]
 
-    def _optimize(self, costs: list[int], limit: int) -> None:
-        """Bland-rule simplex: minimize costs over columns below ``limit``."""
+    def _optimize(self, costs: list[int], limit: int) -> list[int]:
+        """Bland-rule simplex: minimize costs over columns below ``limit``.
+
+        Returns the final reduced cost row, over ``d``; its last entry is
+        ``-d`` times the optimal cost.
+        """
         rows, basis = self.rows, self.basis
         reduced = [c * self.d for c in costs] + [0]
         for r, b in enumerate(basis):
@@ -136,7 +132,7 @@ class _Tableau:
         while True:
             entering = next((j for j in range(limit) if reduced[j] < 0), -1)
             if entering < 0:
-                return
+                return reduced
             leaving = -1
             for r, row in enumerate(rows):
                 a = row[entering]
@@ -152,14 +148,13 @@ class _Tableau:
             reduced = self._pivot(leaving, entering, reduced)
 
     def phase1(self) -> bool:
-        """Drive artificials to zero; False means the constraints are infeasible."""
+        """Drive artificials to zero; False means the constraints are infeasible.
+
+        The verdict is the final reduced row's last entry: ``-d`` times the
+        sum of the artificials, nonzero when one stays positive.
+        """
         costs = [0] * self.artificial_start + [1] * (self.width - self.artificial_start)
-        self._optimize(costs, self.width)
-        if any(
-            row[-1] != 0
-            for row, b in zip(self.rows, self.basis)
-            if b >= self.artificial_start
-        ):
+        if self._optimize(costs, self.width)[-1]:
             return False
         # Pivot out artificials basic at zero; rows with no structural
         # coefficient left are redundant and dropped.
@@ -174,9 +169,12 @@ class _Tableau:
                 del self.rows[r], self.den[r], self.basis[r]
         return True
 
-    def phase2(self, objective: Sequence[int]) -> None:
+    def phase2(self, objective: Sequence[int]) -> Fraction:
+        """Minimize ``objective`` from phase 1's vertex; returns the optimum,
+        ``-reduced[-1] / d`` of the final reduced row.
+        """
         costs = [*objective] + [0] * (self.width - len(objective))
-        self._optimize(costs, self.artificial_start)
+        return Fraction(-self._optimize(costs, self.artificial_start)[-1], self.d)
 
     def point(self) -> list[Fraction]:
         x = [Fraction(0)] * self.n_struct
@@ -199,8 +197,9 @@ def minimize(
 ) -> tuple[Fraction, list[Fraction]] | None:
     """Minimize an integer objective; returns (optimal value, optimal vertex).
 
-    Returns None when infeasible; raises Unbounded when no minimum exists,
-    and TypeError for an objective entry that is not an integer.
+    The value is phase 2's optimum, read off its final reduced row.  Returns
+    None when infeasible; raises Unbounded when no minimum exists, and
+    TypeError for an objective entry that is not an integer.
     """
     if len(objective) != sf.num_vars:
         raise ValueError(f"expected {sf.num_vars} objective coefficients")
@@ -208,6 +207,4 @@ def minimize(
     tableau = _Tableau(sf)
     if not tableau.phase1():
         return None
-    tableau.phase2(objective)
-    x = tableau.point()
-    return sum((a * v for a, v in zip(objective, x)), Fraction(0)), x
+    return tableau.phase2(objective), tableau.point()

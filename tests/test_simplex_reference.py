@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_simplex as reference
-from choreshare import Unbounded, random_instance, wmms_prime
+from choreshare import Unbounded, paper_table, random_instance, wmms_prime
 from choreshare import lp, simplex
 from choreshare.model import integer_row
 from choreshare.simplex import StandardForm
@@ -87,7 +87,11 @@ FLOAT_RATIO_FORM = StandardForm(
 def test_same_vertex_and_optimum_as_reference(case):
     sf, objective = case
     assert simplex.feasible_basic_point(sf) == reference.feasible_basic_point(sf)
-    assert _minimize(simplex, sf, objective) == _minimize(reference, sf, objective)
+    ours = _minimize(simplex, sf, objective)
+    assert ours == _minimize(reference, sf, objective)
+    if isinstance(ours, tuple):
+        value, x = ours
+        assert value == sum(a * v for a, v in zip(objective, x))
 
 
 @settings(max_examples=400, deadline=None)
@@ -111,6 +115,39 @@ def test_same_bases_as_reference(case):
     else:
         ours.phase2(objective)
     assert ours.basis == theirs.basis
+
+
+def _paper_probe(k, c):
+    inst = paper_table(k)
+    return lp._standard_form(lp.build_program(inst, c, wmms_prime(inst)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(forms())
+@example((_paper_probe(1, F(9, 10)), None))
+@example((_paper_probe(2, F(6, 5)), None))
+def test_final_phase1_row_is_a_certificate(case):
+    # The final phase-1 reduced row, over d, holds the verdict in its last
+    # entry and, on an infeasible form, a Farkas vector y for the caller's
+    # rows: y.A <= 0 on every variable, y >= 0 on each ">=" row, y.b > 0.
+    sf, _ = case
+    tableau = simplex._Tableau(sf)
+    start = list(tableau.basis)
+    costs = [0] * tableau.artificial_start + [1] * (tableau.width - tableau.artificial_start)
+    reduced = tableau._optimize(costs, tableau.width)
+    feasible = simplex._Tableau(sf).phase1()
+    assert (reduced[-1] == 0) == feasible
+    if feasible:
+        return
+    d = tableau.d
+    y = []  # y_k * d
+    for (_, rhs, _), col in zip(sf.rows, start):
+        yd = d - reduced[col] if col >= tableau.artificial_start else -reduced[col]
+        y.append(-yd if rhs < 0 else yd)
+    for j in range(sf.num_vars):
+        assert sum(yk * coeffs[j] for yk, (coeffs, _, _) in zip(y, sf.rows)) <= 0
+    assert all(yk >= 0 for yk, (_, _, sense) in zip(y, sf.rows) if sense == "ge")
+    assert sum(yk * rhs for yk, (_, rhs, _) in zip(y, sf.rows)) > 0
 
 
 def test_same_vertex_on_linpro_probes():
