@@ -159,8 +159,6 @@ def egal_greedy_failure_family(
         for j in range(n - 1)
     ] + [Fraction(0)]
     total = sum(others)
-    if total == 0:
-        raise ParameterInconsistent(f"crossover index {k} leaves empty rows")
     others = [v / -total for v in others]
 
     shares = (Fraction(1) / c,) + (Fraction(1) / T,) * (n - 1)

@@ -1,8 +1,8 @@
 """Exact Bland simplex over integers (fraction-free pivoting).
 
-Phase 1 (artificial-variable) simplex with Bland's anti-cycling rule, used as
-a feasibility engine returning basic feasible points (vertices); an optional
-phase 2 minimizes a linear objective, which the threshold diagnostic needs.
+Phase 1 (artificial-variable) simplex with Bland's anti-cycling rule is a
+feasibility engine returning basic feasible points (vertices); phase 2 pivots
+out zero artificials and minimizes an objective for the threshold diagnostic.
 Each phase ends with its reduced cost row, whose last entry, ``-d`` times the
 cost, is phase 1's verdict (nonzero: infeasible) and phase 2's optimum.
 Callers give integer constraint rows and an integer objective, and the
@@ -51,8 +51,8 @@ class _Tableau:
     ``rows[r] / den[r]`` is row r of the textbook tableau for the given
     integer program, with a surplus column per ">=" row and an artificial
     column per row that does not start with its surplus basic; each
-    artificial costs 1 in phase 1.  ``den[r]`` is the last pivot entry
-    ``d`` as of row r's last rewrite, and ``rows[r] * d // den[r]`` is exact.
+    artificial costs 1 in phase 1 and may end it basic at zero.  ``den[r]``
+    is ``d`` as of row r's last rewrite; ``rows[r] * d // den[r]`` is exact.
     """
 
     def __init__(self, sf: StandardForm):
@@ -95,15 +95,13 @@ class _Tableau:
         B) // den[i]`` over ``p`` for the pivot row ``B / d``: the integers
         one common denominator would give.  Other rows are left as they are,
         and ``reduced`` takes the same update with ``d`` for ``den[i]``.
+        The pivot entry ``p`` is positive, so every denominator stays
+        positive: the ratio test enters only a positive entry, and phase 2's
+        clean-up negates a row before pivoting on a negative one.
         """
         rows, den, d = self.rows, self.den, self.d
         pivot_row = self._scaled(r)
         p = pivot_row[c]
-        if p < 0:
-            # Only the artificial clean-up pivots on a negative entry; the
-            # negated pivot row keeps every denominator positive.
-            pivot_row = [-a for a in pivot_row]
-            p = -p
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
@@ -151,28 +149,31 @@ class _Tableau:
         """Drive artificials to zero; False means the constraints are infeasible.
 
         The verdict is the final reduced row's last entry: ``-d`` times the
-        sum of the artificials, nonzero when one stays positive.
+        sum of the artificials, nonzero when one stays positive.  Artificials
+        basic at zero stay basic, for phase 2 to pivot out.
         """
         costs = [0] * self.artificial_start + [1] * (self.width - self.artificial_start)
-        if self._optimize(costs, self.width)[-1]:
-            return False
-        # Pivot out artificials basic at zero; rows with no structural
-        # coefficient left are redundant and dropped.
+        return not self._optimize(costs, self.width)[-1]
+
+    def phase2(self, objective: Sequence[int]) -> Fraction:
+        """Minimize ``objective`` from phase 1's vertex; returns the optimum,
+        ``-reduced[-1] / d`` of the final reduced row.
+
+        First, rows in reversed order, each artificial basic at zero is
+        pivoted out on its row's first nonzero non-artificial column, the
+        row (right-hand side 0) negated if that entry is negative; these
+        pivots are degenerate.  A row with no such column is never rewritten
+        in phase 2, so its artificial stays basic at zero.
+        """
         for r in reversed(range(len(self.rows))):
             if self.basis[r] < self.artificial_start:
                 continue
             row = self.rows[r]
             col = next((j for j in range(self.artificial_start) if row[j] != 0), -1)
             if col >= 0:
+                if row[col] < 0:
+                    self.rows[r] = [-a for a in row]
                 self._pivot(r, col)
-            else:
-                del self.rows[r], self.den[r], self.basis[r]
-        return True
-
-    def phase2(self, objective: Sequence[int]) -> Fraction:
-        """Minimize ``objective`` from phase 1's vertex; returns the optimum,
-        ``-reduced[-1] / d`` of the final reduced row.
-        """
         costs = [*objective] + [0] * (self.width - len(objective))
         return Fraction(-self._optimize(costs, self.artificial_start)[-1], self.d)
 

@@ -5,7 +5,9 @@ fraction-free integer pivoting.  Every row is normalized so its pivot is 1,
 so it is slow but obviously exact; the property tests require the integer
 tableau to return the same vertex, infeasibility verdict, optimum or
 ``Unbounded`` on every form.  Entries may be ints or Fractions; each is
-read as a Fraction.
+read as a Fraction.  Phase 1 ends at its verdict; phase 2 first pivots out
+the artificials basic at zero, rows in reversed order, and deletes no row:
+a redundant row keeps its artificial basic at zero.
 
 ``standard_form`` is the Fraction program ``lp._standard_form`` built
 before it moved to integer rows: each agent's floor with the instance's
@@ -122,14 +124,15 @@ class _Tableau:
         for j in range(self.artificial_start, self.width):
             costs[j] = _ONE
         self._optimize(costs, allowed=[True] * self.width)
-        if any(
+        return not any(
             self.rhs[r] != 0
             for r in range(len(self.rows))
             if self.basis[r] >= self.artificial_start
-        ):
-            return False
-        # Pivot out artificials basic at zero; rows with no structural
-        # coefficient left are redundant and dropped.
+        )
+
+    def phase2(self, objective: Sequence[Fraction]) -> Fraction:
+        # Pivot out artificials basic at zero; a row with no structural
+        # coefficient left is redundant and keeps its artificial.
         for r in reversed(range(len(self.rows))):
             if self.basis[r] < self.artificial_start:
                 continue
@@ -143,11 +146,6 @@ class _Tableau:
             )
             if col >= 0:
                 self._pivot(r, col)
-            else:
-                del self.rows[r], self.rhs[r], self.basis[r]
-        return True
-
-    def phase2(self, objective: Sequence[Fraction]) -> Fraction:
         costs = [Fraction(c) for c in objective]
         costs += [_ZERO] * (self.width - len(costs))
         allowed = [j < self.artificial_start for j in range(self.width)]

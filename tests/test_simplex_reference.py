@@ -81,9 +81,23 @@ FLOAT_RATIO_FORM = StandardForm(
 )
 
 
+# Phase 1 ends with x's artificial basic at zero and an entry of -1 for x:
+# the clean-up pivot on a negative entry.
+NEGATIVE_CLEANUP_FORM = StandardForm(num_vars=1, rows=[((-1,), 0, "ge")])
+
+# The third row is redundant and keeps its artificial through phase 2; the
+# second row's clean-up pivots on a negative entry.
+REDUNDANT_ROW_FORM = StandardForm(
+    num_vars=3,
+    rows=[((-1, 1, 2), 0, "eq"), ((0, -1, 0), 0, "eq"), ((0, 0, 0), 0, "eq")],
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(forms())
 @example((TIE_BREAK_FORM, [0, 0, 0]))
+@example((NEGATIVE_CLEANUP_FORM, [-1]))
+@example((REDUNDANT_ROW_FORM, [1, -1, 1]))
 def test_same_vertex_and_optimum_as_reference(case):
     sf, objective = case
     assert simplex.feasible_basic_point(sf) == reference.feasible_basic_point(sf)
@@ -97,6 +111,8 @@ def test_same_vertex_and_optimum_as_reference(case):
 @settings(max_examples=400, deadline=None)
 @given(forms())
 @example((FLOAT_RATIO_FORM, [0, 0, 0, 0]))
+@example((NEGATIVE_CLEANUP_FORM, [-1]))
+@example((REDUNDANT_ROW_FORM, [1, -1, 1]))
 def test_same_bases_as_reference(case):
     # Equal bases after each phase mean both took the same Bland path, which
     # degenerate forms expose more often than the vertex they end at.
@@ -150,6 +166,20 @@ def test_final_phase1_row_is_a_certificate(case):
     assert sum(yk * rhs for yk, (_, rhs, _) in zip(y, sf.rows)) > 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(forms())
+@example((NEGATIVE_CLEANUP_FORM, [-1]))
+def test_phase1_stops_at_its_optimum(case):
+    # Phase 1 is the phase-1 optimization and its verdict: it leaves the
+    # tableau where Bland's rule stops, artificials basic at zero included.
+    sf, _ = case
+    tableau, optimized = simplex._Tableau(sf), simplex._Tableau(sf)
+    costs = [0] * optimized.artificial_start + [1] * (optimized.width - optimized.artificial_start)
+    reduced = optimized._optimize(costs, optimized.width)
+    assert tableau.phase1() == (not reduced[-1])
+    assert (tableau.rows, tableau.den, tableau.basis) == (optimized.rows, optimized.den, optimized.basis)
+
+
 def test_same_vertex_on_linpro_probes():
     for seed in range(4):
         inst = random_instance(3, 6, seed)
@@ -171,6 +201,8 @@ def _assert_rows_match(ours, theirs):
 @settings(max_examples=300, deadline=None)
 @given(forms())
 @example((TIE_BREAK_FORM, [0, 0, 0]))
+@example((NEGATIVE_CLEANUP_FORM, [-1]))
+@example((REDUNDANT_ROW_FORM, [1, -1, 1]))
 def test_rows_over_their_denominators_are_the_reference_rows(case):
     # rows[r] / den[r] is the reference's (pivot-normalized) row, and a pivot
     # leaves a row with a zero in its column as the same list.
