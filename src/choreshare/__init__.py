@@ -41,7 +41,6 @@ from .generators import (
 )
 from .lp import (
     LinProResult,
-    LPPoint,
     LPProgram,
     build_program,
     check_feasible,

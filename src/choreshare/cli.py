@@ -156,7 +156,7 @@ def _lp_lines(result: lp.LinProResult) -> list[str]:
         terms = [f"x[{i},{j}]" for i, c in prog.variables if c == j]
         lhs = " + ".join(terms) if terms else "0"
         lines.append(f"lp-chore {j}: {lhs} = 1")
-    entries = (f"x[{i},{j}]={format_ratio(v)}" for (i, j), v in sorted(result.point.values.items()))
+    entries = (f"x[{i},{j}]={format_ratio(v)}" for (i, j), v in sorted(result.point.items()))
     lines.append(f"lp-point: {_spaced(entries)}")
     return lines
 

@@ -2,8 +2,10 @@
 
 The program for a threshold c >= 0 and reference vector r has a variable x_ij
 for every pair with V_ij >= c*r_i, one covering constraint per chore and one
-floor constraint per agent (bundle value at least c*r_i).  A basic feasible
-point of it touches at most n+m variables, its positive-support bipartite
+floor constraint per agent (bundle value at least c*r_i).  A point of it is
+a ``{(i, j): x_ij}`` dict over its nonzero entries, so a program without
+chores has the point ``{}`` and a point is tested with ``is None``.  A basic
+feasible point touches at most n+m variables, its positive-support bipartite
 graph is a pseudoforest (``_is_pseudoforest`` checks it), and rounding along
 that graph (Lenstra, Shmoys and Tardos, 1990) costs each agent at most one
 extra eligible chore, i.e. the integral allocation clears the doubled floor.
@@ -51,21 +53,16 @@ class LPProgram:
 
 
 @dataclass(frozen=True)
-class LPPoint:
-    """A feasible point, keyed by (agent, chore); zeros are omitted."""
-
-    values: dict[tuple[int, int], Fraction]
-
-
-@dataclass(frozen=True)
 class LinProResult:
+    """``linpro``'s allocation, its search bracket and the ``point`` of ``program`` it rounded."""
+
     allocation: Allocation
     c_final: Fraction
     lower: Fraction
     iterations: int
     references: tuple[Fraction, ...]
     program: LPProgram
-    point: LPPoint
+    point: dict[tuple[int, int], Fraction]
 
 
 def build_program(
@@ -100,14 +97,14 @@ def _standard_form(prog: LPProgram) -> StandardForm:
     return sf
 
 
-def check_feasible(prog: LPProgram) -> LPPoint | None:
-    """A basic feasible point of the program, or None when it has none."""
+def check_feasible(prog: LPProgram) -> dict[tuple[int, int], Fraction] | None:
+    """A basic feasible point ``{(i, j): x_ij}``, zeros omitted, or None when the program has none."""
     if prog.trivially_infeasible:
         return None
     x = simplex.feasible_basic_point(_standard_form(prog))
     if x is None:
         return None
-    return LPPoint({var: x[k] for k, var in enumerate(prog.variables) if x[k] != 0})
+    return {var: x[k] for k, var in enumerate(prog.variables) if x[k] != 0}
 
 
 def _is_pseudoforest(edges: Iterable[tuple[int, int]]) -> bool:
@@ -137,11 +134,12 @@ def _is_pseudoforest(edges: Iterable[tuple[int, int]]) -> bool:
 
 
 def round_extreme_point(
-    prog: LPProgram, point: LPPoint, trace: list[TraceEvent] | None = None
+    prog: LPProgram, point: dict[tuple[int, int], Fraction], trace: list[TraceEvent] | None = None
 ) -> Allocation:
     """Round a basic feasible point to an integral chore assignment.
 
-    The point's positive support must be a pseudoforest (``_is_pseudoforest``).
+    Each entry of the point must be a pair of ``prog.variables`` with
+    ``0 < x <= 1``, and its support must be a pseudoforest (``_is_pseudoforest``).
     Degree-1 chores carry their whole unit of mass and are peeled off first
     (one pass: peeling a chore changes no other chore's degree); the chores
     left all have degree >= 2 inside pseudotree components, which therefore
@@ -154,14 +152,14 @@ def round_extreme_point(
     each with the x_ij that assigned it.
     """
     inst = prog.inst
-    if not _is_pseudoforest(point.values):
-        raise RoundingInvariantViolation("support graph is not a pseudoforest")
-
+    variables = set(prog.variables)
     chore_adj: dict[int, list[int]] = {j: [] for j in range(inst.m)}  # agents ascending
-    for (i, j), v in sorted(point.values.items()):
-        if v < 0 or v > 1:
-            raise RoundingInvariantViolation(f"x[{i},{j}] = {v} outside [0, 1]")
+    for (i, j), v in sorted(point.items()):
+        if (i, j) not in variables or not 0 < v <= 1:
+            raise RoundingInvariantViolation(f"x[{i},{j}] = {v} is not a program variable in (0, 1]")
         chore_adj[j].append(i)
+    if not _is_pseudoforest(point):
+        raise RoundingInvariantViolation("support graph is not a pseudoforest")
     if any(not chore_adj[j] for j in range(inst.m)):
         raise RoundingInvariantViolation("some chore has no positive mass")
 
@@ -170,9 +168,9 @@ def round_extreme_point(
     peeled = [j for j in range(inst.m) if len(chore_adj[j]) == 1]
     for j in peeled:
         i = chore_adj[j][0]
-        if point.values[(i, j)] != 1:
+        if point[(i, j)] != 1:
             raise RoundingInvariantViolation(
-                f"degree-1 chore {j} carries mass {point.values[(i, j)]} != 1"
+                f"degree-1 chore {j} carries mass {point[(i, j)]} != 1"
             )
         owner[j] = i
 
@@ -198,7 +196,7 @@ def round_extreme_point(
         owner[j] = i
     if trace is not None:
         for step, j in enumerate(peeled + sorted(matched_chore_of.values())):
-            trace.append(TraceEvent(step, j, owner[j], point.values[(owner[j], j)]))
+            trace.append(TraceEvent(step, j, owner[j], point[(owner[j], j)]))
 
     alloc = Allocation(inst.n, tuple(owner))
     for i, bundle in enumerate(alloc.bundles()):

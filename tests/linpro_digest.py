@@ -45,10 +45,10 @@ def cases() -> list[tuple[str, cs.Instance]]:
     return out
 
 
-def _point(point: lp.LPPoint | None) -> str | None:
+def _point(point: dict[tuple[int, int], F] | None) -> str | None:
     if point is None:
         return None
-    return " ".join(f"{i},{j}={v}" for (i, j), v in sorted(point.values.items()))
+    return " ".join(f"{i},{j}={v}" for (i, j), v in sorted(point.items()))
 
 
 def digest(inst: cs.Instance) -> dict:

@@ -217,8 +217,8 @@ def test_criterion_3_lp_structure(suite, linpro_runs):
     ok = True
     for name, inst in suite:
         result = linpro_runs[name]
-        ok = ok and len(result.point.values) <= inst.n + inst.m
-        ok = ok and component_search.is_pseudoforest(result.point.values)
+        ok = ok and len(result.point) <= inst.n + inst.m
+        ok = ok and component_search.is_pseudoforest(result.point)
         ok = ok and sorted(
             j for b in result.allocation.bundles() for j in b
         ) == list(range(inst.m))

@@ -27,8 +27,8 @@ def test_build_program_table2_at_four_thirds(table2):
     prog = lp.build_program(table2, F(4, 3), T2_REFS)
     point = lp.check_feasible(prog)
     assert point is not None
-    assert point.values == {(0, 0): F(1), (0, 1): F(1)}
-    assert len(point.values) <= table2.n + table2.m
+    assert point == {(0, 0): F(1), (0, 1): F(1)}
+    assert len(point) <= table2.n + table2.m
     alloc = lp.round_extreme_point(prog, point)
     assert alloc.owner == (0, 0)
 
@@ -112,7 +112,7 @@ def test_empty_program_feasible():
     inst = cs.Instance((HALF, HALF), ((), ()))
     prog = lp.build_program(inst, F(1), (F(0), F(0)))
     point = lp.check_feasible(prog)
-    assert point is not None and point.values == {}
+    assert point == {}
     assert lp.round_extreme_point(prog, point).owner == ()
 
 
@@ -132,23 +132,23 @@ def test_round_single_fractional_chore():
     prog = _single_chore_program()
     point = lp.check_feasible(prog)
     assert point is not None
-    assert point.values == {(0, 0): HALF, (1, 0): HALF}
+    assert point == {(0, 0): HALF, (1, 0): HALF}
     alloc = lp.round_extreme_point(prog, point)
     assert alloc.owner == (0,)
 
 
 def test_round_integral_point_unchanged(table2):
     prog = lp.build_program(table2, F(4, 3), T2_REFS)
-    point = lp.LPPoint(values={(0, 0): F(1), (0, 1): F(1)})
+    point = {(0, 0): F(1), (0, 1): F(1)}
     assert lp.round_extreme_point(prog, point).owner == (0, 0)
 
 
 def test_round_rejects_bad_mass():
     prog = _single_chore_program()
-    short = lp.LPPoint(values={(0, 0): HALF})
+    short = {(0, 0): HALF}
     with pytest.raises(cs.RoundingInvariantViolation):
         lp.round_extreme_point(prog, short)
-    heavy = lp.LPPoint(values={(0, 0): F(3, 2)})
+    heavy = {(0, 0): F(3, 2)}
     with pytest.raises(cs.RoundingInvariantViolation):
         lp.round_extreme_point(prog, heavy)
 
@@ -156,7 +156,7 @@ def test_round_rejects_bad_mass():
 def test_round_rejects_a_chore_without_mass():
     inst = cs.Instance((F(1),), ((F(-1), F(-1)),))
     prog = lp.build_program(inst, F(1), (F(-2),))
-    point = lp.LPPoint(values={(0, 0): F(1)})
+    point = {(0, 0): F(1)}
     with pytest.raises(cs.RoundingInvariantViolation, match="no positive mass"):
         lp.round_extreme_point(prog, point)
 
@@ -169,7 +169,7 @@ def test_round_rejects_a_missed_doubled_floor():
         thresholds=(F(-1, 4),),
         variables=((0, 0),),
     )
-    point = lp.LPPoint(values={(0, 0): F(1)})
+    point = {(0, 0): F(1)}
     with pytest.raises(cs.RoundingInvariantViolation, match="misses the doubled floor -1/2"):
         lp.round_extreme_point(prog, point)
 
@@ -181,11 +181,29 @@ def test_round_rejects_non_pseudoforest():
         thresholds=(F(-2),) * 3,
         variables=tuple((i, j) for i in range(3) for j in range(2)),
     )
-    dense = lp.LPPoint(
-        values={(i, j): F(1, 3) for i in range(3) for j in range(2)}
-    )
+    dense = {(i, j): F(1, 3) for i in range(3) for j in range(2)}
     with pytest.raises(cs.RoundingInvariantViolation, match="pseudoforest"):
         lp.round_extreme_point(prog, dense)
+
+
+def test_round_refuses_a_point_off_its_program(table1, table2):
+    # Every pair of table 1 is eligible at c = 1; table 2 at 6/5 has only
+    # agent 0's pairs.  Each point below names a pair that is no variable of
+    # its program or an entry outside (0, 1].
+    prog1 = lp.build_program(table1, F(1), cs.wmms_prime(table1))
+    assert len(prog1.variables) == table1.n * table1.m
+    feasible = {(0, 0): F(1), (1, 1): F(1), (1, 2): F(1), (1, 3): F(1)}
+    assert lp.round_extreme_point(prog1, feasible).owner == (0, 1, 1, 1)
+    prog2 = lp.build_program(table2, F(6, 5), T2_REFS)
+    assert prog2.variables == ((0, 0), (0, 1))
+    for prog, point in [
+        (prog1, {(0, 9): F(1)}),  # no chore 9
+        (prog1, {(5, 0): F(1), (1, 1): F(1), (1, 2): F(1), (1, 3): F(1)}),  # no agent 5
+        (prog1, {**feasible, (0, 1): F(0)}),  # an explicit zero is no edge to round over
+        (prog2, {(1, 0): F(1), (0, 1): F(1)}),  # agent 1 is not eligible for chore 0
+    ]:
+        with pytest.raises(cs.RoundingInvariantViolation, match="not a program variable"):
+            lp.round_extreme_point(prog, point)
 
 
 # Lists, so the order in which the union-find pass meets the edges is drawn too.
@@ -212,6 +230,15 @@ def test_linpro_table1(table1):
         assert value >= F(401, 100) * alpha * wmms[i]
 
 
+def test_linpro_without_chores():
+    # the point of a program with no chores is {}: empty, yet not None
+    result = lp.linpro(cs.Instance((HALF, HALF), ((), ())), F(1, 100))
+    assert result.point == {}
+    assert result.allocation.owner == ()
+    assert result.c_final == F(513, 512)
+    assert lp.round_extreme_point(result.program, {}).owner == ()
+
+
 def test_linpro_trace_is_the_rounding(table1):
     trace = []
     result = lp.linpro(table1, F(1, 100), trace=trace)
@@ -221,7 +248,7 @@ def test_linpro_trace_is_the_rounding(table1):
         (2, 0, 1, F(519, 1024)),
         (3, 3, 0, F(521, 1024)),
     ]
-    assert all(e.quantity == result.point.values[(e.agent, e.chore)] for e in trace)
+    assert all(e.quantity == result.point[(e.agent, e.chore)] for e in trace)
     assert {e.chore: e.agent for e in trace} == dict(enumerate(result.allocation.owner))
 
 
@@ -344,8 +371,8 @@ def test_linpro_rejects_nonpositive_eps(table1):
 def test_linpro_structure_on_seeded_instances():
     for inst in quick_instances(seeds=2):
         result = lp.linpro(inst, F(1, 100))
-        assert len(result.point.values) <= inst.n + inst.m
-        assert reference.is_pseudoforest(result.point.values)
+        assert len(result.point) <= inst.n + inst.m
+        assert reference.is_pseudoforest(result.point)
         assert sorted(
             j for b in result.allocation.bundles() for j in b
         ) == list(range(inst.m))

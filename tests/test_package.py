@@ -12,11 +12,11 @@ from choreshare.cli import console_main, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The 55 public names of the package, one per definition imported in
+# The 54 public names of the package, one per definition imported in
 # ``choreshare/__init__.py``.
 PUBLIC_NAMES = {
     "AgentReport", "Allocation", "BudgetExceeded",
-    "ChoreShareError", "DEFAULT_BUDGET", "FairnessReport", "Instance", "LPPoint",
+    "ChoreShareError", "DEFAULT_BUDGET", "FairnessReport", "Instance",
     "LPProgram", "LinProResult", "NoFeasibleAllocation", "NoIntegralM",
     "NormalizationImpossible", "NotBinary", "OracleResult", "OwmmsResult",
     "ParameterInconsistent", "ParseError", "RoundingInvariantViolation",
@@ -37,7 +37,7 @@ def test_star_import_binds_exactly_the_public_names():
     namespace: dict = {}
     exec("from choreshare import *", namespace)
     namespace.pop("__builtins__")
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 54
     assert set(namespace) == PUBLIC_NAMES
     assert not any(isinstance(obj, types.ModuleType) for obj in namespace.values())
     assert all(getattr(choreshare, name) is obj for name, obj in namespace.items())
