@@ -1,4 +1,4 @@
-"""Exact ground-truth computations by two-phase branch and bound, or subset sums.
+"""Exact ground-truth computations by branch and bound and completion queries, or subset sums.
 
 The oracles ``exact_wmms`` and ``exact_owmms`` solve min-max problems over
 per-agent loads: WMMS_i minimizes max_k -V_i(X_k) / s_k, a uniform-machines
@@ -6,7 +6,11 @@ makespan, and alpha* minimizes max_i V_i(X_i) / WMMS_i, an unrelated-machines
 one.  Each divides by the shares or the references with
 ``model.division_weights`` (the references through ``model._loads``), so
 their one search, ``_lex_min_max``, compares integer load sums on one scale.
-The search is exponential in the worst case: the oracles certify the
+It finds the optimum by a branch and bound over the chores, heaviest first,
+and then builds the lexicographically first optimal witness chore by chore,
+asking the same depth-first loop, ``_search``, whether the chores left can
+still be completed within the optimum from the load sums so far.  The
+search is exponential in the worst case: the oracles certify the
 polynomial-time algorithms, not compete with them, and a budget guard
 (``check_budget``, exact integer n^m comparison) refuses instances beyond
 desk scale.  Two-agent WMMS rows are solved as subset sums by
@@ -68,21 +72,25 @@ def _check_signs(inst: Instance) -> None:
 
 
 def _search(
-    loads: list[list[int]], cap: int, first_leaf: bool
+    loads: list[list[int]], cap: int, first_leaf: bool, start: list[int]
 ) -> tuple[int | None, tuple[int, ...] | None]:
     """One depth-first pass over owner vectors: chores in list order, owners 0..n-1.
 
-    Leaves come in lexicographic order, and a child is entered only when its
+    Agent k's load sum starts at ``start[k]`` (the list is not changed), and
+    leaves come in lexicographic order.  A child is entered only when its
     agent's load sum stays below ``cap``.  With ``first_leaf`` the cap is
-    fixed and the pass returns its first leaf; without it the pass is a
-    branch and bound whose cap drops to each new incumbent's largest sum, so
-    it returns the first leaf of least largest sum.  Either way the result
-    is ``(largest sum, owners)``, or ``(None, None)`` when no leaf is within
-    the cap.  The stack is explicit (``owner``, ``top``): depth is not
-    bounded by recursion.
+    fixed and the pass returns its first leaf, the first completion of the
+    start sums; without it the pass is a branch and bound whose cap drops to
+    each new incumbent's largest sum, so it returns the first leaf of least
+    largest sum.  Either way the result is ``(largest sum, owners)``, or
+    ``(None, None)`` when no leaf is within the cap.  The largest sum is
+    over the agents given a chore in the pass: the branch and bound starts
+    from zero sums, and a completion is read for its owners alone.  The
+    stack is explicit (``owner``, ``top``): depth is not bounded by
+    recursion.
     """
-    n, m = len(loads[0]) if loads else 0, len(loads)
-    sums = [0] * n
+    n, m = len(start), len(loads)
+    sums = list(start)
     owner = [-1] * m  # owner[j]: agent chore j is assigned to, -1 before the first
     top = [0] * (m + 1)  # top[j]: largest sum once chores < j are assigned
     best = None, None  # the last leaf's largest sum and owners
@@ -125,23 +133,48 @@ def _lex_min_max(loads: list[list[int | None]]) -> tuple[int | None, tuple[int, 
     owner vector avoids every None.  Every caller is in this module.
 
     A None becomes one more than the sum of all finite loads, which no cap
-    admits.  Two passes of ``_search`` follow.  Phase A finds the optimal
-    value by branch and bound over the chores in descending order of their
-    load sums (ties by index): the optimum does not depend on the order, and
-    big chores first reach a good incumbent early and cut more.  Phase B
-    searches the chores in index order with the cap fixed at ``opt + 1`` and
-    stops at its first leaf.  Every leaf within that cap is optimal, and
-    leaves come in lexicographic order, so that leaf is the lexicographically
-    first optimum, the witness an index-order branch and bound or a full
-    enumeration returns.
+    admits.  Phase A finds the optimal value by a ``_search`` branch and
+    bound over the chores in descending order of their load sums (ties by
+    index): the optimum does not depend on the order, and big chores first
+    reach a good incumbent early and cut more.  With the cap at ``opt + 1``
+    every leaf within it is optimal, and the lexicographically first of
+    them, the witness an index-order branch and bound or a full enumeration
+    returns, is built one chore at a time: chore j goes to the lowest agent
+    k for which the chores after j can still be completed within the cap.
+
+    The walk keeps a known completion, at first phase A's leaf.  Its owner
+    of chore j has a completion, so only the agents below it need a check:
+    k is skipped when its sum so far plus j's load reaches the cap, and is
+    otherwise asked for by a first-leaf ``_search`` over the chores after j,
+    in phase A's order, from the current sums with j on k.  Whether a
+    completion exists does not depend on that order, and the leaf found is
+    the next known completion.  Each known completion is the first leaf
+    within the cap in its pass's order, so moving one of its chores to a
+    lower agent leaves some sum at the cap or above (else that vector came
+    first): no check is answered without a search.
     """
     never = sum(x for row in loads for x in row if x is not None) + 1
     loads = [[never if x is None else x for x in row] for row in loads]
-    order = sorted(range(len(loads)), key=lambda j: -sum(loads[j]))
-    opt = _search([loads[j] for j in order], never, False)[0]
+    n, m = len(loads[0]) if loads else 0, len(loads)
+    order = sorted(range(m), key=lambda j: -sum(loads[j]))
+    opt, leaf = _search([loads[j] for j in order], never, False, [0] * n)
     if opt is None:
         return None, None
-    return _search(loads, opt + 1, True)
+    cap, sums = opt + 1, [0] * n
+    owners = [k for _, k in sorted(zip(order, leaf))]  # phase A's leaf in index order
+    for j, row in enumerate(loads):
+        for k in range(owners[j]):
+            if sums[k] + row[k] < cap:
+                rest = [i for i in order if i > j]
+                sums[k] += row[k]
+                found = _search([loads[i] for i in rest], cap, True, sums)[1]
+                sums[k] -= row[k]
+                if found is not None:
+                    for i, o in zip([j, *rest], [k, *found]):
+                        owners[i] = o
+                    break
+        sums[owners[j]] += row[owners[j]]
+    return opt, tuple(owners)
 
 
 # _two_agent_split's suffix sets hold m * (T + 1) bits, T the row's total size.

@@ -8,9 +8,11 @@ it was before the divider's split went through that search: it scores all 2^m
 subsets in bitmask order and keeps the first strictly better one.
 ``lex_min_max`` scans every owner vector of the search's own input, integer
 loads per chore and agent with None where the agent may not take the chore,
-in lexicographic order.  They are slow but obviously exact; the
-differential tests require the search to return the same values,
-witnesses, splits and traces.
+in lexicographic order.  ``first_completion`` is the search's witness pass
+as it was before the chore-by-chore walk replaced it: a depth-first pass in
+index order with every load sum capped, stopping at its first owner vector.
+They are slow but obviously exact; the differential tests require the
+search to return the same values, witnesses, splits and traces.
 """
 
 from __future__ import annotations
@@ -48,6 +50,32 @@ def lex_min_max(loads: list[list[int | None]]) -> tuple[int, tuple[int, ...]] | 
         if best is None or key < best[0]:
             best = (key, owners)
     return best
+
+
+def first_completion(
+    loads: list[list[int | None]], cap: int, start: list[int]
+) -> tuple[int, ...] | None:
+    """The first owner vector keeping every agent's load sum, from ``start``, below ``cap``.
+
+    ``loads[j][k]`` is None where agent k may not take chore j; None when no
+    owner vector stays below the cap.
+    """
+    sums, owners = list(start), []
+
+    def extend(j: int) -> bool:
+        if j == len(loads):
+            return True
+        for k, x in enumerate(loads[j]):
+            if x is not None and sums[k] + x < cap:
+                sums[k] += x
+                owners.append(k)
+                if extend(j + 1):
+                    return True
+                sums[k] -= x
+                owners.pop()
+        return False
+
+    return tuple(owners) if extend(0) else None
 
 
 def exact_wmms(inst: Instance) -> OracleResult:

@@ -1,12 +1,17 @@
-"""Differential tests: the two-phase search against full enumeration.
+"""Differential tests: the oracle's search against full enumeration and a plain pass.
 
 The search returns the lexicographically first optimum and the enumeration
 keeps the first strictly better owner vector, so they must agree on every
 value and on every witness, not merely on the optimum.  The same holds for
 the divider's split in ``divide_and_choose``, whose owner vectors are subsets
 in bitmask order, and for the kernel ``_lex_min_max`` on its own inputs.
-The two-agent subset-sum kernel ``_two_agent_split`` must return exactly
-what ``_lex_min_max`` returns on its rows.
+Past the sizes a full scan reaches, ``_lex_min_max``'s chore-by-chore walk
+must return the first owner vector of an index-order pass capped one above
+the branch and bound's optimum, the witness pass it replaced; and each
+completion query, a first-leaf ``_search`` from given load sums, must
+return that pass's first completion from the same sums.  The two-agent
+subset-sum kernel ``_two_agent_split`` must return exactly what
+``_lex_min_max`` returns on its rows.
 """
 
 from fractions import Fraction
@@ -16,7 +21,7 @@ from hypothesis import strategies as st
 
 import choreshare as cs
 import enumeration_oracle as reference
-from choreshare.oracle import _lex_min_max, _two_agent_split
+from choreshare.oracle import _lex_min_max, _search, _two_agent_split
 
 F = Fraction
 
@@ -91,10 +96,9 @@ def test_single_agent_long_row_needs_no_recursion():
 
 
 @st.composite
-def kernel_inputs(draw):
-    n = draw(st.integers(1, 4))
-    # the reference scans all n^m owner vectors: at most 4096
-    m = draw(st.integers(0, {1: 10, 2: 12, 3: 7, 4: 6}[n]))
+def kernel_inputs(draw, chores):
+    n = draw(st.sampled_from(sorted(chores)))
+    m = draw(st.integers(*chores[n]))
     top = draw(st.sampled_from([1, 2, 9]))  # few distinct loads make many ties
     unit = draw(st.sampled_from([1, 3, 2**64 + 1]))  # load sums past 2^64 too
     load = st.integers(0, top).map(lambda x: x * unit)
@@ -107,16 +111,56 @@ def kernel_inputs(draw):
         loads = [[draw(cell) for _ in range(n)] for _ in range(m)]
     if m and draw(st.integers(0, 3)) == 0:
         loads[draw(st.integers(0, m - 1))] = [None] * n  # no agent may take this chore
+    if m and draw(st.integers(0, 3)) == 0:
+        loads[draw(st.integers(0, m - 1))] = [0] * n  # a chore that loads no agent
     if draw(st.booleans()):
-        # ascending load sums: phase A's descending order reverses index order
+        # ascending load sums: phase A's descending order reverses index order,
+        # so the walk meets failed and successful completion queries
         loads.sort(key=lambda row: sum(x or 0 for x in row))
     return loads
 
 
+# the reference scans all n^m owner vectors: at most 4096
 @settings(max_examples=300, deadline=None)
-@given(kernel_inputs())
+@given(kernel_inputs({1: (0, 10), 2: (0, 12), 3: (0, 7), 4: (0, 6)}))
 def test_kernel_returns_the_first_optimum_of_a_full_scan(loads):
     assert _lex_min_max(loads) == (reference.lex_min_max(loads) or (None, None))
+
+
+# past the full scan: up to 3^12, 4^10 and 2^20 owner vectors
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs({2: (10, 20), 3: (7, 12), 4: (6, 10)}))
+def test_kernel_walk_returns_the_first_leaf_within_the_optimum(loads):
+    n = len(loads[0]) if loads else 0
+    never = sum(x for row in loads for x in row if x is not None) + 1
+    filled = [[never if x is None else x for x in row] for row in loads]
+    filled.sort(key=lambda row: -sum(row))  # phase A's order
+    opt = _search(filled, never, False, [0] * n)[0]
+    if opt is None:
+        assert _lex_min_max(loads) == (None, None)
+    else:
+        assert _lex_min_max(loads) == (opt, reference.first_completion(loads, opt + 1, [0] * n))
+
+
+@st.composite
+def completion_queries(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, {1: 10, 2: 12, 3: 8, 4: 7}[n]))
+    top = draw(st.sampled_from([1, 2, 9]))
+    loads = [[draw(st.integers(0, top)) for _ in range(n)] for _ in range(m)]
+    cap = draw(st.integers(1, sum(map(sum, loads)) // n + top + 1))
+    return loads, cap, [draw(st.integers(0, cap - 1)) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(completion_queries())
+@example(([], 1, [0]))
+@example(([[1, 1]], 3, [2, 2]))  # no room left on any agent
+def test_first_leaf_pass_returns_the_first_completion_from_its_start_sums(query):
+    loads, cap, start = query
+    given_start = list(start)
+    assert _search(loads, cap, True, start)[1] == reference.first_completion(loads, cap, start)
+    assert start == given_start  # the walk's own sums
 
 
 @st.composite
