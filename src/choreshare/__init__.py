@@ -55,8 +55,6 @@ from .model import (
     Instance,
     bundle_value,
     fairness_report,
-    normalize_instance,
-    unfairness_degree,
     validate_allocation,
     validate_instance,
 )

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .errors import NotBinary
+from .errors import NormalizationImpossible, NotBinary
 from .model import (
     ZERO,
     Allocation,
@@ -30,7 +30,6 @@ from .model import (
     check_shares,
     division_weights,
     integer_row,
-    normalize_instance,
 )
 from .oracle import _check_signs, _two_agent_split, check_budget
 
@@ -145,13 +144,15 @@ def divide_and_choose(
     Otherwise the divider's split is ``oracle._two_agent_split``'s witness for
     the two shares on her integer row, the first maximizer of her worst
     per-share bundle value in bitmask order; the chooser's earmarked bundle
-    is sized for her, and she keeps her preferred side (ties: the earmarked one).
+    is sized for her, and she keeps her preferred side (ties: the earmarked
+    one), valued on her row scaled to total -1 as the trace records it.
 
     Requires n == 2 and the search's sign rule (``oracle._check_signs``:
-    positive shares, no positive value anywhere), else ValueError, and a
-    normalizable instance; a split over more owner vectors than the oracles'
-    default budget (2^m: m > 26) raises BudgetExceeded rather than silently
-    losing the guarantee.
+    positive shares, no positive value anywhere), else ValueError.  With
+    chores, an agent who values every chore at 0 has no total to scale by:
+    NormalizationImpossible names the lowest such agent.  A split over more
+    owner vectors than the oracles' default budget (2^m: m > 26) raises
+    BudgetExceeded rather than silently losing the guarantee.
     """
     if inst.n != 2:
         raise ValueError(f"div-cho requires exactly 2 agents, got {inst.n}")
@@ -159,23 +160,27 @@ def divide_and_choose(
     m = inst.m
     if m == 0:
         return Allocation(2, ())
-    chooser = 0 if inst.shares[0] <= inst.shares[1] else 1
+    shares, rows = inst.shares, inst.integer_values
+    totals = [sum(ints) for ints, _ in rows]
+    if 0 in totals:
+        raise NormalizationImpossible(f"agent {totals.index(0)} values every chore at 0")
+    chooser = 0 if shares[0] <= shares[1] else 1
     divider = 1 - chooser
-    norm = normalize_instance(inst)
 
-    if norm.shares[chooser] <= Fraction(1, 3):
-        return _emit(trace, 2, (divider,) * m, norm.shares[divider])
+    if shares[chooser] <= Fraction(1, 3):
+        return _emit(trace, 2, (divider,) * m, shares[divider])
 
     check_budget(2, m)
     # Owner 0 is the divider's bundle, owner 1 the one earmarked for the chooser.
     # With the chores fed last to first, lexicographic owner order is bitmask
     # order (bit j set: chore j earmarked), so ties go to the same split.
-    weight, _ = division_weights([1, 1], (norm.shares[divider], norm.shares[chooser]))
-    xs = [-a for a in norm.integer_values[divider][0][::-1]]
+    weight, _ = division_weights([1, 1], (shares[divider], shares[chooser]))
+    xs = [-a for a in rows[divider][0][::-1]]
     side_of = _two_agent_split(xs, *weight)[1][::-1]
-    value = [bundle_value(norm, chooser, [j for j in range(m) if side_of[j] == s]) for s in (0, 1)]
+    earmarked = sum(a for a, s in zip(rows[chooser][0], side_of) if s)
+    value = [Fraction(v, -totals[chooser]) for v in (totals[chooser] - earmarked, earmarked)]
     side = int(value[1] >= value[0])  # the chooser takes the earmarked side on a tie
-    owner = [chooser if side_of[j] == side else divider for j in range(m)]
+    owner = [chooser if s == side else divider for s in side_of]
     return _emit(trace, 2, owner, value[side])
 
 

@@ -10,7 +10,7 @@ class ParseError(ChoreShareError):
 
 
 class NormalizationImpossible(ChoreShareError):
-    """An agent values every chore at zero, so her row cannot be scaled to total -1."""
+    """An agent values every chore at zero, so ``divide_and_choose`` cannot scale her row to total -1."""
 
 
 class BudgetExceeded(ChoreShareError):

@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import NormalizationImpossible
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 # Python before 3.10.7 has no int-to-text digit limit.
@@ -170,10 +168,6 @@ class FairnessReport:
 
     agents: tuple[AgentReport, ...]
 
-    def satisfied_at(self, alpha: Fraction) -> bool:
-        """True iff every agent's bundle value is at least alpha times her reference."""
-        return all(a.bundle_value >= alpha * a.reference for a in self.agents)
-
     def worst_ratio(self) -> Fraction | None:
         """Largest achieved ratio over agents with a negative reference.
 
@@ -237,33 +231,10 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
     return violations
 
 
-def normalize_instance(inst: Instance) -> Instance:
-    """Scale each agent's row so her total value for all chores is exactly -1.
-
-    Shares are unchanged.  Raises NormalizationImpossible when some agent
-    values every chore at 0 (callers fall back to the degenerate/binary path).
-    """
-    rows = []
-    for i, (ints, _) in enumerate(inst.integer_values):
-        total = sum(ints)
-        if total == 0:
-            raise NormalizationImpossible(f"agent {i} values every chore at 0")
-        rows.append((ints, [-total] * len(ints)))
-    return Instance.from_pairs(inst.shares, rows)
-
-
 def bundle_value(inst: Instance, i: int, chores: Iterable[int]) -> Fraction:
     """Exact additive value of a chore set to agent i."""
     ints, denom = inst.integer_values[i]
     return Fraction(sum(map(ints.__getitem__, chores)), denom)
-
-
-def unfairness_degree(inst: Instance, i: int, alloc: Allocation) -> Fraction:
-    """Minimum over bundles of agent i's bundle value divided by the owner's share."""
-    return min(
-        bundle_value(inst, i, bundle) / inst.shares[k]
-        for k, bundle in enumerate(alloc.bundles())
-    )
 
 
 def check_references(inst: Instance, refs: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -5,7 +5,8 @@ they were before the oracle moved to a pruned lexicographic search.  They
 score all n^m owner vectors in lexicographic order and keep the first strictly
 better one.  ``divide_and_choose`` is ``choreshare.algorithms``'s function as
 it was before the divider's split went through that search: it scores all 2^m
-subsets in bitmask order and keeps the first strictly better one.
+subsets in bitmask order and keeps the first strictly better one, on the
+instance with each row scaled to total -1.
 ``lex_min_max`` scans every owner vector of the search's own input, integer
 loads per chore and agent with None where the agent may not take the chore,
 in lexicographic order.  ``first_completion`` is the search's witness pass
@@ -22,8 +23,8 @@ from itertools import product
 from math import lcm
 
 from choreshare.algorithms import TraceEvent
-from choreshare.errors import NoFeasibleAllocation
-from choreshare.model import Allocation, Instance, bundle_value, normalize_instance
+from choreshare.errors import NoFeasibleAllocation, NormalizationImpossible
+from choreshare.model import Allocation, Instance, bundle_value
 from choreshare.oracle import OracleResult, OwmmsResult
 
 
@@ -167,7 +168,13 @@ def divide_and_choose(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
         return Allocation(2, ()), trace
     chooser = 0 if inst.shares[0] <= inst.shares[1] else 1
     divider = 1 - chooser
-    norm = normalize_instance(inst)
+    rows = []
+    for i in range(2):
+        total = inst.row_total(i)
+        if total == 0:
+            raise NormalizationImpossible(f"agent {i} values every chore at 0")
+        rows.append([v / -total for v in inst.values[i]])
+    norm = Instance(inst.shares, rows)
 
     if norm.shares[chooser] <= Fraction(1, 3):
         for j in range(m):

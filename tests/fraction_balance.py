@@ -5,7 +5,8 @@ as they were before the balance loop moved to integer keys.  Every key is
 the Fraction ``(totals[i] + v) / shares[i]``, and the surrogate is scored
 with ``unfairness_degree`` over an ``Allocation``, so they are slow but
 obviously exact; the differential tests require the integer versions to
-return the same owners, trace events and references.
+return the same owners, trace events and references.  The oracle tests
+also score witnesses with ``unfairness_degree``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from choreshare.algorithms import TraceEvent
-from choreshare.model import ZERO, Allocation, Instance, unfairness_degree
+from choreshare.model import ZERO, Allocation, Instance, bundle_value
+
+
+def unfairness_degree(inst: Instance, i: int, alloc: Allocation) -> Fraction:
+    """Minimum over bundles of agent i's bundle value divided by the owner's share."""
+    return min(
+        bundle_value(inst, i, bundle) / inst.shares[k]
+        for k, bundle in enumerate(alloc.bundles())
+    )
 
 
 def egal_greedy(

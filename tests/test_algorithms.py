@@ -188,9 +188,6 @@ def test_divcho_preconditions():
     three = cs.Instance((F(1, 3),) * 3, ((F(-1),),) * 3)
     with pytest.raises(ValueError, match="2 agents"):
         cs.divide_and_choose(three)
-    zero_row = cs.Instance((HALF, HALF), ((F(0), F(0)), (F(-1), F(-1))))
-    with pytest.raises(cs.NormalizationImpossible):
-        cs.divide_and_choose(zero_row)
     # with equal shares agent 1 divides; a positive value in her row is refused
     positive = cs.Instance((HALF, HALF), ((F(-1), F(-1)), (F(1), F(-3))))
     with pytest.raises(ValueError, match="nonpositive values"):
@@ -207,6 +204,19 @@ def test_divcho_preconditions():
     # chore and the chooser takes the 24 light ones
     row = (F(-1, 48),) * 24 + (F(-1, 2),)
     assert cs.divide_and_choose(cs.Instance((HALF, HALF), (row, row))).owner == (0,) * 24 + (1,)
+
+
+# Both orders of the shares, the chooser above 1/3 and at most 1/3: the
+# zero-row check runs before the divider takes everything.
+@pytest.mark.parametrize("shares", [(F(2, 5), F(3, 5)), (F(3, 5), F(2, 5)), (F(1, 4), F(3, 4)), (F(3, 4), F(1, 4))])
+@pytest.mark.parametrize("zero_rows", [(0,), (1,), (0, 1)])
+def test_divcho_refuses_a_zero_row(shares, zero_rows):
+    rows = [(F(0),) * 3 if i in zero_rows else (F(-1, 2), F(0), F(-1, 3)) for i in range(2)]
+    trace: list[cs.TraceEvent] = []
+    message = f"^agent {zero_rows[0]} values every chore at 0$"
+    with pytest.raises(cs.NormalizationImpossible, match=message):
+        cs.divide_and_choose(cs.Instance(shares, rows), trace=trace)
+    assert trace == []
 
 
 def test_divcho_bound_on_seeded_instances():

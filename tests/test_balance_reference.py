@@ -3,7 +3,9 @@
 ``egal_greedy`` and ``wmms_prime`` compare agents on integer keys; the
 reference (``fraction_balance``) compares the Fractions they stand for.  On
 every instance both must agree on every owner, every trace event
-(``quantity`` included) and every reference.
+(``quantity`` included) and every reference.  ``unfairness_degree``, which
+scores the reference's surrogate and the oracle's witnesses, is pinned on
+examples here.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import fraction_balance as reference
 import choreshare as cs
+from conftest import quick_instances
 
 F = Fraction
 
@@ -62,3 +65,30 @@ def test_balance_greedy_matches_fraction_reference(inst):
         assert alloc == cs.egal_greedy(inst.shares, row)
         assert trace == ref_trace
     assert cs.wmms_prime(inst) == reference.wmms_prime(inst)
+
+
+def test_unfairness_degree_examples(table2):
+    split = cs.Allocation(2, (0, 1))
+    assert reference.unfairness_degree(table2, 0, split) == F(-1)
+    all_to_first = cs.Allocation(2, (0, 0))
+    assert reference.unfairness_degree(table2, 1, all_to_first) == F(-4, 3)
+
+
+def test_unfairness_degree_single_agent():
+    inst = cs.Instance((F(1),), ((F(-1, 3), F(-2, 3)),))
+    assert reference.unfairness_degree(inst, 0, cs.Allocation(1, (0, 0))) == F(-1)
+
+
+def test_unfairness_degree_weighted_mean_bound():
+    # The share-weighted mean of the per-share bundle values telescopes to the
+    # row total, so on normalized instances the minimum is at most -1.
+    for inst in quick_instances(seeds=2):
+        for owners in [(0,) * inst.m, tuple(j % inst.n for j in range(inst.m))]:
+            alloc = cs.Allocation(inst.n, owners)
+            for i in range(inst.n):
+                mean = sum(
+                    inst.shares[k] * (cs.bundle_value(inst, i, b) / inst.shares[k])
+                    for k, b in enumerate(alloc.bundles())
+                )
+                assert mean == inst.row_total(i) == F(-1)
+                assert reference.unfairness_degree(inst, i, alloc) <= F(-1)

@@ -93,40 +93,6 @@ def test_from_pairs_refuses_a_zero_denominator():
             cs.Instance.from_pairs((1,), [([num for num, _ in pairs], [den for _, den in pairs])])
 
 
-def test_normalize_scales_rows():
-    inst = cs.Instance((HALF, HALF), ((F(-2), F(-2)), (F(-3), F(-1))))
-    norm = cs.normalize_instance(inst)
-    assert norm.values[0] == (F(-1, 2), F(-1, 2))
-    assert norm.values[1] == (F(-3, 4), F(-1, 4))
-    assert norm.shares == inst.shares
-
-
-def test_normalize_fixed_point_on_table1(table1):
-    assert cs.normalize_instance(table1) == table1
-
-
-def test_normalize_zero_row_raises():
-    inst = cs.Instance((F(1),), ((F(0), F(0)),))
-    with pytest.raises(cs.NormalizationImpossible):
-        cs.normalize_instance(inst)
-
-
-def test_normalize_idempotent_and_order_preserving():
-    for inst in quick_instances():
-        norm = cs.normalize_instance(inst)
-        assert cs.normalize_instance(norm) == norm
-        assert all(norm.row_total(i) == -1 for i in range(norm.n))
-        # scaling preserves the ordering of bundle values within a row
-        bundles = ([0], [1, 2], [3], list(range(inst.m)))
-        for i in range(inst.n):
-            before = [cs.bundle_value(inst, i, b) for b in bundles]
-            after = [cs.bundle_value(norm, i, b) for b in bundles]
-            for a in range(len(bundles)):
-                for b in range(len(bundles)):
-                    assert (before[a] < before[b]) == (after[a] < after[b])
-                    assert (before[a] == 0) == (after[a] == 0)
-
-
 @given(st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=60))))
 @example([])
 @example([F(-1, 3), F(-2, 9), F(-1, 3), 0])
@@ -153,33 +119,6 @@ def test_bundle_value_additive():
             ) == cs.bundle_value(inst, i, range(inst.m))
 
 
-def test_unfairness_degree_examples(table2):
-    split = cs.Allocation(2, (0, 1))
-    assert cs.unfairness_degree(table2, 0, split) == F(-1)
-    all_to_first = cs.Allocation(2, (0, 0))
-    assert cs.unfairness_degree(table2, 1, all_to_first) == F(-4, 3)
-
-
-def test_unfairness_degree_single_agent():
-    inst = cs.Instance((F(1),), ((F(-1, 3), F(-2, 3)),))
-    assert cs.unfairness_degree(inst, 0, cs.Allocation(1, (0, 0))) == F(-1)
-
-
-def test_unfairness_degree_weighted_mean_bound():
-    # The share-weighted mean of the per-share bundle values telescopes to the
-    # row total, so on normalized instances the minimum is at most -1.
-    for inst in quick_instances(seeds=2):
-        for owners in [(0,) * inst.m, tuple(j % inst.n for j in range(inst.m))]:
-            alloc = cs.Allocation(inst.n, owners)
-            for i in range(inst.n):
-                mean = sum(
-                    inst.shares[k] * (cs.bundle_value(inst, i, b) / inst.shares[k])
-                    for k, b in enumerate(alloc.bundles())
-                )
-                assert mean == inst.row_total(i) == F(-1)
-                assert cs.unfairness_degree(inst, i, alloc) <= F(-1)
-
-
 def test_fairness_report_table2(table2):
     report = cs.fairness_report(
         table2, cs.Allocation(2, (0, 0)), (F(-3, 4), F(-1, 3))
@@ -187,8 +126,6 @@ def test_fairness_report_table2(table2):
     assert report.agents[0].ratio == F(4, 3)
     assert report.agents[1].ratio == F(0)
     assert report.worst_ratio() == F(4, 3)
-    assert report.satisfied_at(F(4, 3))
-    assert not report.satisfied_at(F(5, 4))
 
 
 def test_fairness_report_table1(table1):
@@ -196,7 +133,7 @@ def test_fairness_report_table1(table1):
         table1, cs.Allocation(2, (0, 1, 1, 1)), (F(-1, 4), F(-3, 4))
     )
     assert [a.ratio for a in report.agents] == [F(1), F(5, 6)]
-    assert report.satisfied_at(F(1))
+    assert report.worst_ratio() == F(1)
 
 
 def test_fairness_report_empty_instance():
@@ -204,7 +141,6 @@ def test_fairness_report_empty_instance():
     report = cs.fairness_report(inst, cs.Allocation(2, ()), (F(0), F(0)))
     assert all(a.unbounded_satisfied for a in report.agents)
     assert report.worst_ratio() == F(0)
-    assert report.satisfied_at(F(100))
 
 
 def test_fairness_report_zero_reference_policy():
@@ -216,7 +152,6 @@ def test_fairness_report_zero_reference_policy():
     shirked = cs.fairness_report(inst, cs.Allocation(2, (0,)), (F(0), F(0)))
     assert not shirked.agents[0].unbounded_satisfied
     assert shirked.worst_ratio() is None
-    assert not shirked.satisfied_at(F(10))
 
 
 def test_fairness_report_rejects_bad_refs(table1):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import choreshare as cs
 from choreshare import oracle
 import enumeration_oracle as reference
+from fraction_balance import unfairness_degree
 from conftest import oracle_alpha, oracle_wmms, quick_instances
 
 F = Fraction
@@ -30,7 +31,7 @@ def test_witnesses_attain_w():
     for inst in [cs.paper_table(1), cs.paper_table(2)] + quick_instances(seeds=2):
         res = cs.exact_wmms(inst)
         for i in range(inst.n):
-            assert cs.unfairness_degree(inst, i, res.witness_partitions[i]) == res.w[i]
+            assert unfairness_degree(inst, i, res.witness_partitions[i]) == res.w[i]
             assert res.wmms[i] == inst.shares[i] * res.w[i]
 
 
@@ -53,7 +54,7 @@ def wmms_instances(draw):
 def test_values_are_those_of_the_witnesses(inst):
     res = cs.exact_wmms(inst, budget=inst.n**inst.m)
     for i in range(inst.n):
-        assert res.w[i] == cs.unfairness_degree(inst, i, res.witness_partitions[i])
+        assert res.w[i] == unfairness_degree(inst, i, res.witness_partitions[i])
         assert res.wmms[i] == inst.shares[i] * res.w[i]
 
 
@@ -92,20 +93,21 @@ def test_single_agent_owmms():
 def test_owmms_witness_tight(table2):
     wmms = cs.exact_wmms(table2).wmms
     res = cs.exact_owmms(table2, wmms)
-    assert cs.fairness_report(table2, res.witness, wmms).satisfied_at(res.alpha_star)
+    assert cs.fairness_report(table2, res.witness, wmms).worst_ratio() == res.alpha_star
     # just below alpha*, not even the witness (nor anything else) passes
     probe = res.alpha_star - F(1, 1000)
     for owners in product(range(2), repeat=2):
-        assert not cs.fairness_report(table2, cs.Allocation(2, owners), wmms).satisfied_at(probe)
+        assert cs.fairness_report(table2, cs.Allocation(2, owners), wmms).worst_ratio() > probe
 
 
 def test_satisfied_at_examples(table2):
+    # An allocation is fair at alpha >= 0 exactly when its worst ratio is not
+    # None and at most alpha.
     wmms = (F(-3, 4), F(-1, 3))
     report = cs.fairness_report(table2, cs.Allocation(2, (0, 0)), wmms)
-    assert report.satisfied_at(F(4, 3))
-    assert not report.satisfied_at(F(5, 4))
+    assert F(5, 4) < report.worst_ratio() <= F(4, 3)
     empty = cs.Instance((HALF, HALF), ((), ()))
-    assert cs.fairness_report(empty, cs.Allocation(2, ()), (F(0), F(0))).satisfied_at(F(100))
+    assert cs.fairness_report(empty, cs.Allocation(2, ()), (F(0), F(0))).worst_ratio() <= F(100)
 
 
 def test_table4_wmms_matches_printed_values():

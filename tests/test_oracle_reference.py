@@ -15,6 +15,7 @@ subset-sum kernel ``_two_agent_split`` must return exactly what
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -217,17 +218,25 @@ def two_agent_instances(draw):
         # identical rows, and few distinct values, make ties between splits
         if values and draw(st.booleans()):
             values.append(values[0])
-        else:
-            top = draw(st.sampled_from([1, 2, 9]))
+            continue
+        top = draw(st.sampled_from([1, 2, 9]))
+        if draw(st.booleans()):
             values.append(tuple(-F(draw(st.integers(0, top))) for _ in range(m)))
+            continue
+        # A rational row whose integers share a factor its denominator lacks:
+        # scaling it to total -1 changes both its integers and its denominator.
+        row = [-F(draw(st.integers(0, top)), draw(st.integers(1, 6))) for _ in range(m)]
+        denom = lcm(*(v.denominator for v in row))
+        factor = draw(st.sampled_from([g for g in (2, 3, 5, 7) if gcd(g, denom) == 1]))
+        values.append(tuple(v * factor for v in row))
     return cs.Instance(shares, tuple(values))
 
 
 def _divide_and_choose(run, inst):
     try:
         return run(inst)
-    except cs.NormalizationImpossible:
-        return "not normalizable"
+    except cs.NormalizationImpossible as exc:
+        return f"not normalizable: {exc}"
 
 
 def _library_divide_and_choose(inst):
