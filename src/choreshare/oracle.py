@@ -7,6 +7,7 @@ one.  Each divides by the shares or the references with
 ``model.division_weights`` (the references through ``model._loads``), so
 their one search, ``_lex_min_max``, compares integer load sums on one scale.
 It finds the optimum by a branch and bound over the chores, heaviest first,
+from one above a greedy's largest sum (the same optimal leaf, fewer nodes),
 and then builds the lexicographically first optimal witness chore by chore,
 asking the same depth-first loop, ``_search``, whether the chores left can
 still be completed within the optimum from the load sums so far.  The
@@ -136,11 +137,16 @@ def _lex_min_max(loads: list[list[int | None]]) -> tuple[int | None, tuple[int, 
     admits.  Phase A finds the optimal value by a ``_search`` branch and
     bound over the chores in descending order of their load sums (ties by
     index): the optimum does not depend on the order, and big chores first
-    reach a good incumbent early and cut more.  With the cap at ``opt + 1``
-    every leaf within it is optimal, and the lexicographically first of
-    them, the witness an index-order branch and bound or a full enumeration
-    returns, is built one chore at a time: chore j goes to the lowest agent
-    k for which the chores after j can still be completed within the cap.
+    reach a good incumbent early and cut more.  Its cap starts at
+    ``min(G + 1, never)``, G the largest sum of a greedy giving each chore,
+    in that order, to the agent with the least sum after taking it.  Each
+    leaf lowers the cap and a node is entered only below it, so any start
+    in ``(opt, never]`` gives the same first leaf of value opt.  With the
+    cap at ``opt + 1`` every leaf within it is optimal, and the
+    lexicographically first of them, the witness an index-order branch and
+    bound or a full enumeration returns, is built one chore at a time: chore
+    j goes to the lowest agent k for which the chores after j can still be
+    completed within the cap.
 
     The walk keeps a known completion, at first phase A's leaf.  Its owner
     of chore j has a completion, so only the agents below it need a check:
@@ -157,7 +163,11 @@ def _lex_min_max(loads: list[list[int | None]]) -> tuple[int | None, tuple[int, 
     loads = [[never if x is None else x for x in row] for row in loads]
     n, m = len(loads[0]) if loads else 0, len(loads)
     order = sorted(range(m), key=lambda j: -sum(loads[j]))
-    opt, leaf = _search([loads[j] for j in order], never, False, [0] * n)
+    rows, sums = [loads[j] for j in order], [0] * n
+    for row in rows:  # the greedy: each chore to the least sum after taking it
+        k = min(range(n), key=lambda k: sums[k] + row[k])
+        sums[k] += row[k]
+    opt, leaf = _search(rows, min(max(sums, default=0) + 1, never), False, [0] * n)
     if opt is None:
         return None, None
     cap, sums = opt + 1, [0] * n

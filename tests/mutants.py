@@ -43,6 +43,8 @@ ALGO = "tests/test_algorithms.py::"
 ORACLE = "tests/test_oracle.py::"
 ORACLE_REF = "tests/test_oracle_reference.py::"
 LP = "tests/test_lp.py::"
+PROBE_REF = "tests/test_probe_reference.py::"
+BISECT_REF = "tests/test_bisection_reference.py::"
 SIMPLEX = "tests/test_simplex.py::"
 SIMPLEX_REF = "tests/test_simplex_reference.py::"
 
@@ -175,6 +177,17 @@ MUTANTS = [
         "sums = list(start)", "sums = start",
         (ORACLE_REF + "test_first_leaf_pass_returns_the_first_completion_from_its_start_sums",),
     ),
+    # phase A's starting cap, one above the greedy's largest sum and at most never
+    Mutant(
+        "greedy cap: without + 1", "oracle.py",
+        "min(max(sums, default=0) + 1, never)", "min(max(sums, default=0), never)",
+        (ORACLE_REF + "test_phase_a_starts_one_above_a_real_largest_sum_at_or_above_the_optimum",),
+    ),
+    Mutant(
+        "greedy cap: not clipped to never", "oracle.py",
+        "min(max(sums, default=0) + 1, never)", "max(sums, default=0) + 1",
+        (ORACLE_REF + "test_phase_a_starts_one_above_a_real_largest_sum_at_or_above_the_optimum",),
+    ),
     # the exact simplex
     Mutant(
         "simplex: phase 1's verdict as > 0", "simplex.py",
@@ -206,6 +219,55 @@ MUTANTS = [
         "simplex: clean-up in forward order", "simplex.py",
         "for r in reversed(range(len(self.rows))):", "for r in range(len(self.rows)):",
         (SIMPLEX_REF + "test_same_bases_as_reference",),
+    ),
+    Mutant(
+        "simplex: a pivot rewrites rows with a zero pivot-column entry", "simplex.py",
+        "if f and i != r:", "if i != r:",
+        (SIMPLEX_REF + "test_rows_over_their_denominators_are_the_reference_rows",),
+    ),
+    Mutant(
+        "simplex: point() reads every row over d", "simplex.py",
+        "x[b] = Fraction(row[-1], dr)", "x[b] = Fraction(row[-1], self.d)",
+        (SIMPLEX_REF + "test_same_vertex_and_optimum_as_reference",),
+    ),
+    Mutant(
+        "simplex: the pivot row kept over the old d", "simplex.py",
+        "rows[r], den[r] = pivot_row, p", "rows[r], den[r] = pivot_row, d",
+        (SIMPLEX_REF + "test_rows_over_their_denominators_are_the_reference_rows",),
+    ),
+    # linpro's integer probes and its bracket
+    Mutant(
+        "_eligible: bisect boundary one below", "lp.py",
+        "bisect_left(pairs, (top + 1,))", "bisect_left(pairs, (top,))",
+        (PROBE_REF + "test_integer_probe_matches_program_reference",),
+    ),
+    Mutant(
+        "_certificate: floor check loosened by one", "lp.py",
+        "return None if max(used) > top else", "return None if max(used) > top + 1 else",
+        (LP + "test_certificate_uses_eligible_pairs_and_clears_every_floor",),
+    ),
+    Mutant(
+        "_certificate: chores by their smallest eligible load", "lp.py",
+        "key=lambda j: -prefixes[j][-1][0]", "key=lambda j: -prefixes[j][0][0]",
+        (PROBE_REF + "test_integer_probe_matches_program_reference",),
+    ),
+    Mutant(
+        "_certificate: ties to the highest agent", "lp.py",
+        "load, i = min([(used[a] + x, a) for x, a in prefixes[j]])",
+        "load, i = min([(used[a] + x, a) for x, a in prefixes[j][::-1]], key=lambda t: t[0])",
+        (PROBE_REF + "test_integer_probe_matches_program_reference",),
+    ),
+    Mutant(
+        "linpro: stop test with >=", "lp.py",
+        "while 4 * (hi - lo) * eps.denominator > eps.numerator * den:",
+        "while 4 * (hi - lo) * eps.denominator >= eps.numerator * den:",
+        (BISECT_REF + "test_integer_bracket_matches_the_fraction_bisection",),
+    ),
+    Mutant(
+        "linpro: a probe's top rounded up", "lp.py",
+        "_certificate(ranked, inst.n, mid * scale // den)",
+        "_certificate(ranked, inst.n, -(-mid * scale // den))",
+        (LP + "test_linpro_table2",),
     ),
     # LP points as dicts
     Mutant(

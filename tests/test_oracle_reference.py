@@ -15,13 +15,16 @@ subset-sum kernel ``_two_agent_split`` must return exactly what
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import choreshare as cs
 import enumeration_oracle as reference
+from choreshare import oracle
 from choreshare.oracle import _lex_min_max, _search, _two_agent_split
 
 F = Fraction
@@ -129,18 +132,75 @@ def test_kernel_returns_the_first_optimum_of_a_full_scan(loads):
 
 
 # past the full scan: up to 3^12, 4^10 and 2^20 owner vectors
+def _phase_a_rows(loads):
+    """Phase A's rows, a None filled as ``never``, and ``never``."""
+    never = sum(x for row in loads for x in row if x is not None) + 1
+    filled = [[never if x is None else x for x in row] for row in loads]
+    filled.sort(key=lambda row: -sum(row))  # phase A's order
+    return filled, never
+
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_inputs({2: (10, 20), 3: (7, 12), 4: (6, 10)}))
 def test_kernel_walk_returns_the_first_leaf_within_the_optimum(loads):
     n = len(loads[0]) if loads else 0
-    never = sum(x for row in loads for x in row if x is not None) + 1
-    filled = [[never if x is None else x for x in row] for row in loads]
-    filled.sort(key=lambda row: -sum(row))  # phase A's order
-    opt = _search(filled, never, False, [0] * n)[0]
+    rows, never = _phase_a_rows(loads)
+    opt = _search(rows, never, False, [0] * n)[0]
     if opt is None:
         assert _lex_min_max(loads) == (None, None)
     else:
         assert _lex_min_max(loads) == (opt, reference.first_completion(loads, opt + 1, [0] * n))
+
+
+# Largest sum first: the greedy's 3, 3, 2, 2, 2 on two agents is 7, the optimum 6.
+LPT_GAP = [[3, 3], [3, 3], [2, 2], [2, 2], [2, 2]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs({2: (10, 16), 3: (7, 10), 4: (6, 8)}), st.integers(0, 2**70))
+@example(LPT_GAP, 0)  # cap = opt + 1
+@example(LPT_GAP, 1)  # cap = the greedy's 7 + 1
+@example([[1, 1], [1, 1]], 0)  # the greedy is already optimal
+@example([[None, None], [1, 2]], 5)  # a chore no agent may take: cap = never
+def test_phase_a_returns_the_same_leaf_from_any_cap_above_the_optimum(loads, offset):
+    # the greedy's starting cap relies on this: each leaf lowers the cap, so
+    # any cap in (opt, never] leads to the first leaf of value opt
+    rows, never = _phase_a_rows(loads)
+    zeros = [0] * (len(loads[0]) if loads else 0)
+    unseeded = _search(rows, never, False, zeros)
+    opt = never - 1 if unseeded[0] is None else unseeded[0]
+    assert _search(rows, opt + 1 + offset % (never - opt), False, zeros) == unseeded
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs({1: (0, 10), 2: (0, 12), 3: (0, 7), 4: (0, 6)}))
+@example(LPT_GAP)
+@example([[1, 1], [1, 1]])  # the greedy is already optimal: phase A starts at opt + 1
+@example([[None, None], [1, 2]])  # a chore no agent may take
+def test_phase_a_starts_one_above_a_real_largest_sum_at_or_above_the_optimum(loads):
+    caps = []
+
+    def spy(rows, cap, first_leaf, start):
+        if not first_leaf:
+            caps.append(cap)
+        return _search(rows, cap, first_leaf, start)
+
+    with mock.patch.object(oracle, "_search", spy):
+        _lex_min_max(loads)
+    (cap,) = caps  # phase A's one branch and bound
+    best = reference.lex_min_max(loads)
+    if best is None:
+        assert cap == _phase_a_rows(loads)[1]  # never: the infeasible path
+        return
+    n = len(loads[0]) if loads else 0
+    largest = set()  # the largest sum of each owner vector that avoids every None
+    for owners in product(range(n), repeat=len(loads)):
+        if all(row[k] is not None for row, k in zip(loads, owners)):
+            sums = [0] * n
+            for row, k in zip(loads, owners):
+                sums[k] += row[k]
+            largest.add(max(sums, default=0))
+    assert cap - 1 in largest and cap - 1 >= best[0]
 
 
 @st.composite
