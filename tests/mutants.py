@@ -202,7 +202,7 @@ MUTANTS = [
     ),
     Mutant(
         "simplex: the reduced row divided by p instead of d", "simplex.py",
-        "// d for a, b in zip(reduced, pivot_row)", "// p for a, b in zip(reduced, pivot_row)",
+        "// d for x, b in zip(reduced, pivot_row)", "// p for x, b in zip(reduced, pivot_row)",
         (SIMPLEX + "test_beale_cycling_example_terminates_at_optimum",),
     ),
     Mutant(
@@ -234,6 +234,45 @@ MUTANTS = [
         "simplex: the pivot row kept over the old d", "simplex.py",
         "rows[r], den[r] = pivot_row, p", "rows[r], den[r] = pivot_row, d",
         (SIMPLEX_REF + "test_rows_over_their_denominators_are_the_reference_rows",),
+    ),
+    Mutant(
+        "simplex: the entering entry not rescaled to d", "simplex.py",
+        "p = column[r] * d // den[r]", "p = column[r]",
+        (SIMPLEX_REF + "test_rows_over_their_denominators_are_the_reference_rows",),
+    ),
+    Mutant(
+        "simplex: pricing drops a column's second nonzero", "simplex.py",
+        "for k, a in cols[entering]:", "for k, a in cols[entering][:1]:",
+        (SIMPLEX_REF + "test_same_vertex_and_basis_at_linpro_scale",),
+    ),
+    Mutant(
+        "simplex: d·π read with the wrong sign", "simplex.py",
+        "f -= y[k] * a", "f += y[k] * a",
+        (SIMPLEX_REF + "test_same_vertex_and_optimum_as_reference",),
+    ),
+    Mutant(
+        "simplex: pricing continues past the first negative column", "simplex.py",
+        """            for entering in range(limit):
+                f = costs[entering] * d
+                for k, a in cols[entering]:
+                    f -= y[k] * a
+                if f < 0:
+                    break
+            else:
+                return reduced
+""",
+        """            priced = []
+            for j in range(limit):
+                g = costs[j] * d
+                for k, a in cols[j]:
+                    g -= y[k] * a
+                if g < 0:
+                    priced.append((j, g))
+            if not priced:
+                return reduced
+            entering, f = priced[-1]
+""",
+        (SIMPLEX_REF + "test_same_bases_as_reference",),
     ),
     # linpro's integer probes and its bracket
     Mutant(

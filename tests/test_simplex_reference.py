@@ -1,9 +1,11 @@
-"""Differential tests: the integer simplex against the Fraction reference.
+"""Differential tests: the revised integer simplex against the Fraction reference.
 
 Both tableaus run Bland's rule from the same starting basis on the same
 integer program, so on every form they must agree on the vertex, the
 infeasibility verdict, the optimum and unboundedness, not merely on
-feasibility.
+feasibility.  The revised tableau keeps each row only at its home columns
+and its right-hand side; its entry in column j is ``M_r . A'_j`` over the
+row's denominator, which must be the reference's entry.
 """
 
 from fractions import Fraction
@@ -143,22 +145,23 @@ def _paper_probe(k, c):
 @example((_paper_probe(1, F(9, 10)), None))
 @example((_paper_probe(2, F(6, 5)), None))
 def test_final_phase1_row_is_a_certificate(case):
-    # The final phase-1 reduced row, over d, holds the verdict in its last
-    # entry and, on an infeasible form, a Farkas vector y for the caller's
-    # rows: y.A <= 0 on every variable, y >= 0 on each ">=" row, y.b > 0.
+    # The final phase-1 reduced row, over d, at the home columns and the
+    # right-hand side, holds the verdict in its last entry and, on an
+    # infeasible form, a Farkas vector y for the caller's rows: y.A <= 0 on
+    # every variable, y >= 0 on each ">=" row, y.b > 0.
     sf, _ = case
     tableau = simplex._Tableau(sf)
-    start = list(tableau.basis)
     costs = [0] * tableau.artificial_start + [1] * (tableau.width - tableau.artificial_start)
     reduced = tableau._optimize(costs, tableau.width)
+    assert len(reduced) == len(sf.rows) + 1
     feasible = simplex._Tableau(sf).phase1()
     assert (reduced[-1] == 0) == feasible
     if feasible:
         return
     d = tableau.d
     y = []  # y_k * d
-    for (_, rhs, _), col in zip(sf.rows, start):
-        yd = d - reduced[col] if col >= tableau.artificial_start else -reduced[col]
+    for (_, rhs, _), home, red in zip(sf.rows, tableau.home, reduced):
+        yd = costs[home] * d - red
         y.append(-yd if rhs < 0 else yd)
     for j in range(sf.num_vars):
         assert sum(yk * coeffs[j] for yk, (coeffs, _, _) in zip(y, sf.rows)) <= 0
@@ -177,7 +180,8 @@ def test_phase1_stops_at_its_optimum(case):
     costs = [0] * optimized.artificial_start + [1] * (optimized.width - optimized.artificial_start)
     reduced = optimized._optimize(costs, optimized.width)
     assert tableau.phase1() == (not reduced[-1])
-    assert (tableau.rows, tableau.den, tableau.basis) == (optimized.rows, optimized.den, optimized.basis)
+    assert (tableau.rows, tableau.den, tableau.d, tableau.basis) == (
+        optimized.rows, optimized.den, optimized.d, optimized.basis)
 
 
 def test_same_vertex_on_linpro_probes():
@@ -192,10 +196,49 @@ def test_same_vertex_on_linpro_probes():
             assert ours == reference.feasible_basic_point(reference.standard_form(prog))
 
 
+def _linpro_forms(n, m, seed, cs):
+    inst = random_instance(n, m, seed)
+    refs = wmms_prime(inst)
+    for c in cs:
+        prog = lp.build_program(inst, c, refs)
+        if not prog.trivially_infeasible:
+            yield lp._standard_form(prog)
+
+
+def _assert_same_phase1(sf):
+    ours, theirs = simplex._Tableau(sf), reference._Tableau(sf)
+    feasible = theirs.phase1()
+    assert ours.phase1() == feasible
+    assert ours.basis == theirs.basis
+    if feasible:
+        assert ours.point() == theirs.point()
+
+
+def test_same_vertex_and_basis_at_linpro_scale():
+    # Thresholds from 1 to 3/2, where a random instance's search ends, and
+    # each seed's c_final: the programs linpro-solve's probes solve.
+    probes = 0
+    for seed in range(6):
+        inst = random_instance(4, 8, seed)
+        c_final = lp.linpro(inst, F(1, 100)).c_final
+        for sf in _linpro_forms(4, 8, seed, (F(1), F(9, 8), F(5, 4), F(3, 2), c_final)):
+            _assert_same_phase1(sf)
+            probes += 1
+    assert probes >= 20
+
+
+def test_same_vertex_and_basis_on_an_8x40_final_program():
+    # linpro's final threshold on this instance; its program takes a few
+    # hundred pivots, a few seconds in the Fraction reference.
+    (sf,) = _linpro_forms(8, 40, 0, (F(4103, 4096),))
+    _assert_same_phase1(sf)
+
+
 def _assert_rows_match(ours, theirs):
     assert len(ours.rows) == len(ours.den) == len(theirs.rows)
     for row, den, ref_row, ref_rhs in zip(ours.rows, ours.den, theirs.rows, theirs.rhs):
-        assert [F(a, den) for a in row] == ref_row + [ref_rhs]
+        entries = [sum(row[k] * a for k, a in col) for col in ours.cols]
+        assert [F(a, den) for a in entries + row[-1:]] == ref_row + [ref_rhs]
 
 
 @settings(max_examples=300, deadline=None)
@@ -204,15 +247,18 @@ def _assert_rows_match(ours, theirs):
 @example((NEGATIVE_CLEANUP_FORM, [-1]))
 @example((REDUNDANT_ROW_FORM, [1, -1, 1]))
 def test_rows_over_their_denominators_are_the_reference_rows(case):
-    # rows[r] / den[r] is the reference's (pivot-normalized) row, and a pivot
-    # leaves a row with a zero in its column as the same list.
+    # M_r . A'_j / den[r] is the reference's (pivot-normalized) entry in
+    # every column, and the right-hand side over den[r] its right-hand
+    # side, after each phase; a pivot leaves a row with a zero entering
+    # entry as the same list.
     sf, objective = case
     ours, theirs = simplex._Tableau(sf), reference._Tableau(sf)
     pivot = ours._pivot
 
-    def pivot_keeping_zero_rows(r, c, reduced=None):
-        kept = [(i, row, ours.den[i]) for i, row in enumerate(ours.rows) if i != r and row[c] == 0]
-        out = pivot(r, c, reduced)
+    def pivot_keeping_zero_rows(r, c, column):
+        assert column == [sum(row[k] * a for k, a in ours.cols[c]) for row in ours.rows]
+        kept = [(i, row, ours.den[i]) for i, row in enumerate(ours.rows) if i != r and column[i] == 0]
+        out = pivot(r, c, column)
         assert all(ours.rows[i] is row and ours.den[i] == den for i, row, den in kept)
         return out
 
