@@ -31,7 +31,7 @@ from .model import (
     division_weights,
     integer_row,
 )
-from .oracle import _check_signs, _two_agent_split, check_budget
+from .oracle import _check_signs, _uniform_split, check_budget
 
 TIE_RULES = ("largest-share", "smallest-share")  # multiplicative_greedy's load-tie rules
 
@@ -141,7 +141,7 @@ def divide_and_choose(
 
     With the agents ordered so the divider has the larger share: when the
     chooser's share is at most 1/3 the divider simply takes everything.
-    Otherwise the divider's split is ``oracle._two_agent_split``'s witness for
+    Otherwise the divider's split is ``oracle._uniform_split``'s witness for
     the two shares on her integer row, the first maximizer of her worst
     per-share bundle value in bitmask order; the chooser's earmarked bundle
     is sized for her, and she keeps her preferred side (ties: the earmarked
@@ -174,9 +174,8 @@ def divide_and_choose(
     # Owner 0 is the divider's bundle, owner 1 the one earmarked for the chooser.
     # With the chores fed last to first, lexicographic owner order is bitmask
     # order (bit j set: chore j earmarked), so ties go to the same split.
-    weight, _ = division_weights([1, 1], (shares[divider], shares[chooser]))
     xs = [-a for a in rows[divider][0][::-1]]
-    side_of = _two_agent_split(xs, *weight)[1][::-1]
+    side_of = _uniform_split(xs, (shares[divider], shares[chooser]))[1][::-1]
     earmarked = sum(a for a, s in zip(rows[chooser][0], side_of) if s)
     value = [Fraction(v, -totals[chooser]) for v in (totals[chooser] - earmarked, earmarked)]
     side = int(value[1] >= value[0])  # the chooser takes the earmarked side on a tie

@@ -51,7 +51,7 @@ def division_weights(denoms: Sequence[int], xs: Sequence[Fraction]) -> tuple[lis
     For ``x_i = p_i / q_i``: ``big = lcm(D_i * p_i) > 0`` over the nonzero
     ``x_i`` and ``w_i = q_i * (big // (D_i * p_i))``, of the sign of ``x_i``.
     Every layer that divides by a per-agent share or reference weights here:
-    ``multiplicative_greedy``, the balance greedy, ``_loads``, ``exact_wmms`` and div-cho.
+    ``multiplicative_greedy``, the balance greedy, ``_loads`` and the oracle's ``_uniform_split``.
     """
     units = [d * x.numerator for d, x in zip(denoms, xs)]
     big = lcm(*filter(None, units))

@@ -14,11 +14,11 @@ still be completed within the optimum from the load sums so far.  The
 search is exponential in the worst case: the oracles certify the
 polynomial-time algorithms, not compete with them, and a budget guard
 (``check_budget``, exact integer n^m comparison) refuses instances beyond
-desk scale.  Two-agent WMMS rows are solved as subset sums by
-``_two_agent_split``, which ``algorithms.divide_and_choose`` also calls for
-its split behind the same guard, so it refuses more than 26 chores at the
-default budget.  The search's sign rule is checked in ``_check_signs``,
-which both oracles and ``divide_and_choose`` call on their input.
+desk scale.  One entry, ``_uniform_split``, splits a row over the shares
+for ``exact_wmms`` and ``algorithms.divide_and_choose`` (behind the same
+guard: div-cho refuses m > 26 by default), by subset sums on two agents
+within a bit bound, else by the search.  The search's sign rule is checked
+in ``_check_signs``, which both oracles and ``divide_and_choose`` call.
 """
 
 from __future__ import annotations
@@ -187,25 +187,30 @@ def _lex_min_max(loads: list[list[int | None]]) -> tuple[int | None, tuple[int, 
     return opt, tuple(owners)
 
 
-# _two_agent_split's suffix sets hold m * (T + 1) bits, T the row's total size.
+# The two-agent suffix sets hold m * (T + 1) bits, T the row's total size.
 # Within 2^26 bits (8 MiB) a row takes at most about 30 ms (Intel Xeon, Python
 # 3.11); past it the search, whose time does not grow with T, takes the row, as
 # T has no bound for rationals over a large lcm.
 _TWO_AGENT_BITS = 1 << 26
 
 
-def _two_agent_split(xs: list[int], w0: int, w1: int) -> tuple[int, tuple[int, ...]]:
-    """``_lex_min_max([[x * w0, x * w1] for x in xs])`` for sizes ``xs[j] >= 0``.
+def _uniform_split(xs: list[int], shares: tuple[Fraction, ...]) -> tuple[Fraction, tuple[int, ...]]:
+    """The least worst ``size / s_k`` over splits of chore sizes ``xs[j] >= 0``, and the first split.
 
-    Past ``_TWO_AGENT_BITS`` it is that call.  Within, the cost ``max(A * w0,
-    (T - A) * w1)`` of agent 0's size A is convex, so the optimum is at a
-    reachable sum next to ``T * w1 / (w0 + w1)``.  Chore j goes to agent 0
-    exactly when the chores after it can still bring her size into the
-    optimum's window ``[lo, hi]``: the lexicographically first witness.
+    That is ``(opt / big, owners)`` for ``_lex_min_max`` on the rows
+    ``[x * w_k]``, ``(w, big) = model.division_weights([1] * n, shares)``.
+    Two agents within ``_TWO_AGENT_BITS`` take a subset sum: the cost
+    ``max(A * w0, (T - A) * w1)`` of agent 0's size A is convex, so the
+    optimum is at a reachable sum next to ``T * w1 / (w0 + w1)``.  Chore j
+    goes to agent 0 exactly when the chores after it can still bring her
+    size into the optimum's window ``[lo, hi]``: the first witness.
     """
+    weight, big = division_weights([1] * len(shares), shares)
     m, total = len(xs), sum(xs)
-    if m * (total + 1) > _TWO_AGENT_BITS:
-        return _lex_min_max([[x * w0, x * w1] for x in xs])
+    if len(shares) != 2 or m * (total + 1) > _TWO_AGENT_BITS:
+        opt, owners = _lex_min_max([[x * w for w in weight] for x in xs])
+        return Fraction(opt, big), owners
+    w0, w1 = weight
     suffix = [1] * (m + 1)  # bit s of suffix[j]: some subset of chores j.. sums to s
     for j in range(m - 1, -1, -1):
         suffix[j] = suffix[j + 1] | suffix[j + 1] << xs[j]
@@ -223,32 +228,26 @@ def _two_agent_split(xs: list[int], w0: int, w1: int) -> tuple[int, tuple[int, .
             a += x
         else:
             owners.append(1)
-    return opt, tuple(owners)
+    return Fraction(opt, big), tuple(owners)
 
 
 def exact_wmms(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact per-agent weighted maxmin shares.
 
     Agents with identical valuation rows share one solve, since the result
-    depends only on the row: ``_two_agent_split`` on two agents, else the
-    search, each giving the optimum and the lexicographically first optimal
-    partition.  Raises ValueError when a value is positive or a share is not.
+    depends only on the row: ``_uniform_split`` gives the optimum and the
+    lexicographically first optimal partition.  Raises ValueError when a
+    value is positive or a share is not.
     """
-    n = inst.n
-    check_budget(n, inst.m, budget)
+    check_budget(inst.n, inst.m, budget)
     _check_signs(inst)
-    weight, big = division_weights([1] * n, inst.shares)
     by_row: dict[tuple[tuple[int, ...], int], tuple[Fraction, Allocation]] = {}
     for row in inst.integer_values:
         if row not in by_row:
             # max min_k V(X_k) / s_k = -(min max_k -V(X_k) / s_k), and
-            # -V(X_k) / s_k is X_k's load sum over denom * big
-            xs = [-v for v in row[0]]
-            if n == 2:
-                opt, owners = _two_agent_split(xs, *weight)
-            else:
-                opt, owners = _lex_min_max([[x * w for w in weight] for x in xs])
-            by_row[row] = Fraction(-opt, row[1] * big), Allocation(n, owners)
+            # -V(X_k) is X_k's size sum over the row's denominator
+            value, owners = _uniform_split([-v for v in row[0]], inst.shares)
+            by_row[row] = -value / row[1], Allocation(inst.n, owners)
 
     w = tuple(by_row[row][0] for row in inst.integer_values)
     witnesses = tuple(by_row[row][1] for row in inst.integer_values)

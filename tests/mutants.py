@@ -90,49 +90,56 @@ MUTANTS = [
         "xs = [-a for a in rows[divider][0][::-1]]", "xs = [-a for a in rows[divider][0]]",
         (ORACLE_REF + "test_divcho_same_split_as_bitmask_search",),
     ),
-    # the two-agent subset-sum kernel
+    # the one split of a row over the shares, and its two-agent subset sum
+    Mutant(
+        "uniform split: one agent sent to the subset sum", "oracle.py",
+        "if len(shares) != 2 or", "if len(shares) > 2 or",
+        (ORACLE_REF + "test_uniform_split_returns_the_search_result",),
+    ),
+    Mutant(
+        "uniform split: the search's optimum not over the scale", "oracle.py",
+        "return Fraction(opt, big), owners\n", "return Fraction(opt), owners\n",
+        (ORACLE_REF + "test_uniform_split_returns_the_search_result",),
+    ),
     Mutant(
         "two-agent kernel: strict window test", "oracle.py",
         "if end >= start and", "if end > start and",
-        (ORACLE_REF + "test_two_agent_kernel_returns_the_search_result",),
+        (ORACLE_REF + "test_uniform_split_returns_the_search_result",),
     ),
     Mutant(
         "two-agent kernel: optimum taken from below only", "oracle.py",
         "nearest = (below, mid + (above & -above).bit_length()) if above else (below,)",
         "nearest = (below,)",
-        (ORACLE_REF + "test_two_agent_kernel_returns_the_search_result",),
+        (ORACLE_REF + "test_uniform_split_returns_the_search_result",),
     ),
     Mutant(
         "two-agent kernel: midpoint weighted by w0", "oracle.py",
         "mid = total * w1 // (w0 + w1)", "mid = total * w0 // (w0 + w1)",
-        (ORACLE_REF + "test_two_agent_kernel_returns_the_search_result",),
+        (ORACLE_REF + "test_uniform_split_returns_the_search_result",),
     ),
     Mutant(
         "two-agent kernel: bit bound compared with <", "oracle.py",
-        "if m * (total + 1) > _TWO_AGENT_BITS:", "if m * (total + 1) < _TWO_AGENT_BITS:",
+        "m * (total + 1) > _TWO_AGENT_BITS:", "m * (total + 1) < _TWO_AGENT_BITS:",
         (ORACLE + "test_two_agent_rows_go_to_the_search_only_past_the_bit_bound",),
     ),
     Mutant(
         "two-agent kernel: window widened by one", "oracle.py",
         "lo, hi = max(0, total - opt // w1), opt // w0", "lo, hi = max(0, total - opt // w1), opt // w0 + 1",
-        (ORACLE_REF + "test_two_agent_kernel_returns_the_search_result",),
+        (ORACLE_REF + "test_uniform_split_returns_the_search_result",),
     ),
     Mutant(
         "two-agent kernel: bit bound removed", "oracle.py",
-        """    if m * (total + 1) > _TWO_AGENT_BITS:
-        return _lex_min_max([[x * w0, x * w1] for x in xs])
-""",
-        "",
+        "if len(shares) != 2 or m * (total + 1) > _TWO_AGENT_BITS:", "if len(shares) != 2:",
         (ORACLE + "test_two_agent_row_of_4300_digit_values_goes_to_the_search",),
     ),
     Mutant(
         "exact_wmms: w without the row's denominator", "oracle.py",
-        "Fraction(-opt, row[1] * big)", "Fraction(-opt, big)",
+        "-value / row[1],", "-value,",
         (ORACLE + "test_values_are_those_of_the_witnesses",),
     ),
     Mutant(
         "exact_wmms: w over a doubled denominator", "oracle.py",
-        "Fraction(-opt, row[1] * big)", "Fraction(-opt, 2 * row[1] * big)",
+        "-value / row[1],", "-value / (2 * row[1]),",
         (ORACLE + "test_table1_wmms",),
     ),
     # the walk of _lex_min_max and its first-leaf queries

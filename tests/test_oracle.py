@@ -188,7 +188,7 @@ def test_budget_guard():
 
 
 def _spy_on_search(monkeypatch):
-    """The lengths of the rows ``exact_wmms`` sends to the branch and bound."""
+    """The lengths of the rows ``oracle._uniform_split`` sends to the branch and bound."""
     rows = []
     search = oracle._lex_min_max
 
@@ -230,6 +230,19 @@ def test_two_agent_row_of_4300_digit_values_goes_to_the_search(monkeypatch, solv
         trace = []
         assert (cs.divide_and_choose(inst, trace=trace), trace) == reference.divide_and_choose(inst)
     assert searched == [3]
+
+
+def test_owmms_zero_references_admit_only_chores_valued_at_zero():
+    inst = cs.Instance((HALF, HALF), ((F(-1), F(0)), (F(-1), F(0))))
+    # chore 0 costs both agents, and neither may take it
+    with pytest.raises(
+        cs.NoFeasibleAllocation, match="^no allocation gives every zero-reference agent value 0$"
+    ):
+        cs.exact_owmms(inst, (F(0), F(0)))
+    # agent 1 takes chore 0 at exactly her reference; chore 1 goes to agent 0
+    res = cs.exact_owmms(inst, (F(0), F(-1)))
+    assert res.alpha_star == 1
+    assert res.witness.owner == (1, 0)
 
 
 def test_owmms_rejects_positive_refs(table2):

@@ -9,9 +9,10 @@ Past the sizes a full scan reaches, ``_lex_min_max``'s chore-by-chore walk
 must return the first owner vector of an index-order pass capped one above
 the branch and bound's optimum, the witness pass it replaced; and each
 completion query, a first-leaf ``_search`` from given load sums, must
-return that pass's first completion from the same sums.  The two-agent
-subset-sum kernel ``_two_agent_split`` must return exactly what
-``_lex_min_max`` returns on its rows.
+return that pass's first completion from the same sums.  The one split of a
+row over the shares, ``_uniform_split``, must return exactly what
+``_lex_min_max`` returns on the rows weighted by ``model.division_weights``,
+over their scale, for any number of agents: two agents take a subset sum.
 """
 
 from fractions import Fraction
@@ -25,7 +26,8 @@ from hypothesis import strategies as st
 import choreshare as cs
 import enumeration_oracle as reference
 from choreshare import oracle
-from choreshare.oracle import _lex_min_max, _search, _two_agent_split
+from choreshare.model import division_weights
+from choreshare.oracle import _lex_min_max, _search, _uniform_split
 
 F = Fraction
 
@@ -225,8 +227,10 @@ def test_first_leaf_pass_returns_the_first_completion_from_its_start_sums(query)
 
 
 @st.composite
-def two_agent_rows(draw):
-    m = draw(st.integers(0, 18))
+def uniform_rows(draw):
+    n = draw(st.integers(1, 4))
+    # the search, which takes every agent count but two, stays quick at these sizes
+    m = draw(st.integers(0, {1: 18, 2: 18, 3: 10, 4: 8}[n]))
     kind = draw(st.sampled_from(["sizes", "binary", "zero", "repeated"]))
     if kind == "zero":
         xs = [0] * m
@@ -236,27 +240,36 @@ def two_agent_rows(draw):
         if kind == "repeated":  # a few distinct sizes make many tied optima
             pool = st.sampled_from(draw(st.lists(pool, min_size=1, max_size=3)))
         xs = draw(st.lists(pool, min_size=m, max_size=m))
-    ratio = draw(st.sampled_from(["equal", "far", "any"]))
+    # a share of 1/w weighs its agent's load by w on the scale big = 1; a
+    # share p/q puts every agent on a larger scale
+    ratio = draw(st.sampled_from(["equal", "far", "any", "rational"]))
+    if ratio == "rational":
+        return xs, tuple(F(draw(st.integers(1, 9)), draw(st.integers(1, 9))) for _ in range(n))
     if ratio == "equal":
-        w0 = w1 = draw(st.integers(1, 9))
+        weights = [draw(st.integers(1, 9))] * n
     elif ratio == "far":
-        w0, w1 = draw(st.integers(1, 3)), draw(st.integers(50, 10**6))
-        if draw(st.booleans()):
-            w0, w1 = w1, w0
+        weights = [draw(st.integers(1, 3)), draw(st.integers(50, 10**6))]
+        weights = draw(st.permutations(weights + [draw(st.integers(1, 10**6)) for _ in range(n - 2)]))[:n]
     else:
-        w0, w1 = draw(st.integers(1, 50)), draw(st.integers(1, 50))
-    return xs, w0, w1
+        weights = [draw(st.integers(1, 50)) for _ in range(n)]
+    return xs, tuple(F(1, w) for w in weights)
 
 
 @settings(max_examples=300, deadline=None)
-@given(two_agent_rows())
-@example(([], 1, 1))
-@example(([7], 2, 3))
-@example(([0] * 10, 1, 1))
-@example(([5] * 18, 1, 1))  # every balanced split ties
-def test_two_agent_kernel_returns_the_search_result(row):
-    xs, w0, w1 = row
-    assert _two_agent_split(xs, w0, w1) == _lex_min_max([[x * w0, x * w1] for x in xs])
+@given(uniform_rows())
+@example(([], (F(1), F(1))))
+@example(([7], (F(1, 2), F(1, 3))))
+@example(([0] * 10, (F(1), F(1))))
+@example(([5] * 18, (F(1), F(1))))  # every balanced split ties
+@example(([], (F(1),)))
+@example(([3, 1, 2], (F(2, 3),)))  # one agent takes every chore
+@example(([4, 4, 2], (F(1, 2), F(1, 3), F(1, 6))))
+@example(([1] * 6, (F(1, 4),) * 4))
+def test_uniform_split_returns_the_search_result(row):
+    xs, shares = row
+    weight, big = division_weights([1] * len(shares), shares)
+    opt, owners = _lex_min_max([[x * w for w in weight] for x in xs])
+    assert _uniform_split(xs, shares) == (F(opt, big), owners)
 
 
 @st.composite
