@@ -213,41 +213,43 @@ def binary_wmms(inst: Instance, trace: list[TraceEvent] | None = None) -> Alloca
     return Allocation(inst.n, tuple(owner))
 
 
-def _pick(inst: Instance, key, quantity, trace: list[TraceEvent] | None) -> Allocation:
+def _pick(inst: Instance, primary, tie, quantity, trace: list[TraceEvent] | None) -> Allocation:
     """The picking loop the negative controls share.
 
     Agent i's state is her bundle value so far, kept as an integer ``total``
     over her row's denominator ``D_i`` (``Instance.integer_values``), and her
-    number of ``picks``.  ``key(i, total, picks)`` is an int tuple; at each
-    step the agent with the largest key takes her highest-value remaining
-    chore, ties by chore index, and only her key is recomputed.  A ``trace``
-    records ``quantity(i, j, value)``, with ``value`` her bundle value before
-    the pick as a Fraction, built only when tracing.  Each agent's order is
-    a stable descending sort of her integer row (one positive scale, so the
-    same order), cached once per instance for every rule as
-    ``Instance._preferences``, and her cursor into it moves past the chores
-    already taken.
+    number of ``picks``.  At each step the agent with the largest key takes
+    her highest-value remaining chore, ties by chore index, and only her key
+    is recomputed.  The key is the int ``primary(i, total, picks) * n +
+    rank[i]``, the agents ranked once by their distinct ``tie(i)``; as ``0 <=
+    rank[i] < n`` it orders like ``(primary, tie(i))``.  A ``trace`` records
+    ``quantity(i, j, value)``, with ``value`` her bundle value before the pick
+    as a Fraction, built only when tracing.  Her chores come in the stable
+    descending order of her integer row (one positive scale, so the same
+    order), cached for every rule as ``Instance._preferences``; her cursor
+    into it moves past the chores already taken.
     """
-    rows = inst.integer_values
-    prefs = inst._preferences
-    agents = range(inst.n)
+    rows, prefs, n = inst.integer_values, inst._preferences, inst.n
+    rank = {i: r for r, i in enumerate(sorted(range(n), key=tie))}
     owner = [-1] * inst.m
-    cursor = [0] * inst.n
-    totals = [0] * inst.n
-    picks = [0] * inst.n
-    keys = [key(i, 0, 0) for i in agents]
+    cursor = [0] * n
+    totals = [0] * n
+    picks = [0] * n
+    keys = [primary(i, 0, 0) * n + rank[i] for i in range(n)]
     for step in range(inst.m):
-        i = max(agents, key=keys.__getitem__)
+        i = keys.index(max(keys))
         ints, denom = rows[i]
-        while owner[prefs[i][cursor[i]]] >= 0:
-            cursor[i] += 1
-        j = prefs[i][cursor[i]]
+        pref, c = prefs[i], cursor[i]
+        while owner[pref[c]] >= 0:
+            c += 1
+        j = pref[c]
+        cursor[i] = c
         if trace is not None:
             trace.append(TraceEvent(step, j, i, quantity(i, j, Fraction(totals[i], denom))))
         totals[i] += ints[j]
         picks[i] += 1
         owner[j] = i
-        keys[i] = key(i, totals[i], picks[i])
+        keys[i] = primary(i, totals[i], picks[i]) * n + rank[i]
     return Allocation(inst.n, tuple(owner))
 
 
@@ -267,7 +269,7 @@ def round_robin(
         raise ValueError(f"order {picking} is not a permutation of the {inst.n} agents")
     position = {agent: k for k, agent in enumerate(picking)}
     # fewest picks first, then the earlier turn: picking[step % n] picks at step
-    return _pick(inst, lambda i, total, picks: (-picks, -position[i]),
+    return _pick(inst, lambda i, total, picks: -picks, lambda i: -position[i],
                  lambda i, j, value: bundle_value(inst, i, (j,)), trace)
 
 
@@ -290,10 +292,9 @@ def multiplicative_greedy(
     sign = 1 if tie_rule == "largest-share" else -1
     shares = inst.shares
     check_shares(shares)
-    tie = [sign * s for s in integer_row(shares)[0]]
     # V_i/s_i = T_i/(D_i*s_i) = T_i*w_i/big, one denominator for every agent
     weight, _ = division_weights([denom for _, denom in inst.integer_values], shares)
-    return _pick(inst, lambda i, total, picks: (total * weight[i], tie[i], -i),
+    return _pick(inst, lambda i, total, picks: total * weight[i], lambda i: (sign * shares[i], -i),
                  lambda i, j, value: value / shares[i], trace)
 
 
@@ -307,10 +308,9 @@ def additive_greedy(
     the picker's share + own-bundle value.  Negative control.
     """
     shares = inst.shares
-    tie = integer_row(shares)[0]
     # s_i + T_i/D_i = p_i/q_i + T_i/D_i, times L = lcm(all q_i, all D_i)
     big = lcm(*(s.denominator for s in shares), *(d for _, d in inst.integer_values))
     base = [s.numerator * (big // s.denominator) for s in shares]
     weight = [big // d for _, d in inst.integer_values]
-    return _pick(inst, lambda i, total, picks: (base[i] + total * weight[i], tie[i], -i),
+    return _pick(inst, lambda i, total, picks: base[i] + total * weight[i], lambda i: (shares[i], -i),
                  lambda i, j, value: shares[i] + value, trace)

@@ -27,10 +27,13 @@ def _lowest_terms(nums: Sequence[int], dens: Sequence[int]) -> tuple[tuple[int, 
     ``denom > 0`` is the least common denominator of the entries, and no
     factor is shared by all the ints and ``denom``, so equal rows give equal
     pairs.  Each int has its entry's sign, and the ints order like the
-    entries.  A zero in ``dens`` raises ZeroDivisionError.
+    entries.  The lcm and ``denom // d`` are taken per distinct ``d``, and
+    a zero in ``dens`` raises ZeroDivisionError.
     """
-    denom = lcm(*dens)
-    ints = [num * (denom // d) for num, d in zip(nums, dens)]
+    distinct = set(dens)
+    denom = lcm(*distinct)
+    scale = {d: denom // d for d in distinct}
+    ints = [num * scale[d] for num, d in zip(nums, dens)]
     g = gcd(denom, *ints)
     return tuple([a // g for a in ints] if g > 1 else ints), denom // g
 
@@ -38,8 +41,7 @@ def _lowest_terms(nums: Sequence[int], dens: Sequence[int]) -> tuple[tuple[int, 
 def integer_row(row: Iterable) -> tuple[tuple[int, ...], int]:
     """A row of anything ``Fraction()`` reads, as ``_lowest_terms`` gives it.
 
-    Callers: ``Instance(shares, values)`` for each row, ``egal_greedy``'s
-    row, and the share tie keys of ``multiplicative_greedy`` and ``additive_greedy``.
+    Callers: ``Instance(shares, values)`` for each row and ``egal_greedy``'s row.
     """
     row = _exact(row)
     return _lowest_terms([x.numerator for x in row], [x.denominator for x in row])

@@ -9,9 +9,9 @@ bare JSON numbers; all are parsed exactly (JSON floats are converted from
 their literal text, never through a binary double).  Serialization always
 emits canonical "p/q" strings, so a parse/serialize round trip is bit-exact.
 
-A row of canonical tokens ("p/q" or a plain integer in ASCII digits, the
-form serialization writes) is read in one pass into its numerators and
-denominators, one ``int`` pass per side; any other row goes through
+A share or row of canonical tokens ("p/q" or a plain integer in ASCII
+digits, the form serialization writes) is checked by its separators and
+read in one pass, each distinct denominator once; any other goes through
 ``parse_ratio`` one token at a time, which writes every ParseError message.
 """
 
@@ -26,9 +26,8 @@ from .errors import ParseError
 from .model import ZERO, Instance, _int_max_str_digits
 
 _MINUS_VARIANTS = str.maketrans({"−": "-", "–": "-"})
-# The canonical token: ASCII digits, "-" only before the numerator, an optional nonzero "/q".
-_CANONICAL = r"-?\d+(?:/0*[1-9]\d*)?"
-_CANONICAL_ROW = re.compile(rf"{_CANONICAL}(?:,{_CANONICAL})*", re.ASCII)
+# What is left of a row of canonical tokens: its "," and "/" separators.
+_SEPARATORS = str.maketrans("", "", "0123456789-")
 # Fraction's grammar for a decimal with an exponent: whole, fraction, exponent.
 _EXPONENT_FORM = re.compile(
     r"[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)"
@@ -129,28 +128,31 @@ def format_ratio(x: Fraction) -> str:
 def _canonical_row(values: list, limit: int) -> tuple[list[int], list[int]] | None:
     """``values`` read in one pass as ``(nums, dens)`` when every token is canonical, else None.
 
-    The joined row must match the canonical grammar with one comma fewer
-    than there are tokens, so no token holds a comma.  A token of at most
-    ``limit`` characters has no digit run past the limit, and reducing the
-    fraction only shrinks it, so ``parse_ratio``'s digit-limit check cannot
-    fire and is skipped.  A row of "p/q" tokens is split once and each side
-    read by one ``int`` pass; any other row is split token by token.  A
-    non-string token, a zero denominator (outside the grammar) or a digit run
-    ``int`` refuses gives None, leaving every message to ``parse_ratio``.
+    A canonical token is "p" or "p/q" in ASCII digits, "-" only before p,
+    q > 0.  Less its digits and "-", the joined row must leave its commas,
+    one fewer than its tokens, and a "/" in every token ("/,/,…/", split
+    once) or in at most one per token (split token by token, "p" over "1").
+    ``int`` refuses the rest of what the grammar does (an empty side, a stray "-"),
+    denominators must be positive, and each distinct one is read once.  A
+    token of at most ``limit`` characters has no digit run past the limit,
+    and reducing only shrinks it, so ``parse_ratio``'s digit-limit check is
+    skipped.  Any refusal gives None, leaving every message to ``parse_ratio``.
     """
     try:
         joined = ",".join(values)
-        if (
-            _CANONICAL_ROW.fullmatch(joined) is None
-            or joined.count(",") != len(values) - 1
-            or (limit and max(map(len, values)) > limit)
-        ):
+        if limit and len(joined) > limit and max(map(len, values)) > limit:
             return None
-        if joined.count("/") == len(values):
+        seps, commas = joined.translate(_SEPARATORS), "," * (len(values) - 1)
+        if seps == "/," * (len(values) - 1) + "/":
             parts = joined.replace("/", ",").split(",")
-            return list(map(int, parts[0::2])), list(map(int, parts[1::2]))
-        parts = [v.partition("/") for v in values]
-        return [int(num) for num, _, _ in parts], [int(den or 1) for _, _, den in parts]
+            nums, texts = parts[0::2], parts[1::2]
+        elif seps.replace("/", "") == commas:
+            parts = [v.partition("/") for v in values]
+            nums, texts = [num for num, _, _ in parts], [den if sep else "1" for _, sep, den in parts]
+        else:
+            return None
+        read = {text: int(text) for text in set(texts)}
+        return (list(map(int, nums)), list(map(read.__getitem__, texts))) if min(read.values()) > 0 else None
     except (TypeError, ValueError):
         return None
 
@@ -158,10 +160,10 @@ def _canonical_row(values: list, limit: int) -> tuple[list[int], list[int]] | No
 def parse_instance(text: str) -> Instance:
     """Parse an instance document; errors carry the offending agent/field.
 
-    Each row of values is read in one pass when all its tokens are
-    canonical (``_canonical_row``), and otherwise one token at a time by
-    ``parse_ratio`` with an ``agent i value j`` context; either way the
-    values, and every message, are what the token-at-a-time reading gives.
+    Each share and row is read in one pass when all its tokens are canonical
+    (``_canonical_row``), else one token at a time by ``parse_ratio`` with an
+    ``agent i share`` or ``agent i value j`` context; either way the values,
+    and every message, are what the token-at-a-time reading gives.
     """
     try:
         doc = json.loads(text, parse_float=str, parse_int=str)
@@ -178,7 +180,9 @@ def parse_instance(text: str) -> Instance:
     for i, entry in enumerate(agents):
         if not isinstance(entry, dict) or "share" not in entry or "values" not in entry:
             raise ParseError(f"agent {i}: expected an object with 'share' and 'values'")
-        shares.append(parse_ratio(entry["share"], context=f"agent {i} share"))
+        share = entry["share"]
+        pair = _canonical_row([share], limit)
+        shares.append(Fraction(*pair[0], *pair[1]) if pair else parse_ratio(share, f"agent {i} share"))
         values = entry["values"]
         if not isinstance(values, list):
             raise ParseError(f"agent {i}: 'values' must be a list")

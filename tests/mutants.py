@@ -47,8 +47,39 @@ PROBE_REF = "tests/test_probe_reference.py::"
 BISECT_REF = "tests/test_bisection_reference.py::"
 SIMPLEX = "tests/test_simplex.py::"
 SIMPLEX_REF = "tests/test_simplex_reference.py::"
+SERIAL = "tests/test_serialization.py::"
+PICK_REF = "tests/test_pick_reference.py::"
 
 MUTANTS = [
+    # the one-pass reader of canonical rows, by their separators
+    Mutant(
+        "canonical rows: the p/q check reduced to slash and comma counts", "serialization.py",
+        'if seps == "/," * (len(values) - 1) + "/":',
+        'if seps.count("/") == len(values) and seps.count(",") == len(values) - 1:',
+        (SERIAL + "test_parse_instance_rows_agree_with_token_parse",),
+    ),
+    Mutant(
+        "canonical rows: the mixed-row check reduced to a comma count", "serialization.py",
+        'elif seps.replace("/", "") == commas:', 'elif seps.count(",") == len(values) - 1:',
+        (SERIAL + "test_parse_instance_rows_agree_with_token_parse",),
+    ),
+    Mutant(
+        "canonical rows: a zero denominator accepted", "serialization.py",
+        "if min(read.values()) > 0 else None", "if min(read.values()) >= 0 else None",
+        (SERIAL + "test_parse_instance_rows_agree_with_token_parse",),
+    ),
+    # the picking loop's one integer key per agent
+    Mutant(
+        "pick: tie ranks reversed", "algorithms.py",
+        "sorted(range(n), key=tie)", "sorted(range(n), key=tie, reverse=True)",
+        (PICK_REF + "test_picking_rules_match_fraction_reference",),
+    ),
+    Mutant(
+        "pick: primary + rank without the * n", "algorithms.py",
+        "keys[i] = primary(i, totals[i], picks[i]) * n + rank[i]",
+        "keys[i] = primary(i, totals[i], picks[i]) + rank[i]",
+        (PICK_REF + "test_picking_rules_match_fraction_reference",),
+    ),
     # divide_and_choose on its own integer rows
     Mutant(
         "div-cho: zero-row check after the 1/3 shortcut", "algorithms.py",

@@ -467,7 +467,7 @@ def test_bench_deterministic_and_json(tmp_path, capsys):
 def test_bench_scales_no_parsed_value_row(tmp_path, capsys, monkeypatch):
     # parsing stores each value row as integers without integer_row, and
     # validate, the three picking rules and both oracles read those rows;
-    # the oracles scale no shares
+    # nothing scales the shares (the picking rules rank them once)
     inst = cs.random_instance(4, 9, 3)
     path = tmp_path / "inst.json"
     cs.save_instance(inst, path)
@@ -485,8 +485,7 @@ def test_bench_scales_no_parsed_value_row(tmp_path, capsys, monkeypatch):
         algs = ("--algs", "round-robin,mult-greedy,add-greedy")
         code, _, _ = run_cli(capsys, "bench", str(path), *algs, *oracle)
         assert code == 0
-        assert [scaled.count(row) for row in inst.values] == [0] * inst.n
-        assert scaled == [inst.shares] * 2  # the two greedies' tie keys
+        assert scaled == []
 
 
 def test_bench_times_column(capsys):

@@ -6,7 +6,7 @@ they must agree on every owner and every trace event, ``quantity`` included.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_pickers as reference
@@ -49,11 +49,26 @@ def _runs(inst, order):
     ]
 
 
+def _with_order(inst):
+    return st.tuples(st.just(inst), st.permutations(range(inst.n)).map(tuple))
+
+
+# The integer key primary * n + rank: equal shares and zero rows, where every
+# primary ties and the tie ranks alone pick; multiplicative weights 2, 4, 4,
+# where primaries differ by less than n; and nine agents, shares unequal or
+# equal, under both tie rules.
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_picking_rules_match_fraction_reference(data):
-    inst = data.draw(instances())
-    order = tuple(data.draw(st.permutations(range(inst.n))))
+@given(instances().flatmap(_with_order))
+@example((cs.Instance((F(1, 4),) * 4, ((0,) * 8,) * 4), (3, 1, 0, 2)))
+@example((cs.Instance((F(1, 2), F(1, 4), F(1, 4)),
+                      ((-1, -1, -1, 0, -1, -1), (-1, 0, -1, -1, -1, 0), (-1, -1, 0, -1, -1, -1))), (0, 1, 2)))
+@example((cs.Instance(tuple(F(w, 45) for w in range(1, 10)),
+                      tuple(tuple(F(-((7 * i + 3 * j) % 4), 2) for j in range(12)) for i in range(9))),
+          (8, 0, 7, 1, 6, 2, 5, 3, 4)))
+@example((cs.Instance((F(1, 9),) * 9, tuple(tuple(-((i + j) % 3) for j in range(12)) for i in range(9))),
+          tuple(range(9))))
+def test_picking_rules_match_fraction_reference(case):
+    inst, order = case
     for run, ref in _runs(inst, order):
         trace: list[cs.TraceEvent] = []
         ref_trace: list[cs.TraceEvent] = []

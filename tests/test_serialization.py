@@ -193,12 +193,33 @@ def _parsed(parse, *args):
 @example([f'"{"1" * (EDGE + 1)}"'])
 @example(["-1", "1" * (EDGE + 1)])
 @example([f'"1/{"7" * (EDGE - 2)}"', f'"1/{"7" * (EDGE + 1)}"'])
+# Near misses of the separator check: as many "/" as tokens, a "-" or an
+# empty side where int() refuses it, a zero denominator, and characters that
+# int() reads but the canonical grammar does not ("+", "_", a space, a
+# non-ASCII digit).
+@example(['"1/2/3"', '"4"'])
+@example(['"1/-3"'])
+@example(['"5/"'])
+@example(['"/5"'])
+@example(['"-"'])
+@example(['"1/00"'])
+@example(['"-0/0"'])
+@example(['"+1/2"'])
+@example(['"1_0/2"'])
+@example(['" 1/2"'])
+@example(['"١/2"'])
+@example(['"1/+2"'])
+@example(['"1/+2"', '"3"'])
+@example(['"1 /2"', '"3"'])
 def test_parse_instance_rows_agree_with_token_parse(texts):
     _agrees_with_token_parse(texts)
 
 
 def _agrees_with_token_parse(texts):
-    """Parse a one-agent document of the JSON value ``texts``; require the token-at-a-time result."""
+    """Parse a one-agent document of the JSON value ``texts``; require the token-at-a-time result.
+
+    Each text is also parsed as the agent's share, against ``parse_ratio``.
+    """
     doc = '{"agents": [{"share": "1", "values": [' + ", ".join(texts) + "]}]}"
     values = json.loads(doc, parse_float=str, parse_int=str)["agents"][0]["values"]
     expected = _parsed(reference.parse_row, values, 0)
@@ -207,6 +228,11 @@ def _agrees_with_token_parse(texts):
     assert type(got) is type(expected)
     if isinstance(got, tuple):
         assert all(type(x) is Fraction for x in got)
+    for text, value in zip(texts, values):
+        share_doc = '{"agents": [{"share": ' + text + ', "values": []}]}'
+        share = _parsed(lambda: cs.parse_instance(share_doc).shares[0])
+        expected = _parsed(cs.parse_ratio, value, "agent 0 share")
+        assert share == expected and type(share) is type(expected)
     return values
 
 
