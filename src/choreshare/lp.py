@@ -11,13 +11,12 @@ that graph (Lenstra, Shmoys and Tardos, 1990) costs each agent at most one
 extra eligible chore, i.e. the integral allocation clears the doubled floor.
 
 ``_eligible`` alone decides eligibility, by bisecting each chore's integer
-loads of ``model._loads`` (sorted once per ``linpro`` call by ``_by_load``);
-the program's variables and ``linpro``'s probes read it.  The binary search
-needs only a verdict from each probe.  A probe is first offered to a greedy
-integral assignment on those loads; one that passes proves the probe
-feasible without a program or a simplex solve, and one that fails gets the
-simplex verdict.  The vertex rounded is always Bland's vertex of the program
-at the final threshold.
+loads of ``model._loads`` in the one ranked-load table ``_by_load`` that
+``linpro`` computes; its probes and every program it builds read it.  A
+probe is first offered to a greedy integral assignment on those loads; one
+that passes proves the probe feasible without a program or a simplex solve,
+and one that fails gets the simplex verdict.  The vertex rounded is Bland's
+vertex at the final threshold, its masses and floors checked in integers.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from .errors import (
     RoundingInvariantViolation,
     UpperBoundInfeasible,
 )
-from .model import ZERO, Allocation, Instance, _loads, bundle_value, check_references
-from .simplex import StandardForm
+from .model import ZERO, Allocation, Instance, _loads, check_references
 
 
 @dataclass(frozen=True)
@@ -66,45 +64,45 @@ class LinProResult:
 
 
 def build_program(
-    inst: Instance, c: Fraction, refs: Sequence[Fraction]
+    inst: Instance, c: Fraction, refs: Sequence[Fraction], *, table: tuple[list, int] | None = None
 ) -> LPProgram:
-    """The program with t_i = c * refs[i] and ``_eligible``'s pairs (c >= 0, refs <= 0)."""
+    """The program with t_i = c * refs[i] and ``_eligible``'s pairs (c >= 0, refs <= 0),
+    from ``table = _by_load(*_loads(inst, refs))``, computed when not given."""
     c = Fraction(c)
     if c < 0:
         raise ValueError(f"threshold {c} is negative")
     refs = check_references(inst, refs)
-    loads, scale = _loads(inst, refs)
-    eligible = _eligible(_by_load(loads), c.numerator * scale // c.denominator)
+    ranked, scale = table or _by_load(*_loads(inst, refs))
+    eligible = _eligible(ranked, c.numerator * scale // c.denominator)
     variables = tuple(sorted((i, j) for j, pairs in enumerate(eligible) for _, i in pairs))
     return LPProgram(inst=inst, thresholds=tuple(c * r for r in refs), variables=variables)
 
 
-def _standard_form(prog: LPProgram) -> StandardForm:
-    """Integer rows: each agent's floor, then each chore's cover ``sum_i x_ij = 1``.
+def _standard_form(prog: LPProgram) -> simplex.StandardForm:
+    """Integer pair rows: each agent's floor, then each chore's cover ``sum_i x_ij = 1``.
 
     For ``V_ij = a_ij / D_i`` (``Instance.integer_values``) and ``t_i * D_i =
     p_i / q_i`` in lowest terms, agent i's row is ``sum_j a_ij * q_i * x_ij >=
     p_i``: the floor ``sum_j V_ij x_ij >= t_i`` times ``D_i * q_i > 0``, so a
-    positive multiple of it, with the same sign of right-hand side.
+    positive multiple of it, with the same sign of right-hand side.  One pass
+    emits each nonzero floor pair ``(k, a_ij * q_i)`` and cover pair ``(k, 1)``.
     """
-    sf = StandardForm(num_vars=len(prog.variables))
-    for i, ((ints, denom), t) in enumerate(zip(prog.inst.integer_values, prog.thresholds)):
-        bound = t * denom
-        q = bound.denominator
-        sf.add([ints[j] * q if a == i else 0 for a, j in prog.variables], bound.numerator, "ge")
-    for j in range(prog.inst.m):
-        sf.add([int(c == j) for _, c in prog.variables], 1, "eq")
-    return sf
+    bounds = [t * denom for (_, denom), t in zip(prog.inst.integer_values, prog.thresholds)]
+    agents = [(ints, b.denominator, []) for (ints, _), b in zip(prog.inst.integer_values, bounds)]
+    covers: list[list[tuple[int, int]]] = [[] for _ in range(prog.inst.m)]
+    for k, (i, j) in enumerate(prog.variables):
+        ints, q, floor = agents[i]
+        if ints[j]:
+            floor.append((k, ints[j] * q))
+        covers[j].append((k, 1))
+    rows = [(tuple(floor), b.numerator, "ge") for (_, _, floor), b in zip(agents, bounds)]
+    return simplex.StandardForm(len(prog.variables), rows + [(tuple(pairs), 1, "eq") for pairs in covers])
 
 
 def check_feasible(prog: LPProgram) -> dict[tuple[int, int], Fraction] | None:
     """A basic feasible point ``{(i, j): x_ij}``, zeros omitted, or None when the program has none."""
-    if prog.trivially_infeasible:
-        return None
-    x = simplex.feasible_basic_point(_standard_form(prog))
-    if x is None:
-        return None
-    return {var: x[k] for k, var in enumerate(prog.variables) if x[k] != 0}
+    x = None if prog.trivially_infeasible else simplex.feasible_basic_point(_standard_form(prog))
+    return None if x is None else {var: v for var, v in zip(prog.variables, x) if v}
 
 
 def _is_pseudoforest(edges: Iterable[tuple[int, int]]) -> bool:
@@ -145,17 +143,18 @@ def round_extreme_point(
     left all have degree >= 2 inside pseudotree components, which therefore
     admit a matching covering them.
     The result assigns every chore once and each agent's bundle clears the
-    doubled floor 2 * t_i.  Any failed step indicates the point was not a
-    basic feasible point of this program and raises
-    RoundingInvariantViolation.  A ``trace`` list receives one event per
-    chore: peeled chores in peel order, then matched chores in chore order,
-    each with the x_ij that assigned it.
+    doubled floor 2 * t_i.  Both checks compare integers: ``0 < x.numerator
+    <= x.denominator`` and ``sum_bundle a_ij * t_i.den >= 2 * t_i.num * D_i``.
+    Any failed step indicates the point was not a basic feasible point of
+    this program and raises RoundingInvariantViolation.  A ``trace`` list
+    receives one event per chore: peeled chores in peel order, then matched
+    chores in chore order, each with the x_ij that assigned it.
     """
     inst = prog.inst
     variables = set(prog.variables)
     chore_adj: dict[int, list[int]] = {j: [] for j in range(inst.m)}  # agents ascending
     for (i, j), v in sorted(point.items()):
-        if (i, j) not in variables or not 0 < v <= 1:
+        if (i, j) not in variables or not 0 < v.numerator <= v.denominator:
             raise RoundingInvariantViolation(f"x[{i},{j}] = {v} is not a program variable in (0, 1]")
         chore_adj[j].append(i)
     if not _is_pseudoforest(point):
@@ -198,19 +197,18 @@ def round_extreme_point(
         for step, j in enumerate(peeled + sorted(matched_chore_of.values())):
             trace.append(TraceEvent(step, j, owner[j], point[(owner[j], j)]))
 
-    alloc = Allocation(inst.n, tuple(owner))
-    for i, bundle in enumerate(alloc.bundles()):
-        got = bundle_value(inst, i, bundle)
-        if got < 2 * prog.thresholds[i]:
-            raise RoundingInvariantViolation(
-                f"agent {i} at {got} misses the doubled floor {2 * prog.thresholds[i]}"
-            )
-    return alloc
+    sums = [0] * inst.n
+    for j, i in enumerate(owner):
+        sums[i] += inst.integer_values[i][0][j]
+    for i, (got, (_, denom), t) in enumerate(zip(sums, inst.integer_values, prog.thresholds)):
+        if got * t.denominator < 2 * t.numerator * denom:
+            raise RoundingInvariantViolation(f"agent {i} at {Fraction(got, denom)} misses the doubled floor {2 * t}")
+    return Allocation(inst.n, tuple(owner))
 
 
-def _by_load(loads: list[list[int | None]]) -> list[list[tuple[int, int]]]:
-    """Per chore, its ``(load, agent)`` pairs in ascending order, None loads dropped."""
-    return [sorted((x, i) for i, x in enumerate(xs) if x is not None) for xs in zip(*loads)]
+def _by_load(loads: list[list[int | None]], scale: int) -> tuple[list[list[tuple[int, int]]], int]:
+    """The ranked-load table ``(ranked, scale)``: per chore, its ``(load, agent)`` pairs ascending, None dropped."""
+    return [sorted((x, i) for i, x in enumerate(xs) if x is not None) for xs in zip(*loads)], scale
 
 
 def _eligible(ranked: list[list[tuple[int, int]]], top: int) -> list[list[tuple[int, int]]]:
@@ -221,7 +219,7 @@ def _eligible(ranked: list[list[tuple[int, int]]], top: int) -> list[list[tuple[
 def _certificate(ranked: list[list[tuple[int, int]]], n: int, top: int) -> Allocation | None:
     """A greedy integral point of the program at ``c``, or None when the greedy misses.
 
-    ``ranked`` is ``_by_load(loads)`` and ``top = floor(c * scale)``;
+    ``ranked`` is ``_by_load``'s table and ``top = floor(c * scale)``;
     eligibility comes from ``_eligible``, as in ``build_program``.  Chores go
     in descending order of their largest eligible load, each to the eligible
     agent with the least load after taking it (lowest index on ties).  The
@@ -264,8 +262,7 @@ def linpro(
     if inst.n < 1:
         raise ValueError("need at least one agent")
     refs = wmms_prime(inst)
-    loads, scale = _loads(inst, refs)
-    ranked = _by_load(loads)
+    table = ranked, scale = _by_load(*_loads(inst, refs))
     lo, hi, den = 1, inst.n, 1
     iterations = 0
     point = None
@@ -274,13 +271,13 @@ def linpro(
         mid = (lo + hi) // 2
         if _certificate(ranked, inst.n, mid * scale // den) is not None:
             hi, point = mid, None
-        elif (found := check_feasible(build_program(inst, Fraction(mid, den), refs))) is not None:
+        elif (found := check_feasible(build_program(inst, Fraction(mid, den), refs, table=table))) is not None:
             hi, point = mid, found
         else:
             lo = mid
         iterations += 1
     upper, lower = Fraction(hi, den), Fraction(lo, den)
-    prog = build_program(inst, upper, refs)
+    prog = build_program(inst, upper, refs, table=table)
     if point is None:
         point = check_feasible(prog)
         if point is None:
@@ -302,8 +299,8 @@ def min_feasible_c(inst: Instance, refs: Sequence[Fraction]) -> Fraction:
     only underestimates eligibility for larger c, never overestimates it.
     """
     refs = check_references(inst, refs)
-    loads, scale = _loads(inst, refs)
-    breakpoints = {ZERO} | {Fraction(x, scale) for row in loads for x in row if x and x > 0}
+    table = ranked, scale = _by_load(*_loads(inst, refs))
+    breakpoints = {ZERO} | {Fraction(x, scale) for pairs in ranked for x, _ in pairs if x > 0}
 
     best: Fraction | None = None
     for b in sorted(breakpoints):
@@ -311,18 +308,19 @@ def min_feasible_c(inst: Instance, refs: Sequence[Fraction]) -> Fraction:
             break
         # The eligibility pattern at b, with c a variable: a floor that reads
         # coeffs . x >= rhs at c = 1 reads coeffs . x - c * rhs >= 0; and c >= b.
-        prog = build_program(inst, b, refs)
+        prog = build_program(inst, b, refs, table=table)
         if prog.trivially_infeasible:
             continue
         unit = _standard_form(replace(prog, thresholds=refs))
-        sf = StandardForm(num_vars=unit.num_vars + 1)
+        c = unit.num_vars  # the column of c
+        sf = simplex.StandardForm(num_vars=c + 1)
         for k, (coeffs, rhs, sense) in enumerate(unit.rows):
             if k < inst.n:
-                sf.add(coeffs + (-rhs,), 0, sense)
+                sf.add(coeffs + ((c, -rhs),), 0, sense)
             else:
-                sf.add(coeffs + (0,), rhs, sense)
-        sf.add((0,) * unit.num_vars + (b.denominator,), b.numerator, "ge")
-        result = simplex.minimize(sf, [0] * unit.num_vars + [1])
+                sf.add(coeffs, rhs, sense)
+        sf.add([(c, b.denominator)], b.numerator, "ge")
+        result = simplex.minimize(sf, [0] * c + [1])
         if result is not None and (best is None or result[0] < best):
             best = result[0]
     if best is None:

@@ -6,10 +6,10 @@ out zero artificials and minimizes an objective for the threshold diagnostic.
 Each phase ends with its reduced cost row, whose last entry, ``-d`` times the
 cost, is phase 1's verdict (nonzero: infeasible) and phase 2's optimum.
 Callers give integer rows and an integer objective, and the simplex solves
-exactly that program: phase 1 costs 1 per artificial column.  Every row
-starts with a unit basic column; the tableau keeps each row only there
-(``d·B⁻¹``) and at its right-hand side, as integers over the row's own
-denominator, and prices and reads columns from the program's sparse columns.
+exactly that program: phase 1 costs 1 per artificial column.  Rows come as
+nonzero ``(var, coeff)`` pairs, filed straight into the sparse columns that
+price and read columns; the tableau keeps each row only at its starting unit
+columns (``d·B⁻¹``) and its right-hand side, over the row's own denominator.
 An integer-preserving (Edmonds/Bareiss) pivot rewrites only the rows with a
 nonzero entry in its column, and every division is exact.  Returned points
 satisfy the constraints exactly, and identical inputs give identical vertices.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import Unbounded
 
@@ -29,21 +29,22 @@ from .errors import Unbounded
 class StandardForm:
     """Integer constraints over nonnegative variables: rows are (coeffs, rhs, sense).
 
-    ``sense`` is "eq" or "ge"; coefficient vectors have length ``num_vars``,
-    and ``add`` refuses a non-integer entry (TypeError).  Slack and
-    artificial augmentation happen inside the solver and are invisible to
-    callers.
+    ``coeffs`` holds one ``(var, coeff)`` pair per nonzero entry; ``sense`` is
+    "eq" or "ge".  ``add`` drops zero entries and refuses a variable outside
+    ``range(num_vars)`` or repeated, or an unknown sense (ValueError), and a
+    non-integer entry (TypeError).  The solver adds slacks and artificials.
     """
 
     num_vars: int
-    rows: list[tuple[tuple[int, ...], int, str]] = field(default_factory=list)
+    rows: list[tuple[tuple[tuple[int, int], ...], int, str]] = field(default_factory=list)
 
-    def add(self, coeffs: Sequence[int], rhs: int, sense: str) -> None:
-        if len(coeffs) != self.num_vars:
-            raise ValueError(f"expected {self.num_vars} coefficients, got {len(coeffs)}")
+    def add(self, coeffs: Iterable[tuple[int, int]], rhs: int, sense: str) -> None:
+        pairs = [(index(k), index(a)) for k, a in coeffs]
+        if len({k for k, _ in pairs} & set(range(self.num_vars))) < len(pairs):
+            raise ValueError(f"variables must be distinct and in range({self.num_vars}): {pairs}")
         if sense not in ("eq", "ge"):
             raise ValueError(f"unknown sense {sense!r}")
-        self.rows.append((tuple(map(index, coeffs)), index(rhs), sense))
+        self.rows.append((tuple(p for p in pairs if p[1]), index(rhs), sense))
 
 
 class _Tableau:
@@ -53,7 +54,8 @@ class _Tableau:
     right-hand side, with a surplus column per ">=" row.  A flipped ">=" row
     starts with its surplus (+1) basic, every other row with an artificial
     that costs 1 in phase 1 and may end it basic at zero: row r's home column
-    ``home[r]``.  ``cols[j]`` lists column j's nonzeros as ``(row, entry)``.
+    ``home[r]``.  ``cols[j]`` lists column j's nonzeros as ``(row, entry)``,
+    filed from the rows' pairs with no dense scan.
     ``rows[r] / den[r]`` is tableau row r at the home columns, ``M_r``, then
     the right-hand side; ``M / den`` is ``B⁻¹``, so row r's entry in column j
     is ``M_r · A'_j / den[r]``.  ``den[r]`` is ``d`` as of row r's last
@@ -64,14 +66,13 @@ class _Tableau:
         self.n_struct, n = sf.num_vars, len(sf.rows)
         self.artificial_start = sf.num_vars + sum(sense == "ge" for _, _, sense in sf.rows)
         self.cols: list[list[tuple[int, int]]] = [[] for _ in range(self.artificial_start)]
-        self.rows = [[int(k == r) for k in range(n)] + [abs(b)] for r, (_, b, _) in enumerate(sf.rows)]
+        self.rows = [[0] * r + [1] + [0] * (n - 1 - r) + [abs(b)] for r, (_, b, _) in enumerate(sf.rows)]
         self.den, self.d, self.basis = [1] * n, 1, []
         surplus = sf.num_vars
         for r, (coeffs, b, sense) in enumerate(sf.rows):
             sign = -1 if b < 0 else 1
-            for j, a in enumerate(coeffs):
-                if a:
-                    self.cols[j].append((r, sign * a))
+            for j, a in coeffs:
+                self.cols[j].append((r, sign * a))
             if sense == "ge":
                 self.cols[surplus].append((r, -sign))
                 surplus += 1

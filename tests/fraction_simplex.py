@@ -12,6 +12,9 @@ a redundant row keeps its artificial basic at zero.
 ``standard_form`` is the Fraction program ``lp._standard_form`` built
 before it moved to integer rows: each agent's floor with the instance's
 values as coefficients and its threshold as right-hand side.
+
+``StandardForm`` rows hold nonzero ``(var, coeff)`` pairs; ``sparse_rows``
+turns dense rows into such rows, and this tableau expands each row back.
 """
 
 from __future__ import annotations
@@ -27,6 +30,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def sparse_rows(rows):
+    """Dense ``(coeffs, rhs, sense)`` rows as ``StandardForm`` rows of nonzero ``(var, coeff)`` pairs."""
+    return [(tuple((k, a) for k, a in enumerate(coeffs) if a), rhs, sense) for coeffs, rhs, sense in rows]
+
+
 class _Tableau:
     def __init__(self, sf: StandardForm):
         self.n_struct = sf.num_vars
@@ -38,7 +46,9 @@ class _Tableau:
         rhs: list[Fraction] = []
         needs_artificial: list[bool] = []
         for r, (coeffs, b, sense) in enumerate(sf.rows):
-            row = [Fraction(c) for c in coeffs] + [_ZERO] * len(ge_rows)
+            row = [_ZERO] * self.artificial_start
+            for k, a in coeffs:
+                row[k] = Fraction(a)
             b = Fraction(b)
             if sense == "ge":
                 row[surplus_of[r]] = -_ONE
@@ -186,7 +196,7 @@ def standard_form(prog: LPProgram) -> StandardForm:
     for k, (i, j) in enumerate(prog.variables):
         agent_rows[i][k] = prog.inst.values[i][j]
         chore_rows[j][k] = _ONE
-    rows = [(tuple(coeffs), t, "ge") for coeffs, t in zip(agent_rows, prog.thresholds)]
-    rows += [(tuple(coeffs), _ONE, "eq") for coeffs in chore_rows]
+    rows = [(coeffs, t, "ge") for coeffs, t in zip(agent_rows, prog.thresholds)]
+    rows += [(coeffs, _ONE, "eq") for coeffs in chore_rows]
     # Built directly: StandardForm.add takes integer entries only.
-    return StandardForm(num_vars=len(prog.variables), rows=rows)
+    return StandardForm(num_vars=len(prog.variables), rows=sparse_rows(rows))

@@ -346,16 +346,40 @@ MUTANTS = [
         "_certificate(ranked, inst.n, -(-mid * scale // den))",
         (LP + "test_linpro_table2",),
     ),
-    # LP points as dicts
+    # LP points as dicts, checked in integers
     Mutant(
         "round_extreme_point: no program-variable check", "lp.py",
-        "if (i, j) not in variables or not 0 < v <= 1:", "if not 0 < v <= 1:",
+        "if (i, j) not in variables or not 0 < v.numerator <= v.denominator:",
+        "if not 0 < v.numerator <= v.denominator:",
         (LP + "test_round_refuses_a_point_off_its_program",),
     ),
     Mutant(
         "round_extreme_point: zero entries accepted", "lp.py",
-        "not 0 < v <= 1:", "not 0 <= v <= 1:",
+        "not 0 < v.numerator <= v.denominator:", "not 0 <= v.numerator <= v.denominator:",
         (LP + "test_round_refuses_a_point_off_its_program",),
+    ),
+    Mutant(
+        "round_extreme_point: a doubled floor met with equality refused", "lp.py",
+        "if got * t.denominator < 2 * t.numerator * denom:",
+        "if got * t.denominator <= 2 * t.numerator * denom:",
+        (LP + "test_round_single_fractional_chore",),
+    ),
+    # linpro's programs as pair rows from one ranked-load table
+    Mutant(
+        "_standard_form: the floor pair without q_i", "lp.py",
+        "floor.append((k, ints[j] * q))", "floor.append((k, ints[j]))",
+        (LP + "test_pair_rows_expand_to_the_scaled_fraction_rows",),
+    ),
+    Mutant(
+        "_standard_form: a cover pair on the wrong row", "lp.py",
+        "covers[j].append((k, 1))", "covers[j - 1].append((k, 1))",
+        (LP + "test_pair_rows_expand_to_the_scaled_fraction_rows",),
+    ),
+    Mutant(
+        "linpro: a probe's program read from another references' table", "lp.py",
+        "Fraction(mid, den), refs, table=table)",
+        "Fraction(mid, den), refs, table=_by_load(*_loads(inst, refs[::-1])))",
+        (LP + "test_linpro_computes_its_loads_once",),
     ),
     Mutant(
         "linpro: the empty point taken for no point", "lp.py",

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -76,6 +77,31 @@ def test_program_views_match_a_recomputation(drawn):
     assert prog.trivially_infeasible == any(
         all((i, j) not in eligible for i in agents) for j in chores
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs())
+def test_pair_rows_expand_to_the_scaled_fraction_rows(drawn):
+    # Each floor is agent i's Fraction floor over its variables times the
+    # least multiple making her whole row of values and t_i integers, and each
+    # cover is 1 on its chore's variables; only nonzero entries are pairs.
+    inst, c, refs = drawn
+    prog = lp.build_program(inst, c, refs)
+    sf = lp._standard_form(prog)
+    assert sf.num_vars == len(prog.variables)
+    expected = []
+    for i, (row, t) in enumerate(zip(inst.values, prog.thresholds)):
+        scale = lcm(*(v.denominator for v in row), t.denominator)
+        expected.append(([row[j] * scale if a == i else 0 for a, j in prog.variables], t * scale, "ge"))
+    expected += [([int(b == j) for _, b in prog.variables], 1, "eq") for j in range(inst.m)]
+    expanded = []
+    for pairs, rhs, sense in sf.rows:
+        assert all(a for _, a in pairs) and len({k for k, _ in pairs}) == len(pairs)
+        dense = [0] * sf.num_vars
+        for k, a in pairs:
+            dense[k] = a
+        expanded.append((dense, rhs, sense))
+    assert expanded == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,6 +304,30 @@ def test_linpro_solves_each_threshold_once(table1, table2, monkeypatch):
     assert len(solved) == 1
 
 
+def test_linpro_computes_its_loads_once(table1, table2, monkeypatch):
+    # One ranked-load table per linpro call: its certificates, each
+    # simplex-decided probe's program and the final program all read it,
+    # and each program is the one build_program makes on its own.
+    loads, build = lp._loads, lp.build_program
+    computed, built = [], []
+
+    def building(inst, c, refs, **table):
+        built.append((c, build(inst, c, refs, **table)))
+        return built[-1][1]
+
+    monkeypatch.setattr(lp, "_loads", lambda inst, refs: computed.append(refs) or loads(inst, refs))
+    monkeypatch.setattr(lp, "build_program", building)
+    for inst in [table1, table2, *quick_instances(seeds=2)]:
+        computed.clear()
+        built.clear()
+        result = lp.linpro(inst, F(1, 100))
+        assert computed == [result.references]
+        assert built[-1] == (result.c_final, result.program)
+        assert all(prog == build(inst, c, result.references) for c, prog in built)
+        if inst is table2:  # its probes below 4/3 are decided by the simplex
+            assert len(built) > 1
+
+
 def test_linpro_table2(table2):
     result = lp.linpro(table2, F(1, 100))
     assert result.c_final == F(683, 512)  # just above the 4/3 optimum
@@ -319,7 +369,7 @@ def test_certificate_uses_eligible_pairs_and_clears_every_floor(drawn):
     inst, c, refs = drawn
     prog = lp.build_program(inst, c, refs)
     loads, scale = lp._loads(inst, refs)
-    alloc = lp._certificate(lp._by_load(loads), inst.n, c.numerator * scale // c.denominator)
+    alloc = lp._certificate(lp._by_load(loads, scale)[0], inst.n, c.numerator * scale // c.denominator)
     if alloc is None:
         return
     assert all((i, j) in prog.variables for j, i in enumerate(alloc.owner))

@@ -59,6 +59,6 @@ def test_integer_probe_matches_program_reference(drawn):
     assert scale > 0
     assert lp.build_program(inst, c, refs).variables == reference.eligible_pairs(inst, c, refs)
     top = c.numerator * scale // c.denominator
-    assert lp._certificate(lp._by_load(loads), inst.n, top) == reference._certificate(
+    assert lp._certificate(lp._by_load(loads, scale)[0], inst.n, top) == reference._certificate(
         inst, c, refs, reference._loads(inst, refs)
     )

@@ -5,16 +5,17 @@ import pytest
 from choreshare import Unbounded
 from choreshare.model import integer_row
 from choreshare.simplex import StandardForm, feasible_basic_point, minimize
+from fraction_simplex import sparse_rows
 
 F = Fraction
 
 
 def _form(num_vars, rows):
-    """The rational rows, each scaled to integers as the simplex takes them."""
+    """The rational rows, each scaled to integers and given as pairs, as the simplex takes them."""
     sf = StandardForm(num_vars=num_vars)
     for coeffs, rhs, sense in rows:
         ints, _ = integer_row([*map(F, coeffs), F(rhs)])
-        sf.add(ints[:-1], ints[-1], sense)
+        sf.add(*sparse_rows([(ints[:-1], ints[-1], sense)])[0])
     return sf
 
 
@@ -101,17 +102,27 @@ def test_determinism():
 
 def test_rejects_bad_rows():
     sf = StandardForm(num_vars=2)
+    for out_of_range in ([(2, 1)], [(-1, 1)], [(0, 1), (2, 0)]):
+        with pytest.raises(ValueError):
+            sf.add(out_of_range, 0, "eq")
     with pytest.raises(ValueError):
-        sf.add([1], 0, "eq")
+        sf.add([(0, 1), (1, 1), (0, 2)], 0, "eq")  # variable 0 repeated
     with pytest.raises(ValueError):
-        sf.add([1, 1], 0, "le")
+        sf.add([(0, 1), (1, 1)], 0, "le")
     with pytest.raises(ValueError):
         minimize(_form(2, []), [1])
     # A rational entry would be floored by the integer pivots: refused.
     with pytest.raises(TypeError):
-        sf.add([F(1, 2), 1], 0, "eq")
+        sf.add([(0, F(1, 2)), (1, 1)], 0, "eq")
     with pytest.raises(TypeError):
-        sf.add([1, 1], F(1, 2), "eq")
+        sf.add([(0, 1), (1, 1)], F(1, 2), "eq")
     with pytest.raises(TypeError):
         minimize(_form(2, []), [F(1, 2), 1])
     assert sf.rows == []
+
+
+def test_add_keeps_the_nonzero_pairs():
+    sf = StandardForm(num_vars=3)
+    sf.add([(2, -3), (0, 0), (1, 5)], -1, "ge")
+    sf.add([], 0, "eq")
+    assert sf.rows == [(((2, -3), (1, 5)), -1, "ge"), ((), 0, "eq")]

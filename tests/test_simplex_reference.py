@@ -50,7 +50,7 @@ def forms(draw):
     sf = StandardForm(num_vars=num_vars)
     for coeffs, rhs, sense in rows:
         ints, _ = integer_row((*coeffs, rhs))
-        sf.add(ints[:-1], ints[-1], sense)
+        sf.add(*reference.sparse_rows([(ints[:-1], ints[-1], sense)])[0])
     objective, _ = integer_row(draw(st.lists(coeff, min_size=num_vars, max_size=num_vars)))
     return sf, objective
 
@@ -66,32 +66,32 @@ def _minimize(solver, sf, objective):
 # phase-1 vertex.
 TIE_BREAK_FORM = StandardForm(
     num_vars=3,
-    rows=[
+    rows=reference.sparse_rows([
         ((1, 0, 0), 3, "eq"),
         ((-1, 3, 0), -3, "ge"),
         ((1, 0, 0), 3, "eq"),
         ((0, 0, 0), 0, "eq"),
         ((0, 1, 1), 1, "eq"),
-    ],
+    ]),
 )
 
 # Fed ints, a reference that divided rhs / a without turning either into a
 # Fraction took a float ratio here and left basis [1, 0], not [0, 1].
 FLOAT_RATIO_FORM = StandardForm(
     num_vars=4,
-    rows=[((0, -5, 0, 0), -6, "eq"), ((-15, -5, 0, 0), -6, "eq")],
+    rows=reference.sparse_rows([((0, -5, 0, 0), -6, "eq"), ((-15, -5, 0, 0), -6, "eq")]),
 )
 
 
 # Phase 1 ends with x's artificial basic at zero and an entry of -1 for x:
 # the clean-up pivot on a negative entry.
-NEGATIVE_CLEANUP_FORM = StandardForm(num_vars=1, rows=[((-1,), 0, "ge")])
+NEGATIVE_CLEANUP_FORM = StandardForm(num_vars=1, rows=reference.sparse_rows([((-1,), 0, "ge")]))
 
 # The third row is redundant and keeps its artificial through phase 2; the
 # second row's clean-up pivots on a negative entry.
 REDUNDANT_ROW_FORM = StandardForm(
     num_vars=3,
-    rows=[((-1, 1, 2), 0, "eq"), ((0, -1, 0), 0, "eq"), ((0, 0, 0), 0, "eq")],
+    rows=reference.sparse_rows([((-1, 1, 2), 0, "eq"), ((0, -1, 0), 0, "eq"), ((0, 0, 0), 0, "eq")]),
 )
 
 
@@ -163,8 +163,11 @@ def test_final_phase1_row_is_a_certificate(case):
     for (_, rhs, _), home, red in zip(sf.rows, tableau.home, reduced):
         yd = costs[home] * d - red
         y.append(-yd if rhs < 0 else yd)
-    for j in range(sf.num_vars):
-        assert sum(yk * coeffs[j] for yk, (coeffs, _, _) in zip(y, sf.rows)) <= 0
+    ya = [0] * sf.num_vars  # y.A, read from each row's pairs
+    for yk, (coeffs, _, _) in zip(y, sf.rows):
+        for j, a in coeffs:
+            ya[j] += yk * a
+    assert all(x <= 0 for x in ya)
     assert all(yk >= 0 for yk, (_, _, sense) in zip(y, sf.rows) if sense == "ge")
     assert sum(yk * rhs for yk, (_, rhs, _) in zip(y, sf.rows)) > 0
 
