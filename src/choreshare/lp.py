@@ -15,16 +15,18 @@ loads of ``model._loads`` in the one ranked-load table ``_by_load`` that
 ``linpro`` computes; its probes and every program it builds read it.  A
 probe is first offered to a greedy integral assignment on those loads; one
 that passes proves the probe feasible without a program or a simplex solve,
-and one that fails gets the simplex verdict.  The vertex rounded is Bland's
-vertex at the final threshold, its masses and floors checked in integers.
+and one that fails gets the simplex verdict.  The greedy reads a probe only
+through the loads it admits, so it runs once per interval between them.  The
+vertex rounded is Bland's vertex at the final threshold, its masses and floors
+checked in integers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import simplex
 from .algorithms import TraceEvent, wmms_prime
@@ -216,26 +218,35 @@ def _eligible(ranked: list[list[tuple[int, int]]], top: int) -> list[list[tuple[
     return [pairs[: bisect_left(pairs, (top + 1,))] for pairs in ranked]
 
 
-def _certificate(ranked: list[list[tuple[int, int]]], n: int, top: int) -> Allocation | None:
-    """A greedy integral point of the program at ``c``, or None when the greedy misses.
+def _certificate(ranked: list[list[tuple[int, int]]], n: int, top: int) -> int | None:
+    """The largest load G of a greedy point at ``top = floor(c * scale)``; None if a chore has none eligible.
 
-    ``ranked`` is ``_by_load``'s table and ``top = floor(c * scale)``;
-    eligibility comes from ``_eligible``, as in ``build_program``.  Chores go
-    in descending order of their largest eligible load, each to the eligible
-    agent with the least load after taking it (lowest index on ties).  The
-    candidate is returned only if every chore has an eligible owner and every
-    floor holds (``used_i <= top``), so a returned allocation proves the
-    program feasible; None proves nothing.
+    ``ranked`` is ``_by_load``'s table, eligibility ``_eligible``'s, as in
+    ``build_program``.  Chores go in descending order of their largest
+    eligible load, each to the eligible agent with the least load after
+    taking it (lowest index on ties).  ``G <= top``: every floor holds, so
+    the program is feasible.
     """
     prefixes = _eligible(ranked, top)
     if not all(prefixes):
         return None
     used = [0] * n
-    owner = [0] * len(ranked)
     for j in sorted(range(len(ranked)), key=lambda j: -prefixes[j][-1][0]):
         load, i = min([(used[a] + x, a) for x, a in prefixes[j]])
-        owner[j], used[i] = i, load
-    return None if max(used) > top else Allocation(n, tuple(owner))
+        used[i] = load
+    return max(used)
+
+
+def _certifier(ranked: list[list[tuple[int, int]]], n: int) -> Callable[[int], bool]:
+    """``certified(top)``: ``_certificate``'s G <= top, run once per interval of the distinct loads."""
+    cuts, greedy = sorted({x for pairs in ranked for x, _ in pairs}), {}
+
+    def certified(top: int) -> bool:
+        if (k := bisect_right(cuts, top)) not in greedy:
+            greedy[k] = _certificate(ranked, n, top)
+        return greedy[k] is not None and greedy[k] <= top
+
+    return certified
 
 
 def linpro(
@@ -247,9 +258,10 @@ def linpro(
     "upper end feasible" over [1, n] (n is feasible: the largest-share agent
     can absorb everything), kept as integers over ``den = 2^k``, and stops
     once the bracket is within eps/4.  Each probe is certified feasible by
-    ``_certificate`` when it can be, and only otherwise gets a program,
-    decided by ``check_feasible``; both give the same verdict on every probe
-    the certificate accepts.  The vertex rounded is Bland's vertex of the
+    ``_certificate`` when it can be (``_certifier``: once per eligibility
+    interval), and only otherwise gets a program, decided by
+    ``check_feasible``; both give the same verdict on every probe the
+    certificate accepts.  The vertex rounded is Bland's vertex of the
     program at c_final: the last simplex-decided probe's when that probe was
     the last feasible one, else one solve at c_final (c = n when no probe was
     feasible).  The returned allocation gives every agent at least
@@ -263,13 +275,14 @@ def linpro(
         raise ValueError("need at least one agent")
     refs = wmms_prime(inst)
     table = ranked, scale = _by_load(*_loads(inst, refs))
+    certified = _certifier(ranked, inst.n)
     lo, hi, den = 1, inst.n, 1
     iterations = 0
     point = None
     while 4 * (hi - lo) * eps.denominator > eps.numerator * den:
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
         mid = (lo + hi) // 2
-        if _certificate(ranked, inst.n, mid * scale // den) is not None:
+        if certified(mid * scale // den):
             hi, point = mid, None
         elif (found := check_feasible(build_program(inst, Fraction(mid, den), refs, table=table))) is not None:
             hi, point = mid, found

@@ -3,8 +3,8 @@
 Phase 1 (artificial-variable) simplex with Bland's anti-cycling rule is a
 feasibility engine returning basic feasible points (vertices); phase 2 pivots
 out zero artificials and minimizes an objective for the threshold diagnostic.
-Each phase ends with its reduced cost row, whose last entry, ``-d`` times the
-cost, is phase 1's verdict (nonzero: infeasible) and phase 2's optimum.
+Each phase ends with its prices y = ``d·π``, carried across pivots, and ``d``
+times the cost last: phase 1's verdict (nonzero: infeasible), phase 2's optimum.
 Callers give integer rows and an integer objective, and the simplex solves
 exactly that program: phase 1 costs 1 per artificial column.  Rows come as
 nonzero ``(var, coeff)`` pairs, filed straight into the sparse columns that
@@ -53,8 +53,8 @@ class _Tableau:
     The program is the caller's, each row sign-flipped to a nonnegative
     right-hand side, with a surplus column per ">=" row.  A flipped ">=" row
     starts with its surplus (+1) basic, every other row with an artificial
-    that costs 1 in phase 1 and may end it basic at zero: row r's home column
-    ``home[r]``.  ``cols[j]`` lists column j's nonzeros as ``(row, entry)``,
+    that costs 1 in phase 1 and may end it basic at zero: row r's home column.
+    ``cols[j]`` lists column j's nonzeros as ``(row, entry)``,
     filed from the rows' pairs with no dense scan.
     ``rows[r] / den[r]`` is tableau row r at the home columns, ``M_r``, then
     the right-hand side; ``M / den`` is ``B⁻¹``, so row r's entry in column j
@@ -81,7 +81,7 @@ class _Tableau:
             else:
                 self.basis.append(len(self.cols))
                 self.cols.append([(r, 1)])
-        self.width, self.home = len(self.cols), tuple(self.basis)
+        self.width = len(self.cols)
 
     def _column(self, j: int) -> list[int]:
         """Column j's entry in every row, each over its row's denominator."""
@@ -115,21 +115,18 @@ class _Tableau:
     def _optimize(self, costs: list[int], limit: int) -> list[int]:
         """Bland-rule simplex: minimize costs over columns below ``limit``.
 
-        Returns the final reduced cost row at the home columns and the
-        right-hand side, over ``d``; its last entry is ``-d`` times the
-        optimal cost.  Column j prices at ``costs[j] * d - y · A'_j``, where
-        ``y = d·π`` has ``y[r] = costs[home[r]] * d - reduced[r]``.
+        Returns ``y = d·π`` at the home columns and ``d`` times the optimal
+        cost last.  Column j prices at ``costs[j] * d - y · A'_j``; a pivot
+        on a column priced at ``f`` with pivot row ``b`` (over the new ``d'``)
+        turns y into ``(y * d' + f * b) // d``, exactly.
         """
         rows, basis, cols, d = self.rows, self.basis, self.cols, self.d
-        home_costs = [costs[h] for h in self.home]
-        reduced = [c * d for c in home_costs] + [0]
+        y = [0] * (len(rows) + 1)
         for r, b in enumerate(basis):
-            cb = costs[b]
-            if cb != 0:
-                reduced = [x - cb * a * d // self.den[r] for x, a in zip(reduced, rows[r])]
+            if cb := costs[b]:
+                y = [x + cb * a * d // self.den[r] for x, a in zip(y, rows[r])]
         while True:
             d = self.d
-            y = [c * d - x for c, x in zip(home_costs, reduced)]
             for entering in range(limit):
                 f = costs[entering] * d
                 for k, a in cols[entering]:
@@ -137,7 +134,7 @@ class _Tableau:
                 if f < 0:
                     break
             else:
-                return reduced
+                return y
             column = self._column(entering)
             leaving = -1
             for r, (a, row) in enumerate(zip(column, rows)):
@@ -151,19 +148,19 @@ class _Tableau:
             if leaving < 0:
                 raise Unbounded("objective unbounded below")
             pivot_row = self._pivot(leaving, entering, column)
-            reduced = [(x * self.d - f * b) // d for x, b in zip(reduced, pivot_row)]
+            y = [(x * self.d + f * b) // d for x, b in zip(y, pivot_row)]
 
     def phase1(self) -> bool:
         """Drive artificials to zero; False means the constraints are infeasible.
 
-        The verdict is the final reduced row's last entry, ``-d`` times the sum
-        of the artificials.  Artificials basic at zero stay basic, for phase 2.
+        The verdict is y's last entry, ``d`` times the sum of the artificials.
+        Artificials basic at zero stay basic, for phase 2.
         """
         costs = [0] * self.artificial_start + [1] * (self.width - self.artificial_start)
         return not self._optimize(costs, self.width)[-1]
 
     def phase2(self, objective: Sequence[int]) -> Fraction:
-        """Minimize ``objective`` from phase 1's vertex; returns the optimum, ``-reduced[-1] / d``.
+        """Minimize ``objective`` from phase 1's vertex; returns the optimum, ``y[-1] / d``.
 
         First, rows in reversed order, each artificial basic at zero is
         pivoted out on its row's first nonzero non-artificial entry ``M_r ·
@@ -182,7 +179,7 @@ class _Tableau:
                     self.rows[r] = [-a for a in row]
                 self._pivot(r, col, self._column(col))
         costs = [*objective] + [0] * (self.width - len(objective))
-        return Fraction(-self._optimize(costs, self.artificial_start)[-1], self.d)
+        return Fraction(self._optimize(costs, self.artificial_start)[-1], self.d)
 
     def point(self) -> list[Fraction]:
         x = [Fraction(0)] * self.n_struct
@@ -201,7 +198,7 @@ def feasible_basic_point(sf: StandardForm) -> list[Fraction] | None:
 def minimize(sf: StandardForm, objective: Sequence[int]) -> tuple[Fraction, list[Fraction]] | None:
     """Minimize an integer objective; returns (optimal value, optimal vertex).
 
-    The value is phase 2's optimum, read off its final reduced row.  Returns
+    The value is phase 2's optimum, read off its final prices y.  Returns
     None when infeasible; raises Unbounded when no minimum exists, and
     TypeError for an objective entry that is not an integer.
     """

@@ -5,8 +5,9 @@ were before probes were decided on integer loads, with eligibility decided
 by the Fraction rule ``V_ij >= c * r_i`` (``eligible_pairs``) instead of
 ``lp._eligible``, and every floor checked as the exact Fraction
 ``bundle_value >= c * r_i``.  The differential tests require the program's
-variables to be ``eligible_pairs`` and the integer certificate to return the
-same allocation, or None where this one does.
+variables to be ``eligible_pairs``, and the integer certificate's largest
+load to clear the top exactly where this one returns an allocation, and then
+to be that allocation's largest integer load.
 """
 
 from __future__ import annotations

@@ -228,20 +228,25 @@ MUTANTS = [
     ),
     # the exact simplex
     Mutant(
-        "simplex: phase 1's verdict as > 0", "simplex.py",
+        "simplex: phase 1's verdict as < 0", "simplex.py",
         "return not self._optimize(costs, self.width)[-1]",
-        "return not self._optimize(costs, self.width)[-1] > 0",
+        "return not self._optimize(costs, self.width)[-1] < 0",
         (SIMPLEX + "test_contradictory_equalities",),
     ),
     Mutant(
         "simplex: phase 2's optimum with its sign flipped", "simplex.py",
-        "Fraction(-self._optimize(", "Fraction(self._optimize(",
+        "Fraction(self._optimize(", "Fraction(-self._optimize(",
         (SIMPLEX + "test_minimize_simple",),
     ),
     Mutant(
-        "simplex: the reduced row divided by p instead of d", "simplex.py",
-        "// d for x, b in zip(reduced, pivot_row)", "// p for x, b in zip(reduced, pivot_row)",
+        "simplex: y divided by the new d instead of the old", "simplex.py",
+        "// d for x, b in zip(y, pivot_row)", "// self.d for x, b in zip(y, pivot_row)",
         (SIMPLEX + "test_beale_cycling_example_terminates_at_optimum",),
+    ),
+    Mutant(
+        "simplex: y updated with the pivot row subtracted", "simplex.py",
+        "(x * self.d + f * b) // d", "(x * self.d - f * b) // d",
+        (SIMPLEX_REF + "test_same_vertex_and_optimum_as_reference",),
     ),
     Mutant(
         "simplex: clean-up without the negation", "simplex.py",
@@ -297,7 +302,7 @@ MUTANTS = [
                 if f < 0:
                     break
             else:
-                return reduced
+                return y
 """,
         """            priced = []
             for j in range(limit):
@@ -307,7 +312,7 @@ MUTANTS = [
                 if g < 0:
                     priced.append((j, g))
             if not priced:
-                return reduced
+                return y
             entering, f = priced[-1]
 """,
         (SIMPLEX_REF + "test_same_bases_as_reference",),
@@ -320,8 +325,23 @@ MUTANTS = [
     ),
     Mutant(
         "_certificate: floor check loosened by one", "lp.py",
-        "return None if max(used) > top else", "return None if max(used) > top + 1 else",
+        "return max(used)", "return max(used) - 1",
         (LP + "test_certificate_uses_eligible_pairs_and_clears_every_floor",),
+    ),
+    Mutant(
+        "_certifier: intervals keyed by bisect_left", "lp.py",
+        "bisect_right(cuts, top)", "bisect_left(cuts, top)",
+        (LP + "test_interval_keyed_verdict_is_a_fresh_certificate",),
+    ),
+    Mutant(
+        "_certifier: G equal to top refused", "lp.py",
+        "greedy[k] <= top", "greedy[k] < top",
+        (LP + "test_interval_keyed_verdict_is_a_fresh_certificate",),
+    ),
+    Mutant(
+        "_certifier: the greedy's result stored under k - 1", "lp.py",
+        "greedy[k] = _certificate(", "greedy[k - 1] = _certificate(",
+        (LP + "test_interval_keyed_verdict_is_a_fresh_certificate",),
     ),
     Mutant(
         "_certificate: chores by their smallest eligible load", "lp.py",
@@ -342,8 +362,8 @@ MUTANTS = [
     ),
     Mutant(
         "linpro: a probe's top rounded up", "lp.py",
-        "_certificate(ranked, inst.n, mid * scale // den)",
-        "_certificate(ranked, inst.n, -(-mid * scale // den))",
+        "certified(mid * scale // den)",
+        "certified(-(-mid * scale // den))",
         (LP + "test_linpro_table2",),
     ),
     # LP points as dicts, checked in integers

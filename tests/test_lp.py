@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from unittest import mock
@@ -366,16 +367,70 @@ def test_linpro_raises_when_the_certified_final_probe_is_infeasible(table1, monk
 # Agent 0 may not take chore 0: its load is None.
 @example((cs.Instance((HALF, HALF), ((F(-1), F(0)), (-HALF, -HALF))), F(1), (F(0), F(-1))))
 def test_certificate_uses_eligible_pairs_and_clears_every_floor(drawn):
+    # G is None exactly when some chore has no eligible pair in the program,
+    # and G <= top, every floor cleared, proves the program feasible.
     inst, c, refs = drawn
     prog = lp.build_program(inst, c, refs)
     loads, scale = lp._loads(inst, refs)
-    alloc = lp._certificate(lp._by_load(loads, scale)[0], inst.n, c.numerator * scale // c.denominator)
-    if alloc is None:
-        return
-    assert all((i, j) in prog.variables for j, i in enumerate(alloc.owner))
-    for i, bundle in enumerate(alloc.bundles()):
-        assert cs.bundle_value(inst, i, bundle) >= prog.thresholds[i]
-    assert lp.check_feasible(prog) is not None
+    top = c.numerator * scale // c.denominator
+    largest = lp._certificate(lp._by_load(loads, scale)[0], inst.n, top)
+    assert (largest is None) == prog.trivially_infeasible
+    if largest is not None and largest <= top:
+        assert lp.check_feasible(prog) is not None
+
+
+def _fresh_verdict(ranked, n, top):
+    largest = lp._certificate(ranked, n, top)
+    return largest is not None and largest <= top
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs(), st.randoms(use_true_random=False))
+@example((cs.Instance((F(1),), ((-HALF,),)), F(1), (F(-1),)), None)  # G is the one load, top
+# At the smaller load each chore has one eligible agent, and G is that load.
+@example((cs.Instance((HALF, HALF), ((-HALF, F(-1)), (F(-1), -HALF))), F(1), (F(-1), F(-1))), None)
+def test_interval_keyed_verdict_is_a_fresh_certificate(drawn, rng):
+    # Around every distinct load x, and at 0, in ascending, descending and a
+    # drawn order, the certifier's verdict (one greedy run per interval
+    # between consecutive loads) is the verdict of a greedy run at that top.
+    inst, _, refs = drawn
+    ranked, scale = lp._by_load(*lp._loads(inst, refs))
+    tops = sorted({0} | {x + dx for pairs in ranked for x, _ in pairs for dx in (-1, 0, 1)})
+    shuffled = list(tops)
+    if rng is not None:
+        rng.shuffle(shuffled)
+    for order in (tops, tops[::-1], shuffled):
+        certified = lp._certifier(ranked, inst.n)
+        assert [certified(top) for top in order] == [_fresh_verdict(ranked, inst.n, top) for top in order]
+
+
+def test_linpro_runs_the_greedy_once_per_eligibility_interval(table1, table2, monkeypatch):
+    # linpro's probe tops are replayed from its bracket: a probe is feasible
+    # iff it is at least c_final.  The greedy runs at the first probe of each
+    # interval between consecutive distinct loads, and at no other.
+    certificate, calls = lp._certificate, []
+
+    def recorded(ranked, n, top):
+        calls.append(top)
+        return certificate(ranked, n, top)
+
+    monkeypatch.setattr(lp, "_certificate", recorded)
+    fewer = 0
+    for inst in [table1, table2, *quick_instances()]:
+        calls.clear()
+        result = lp.linpro(inst, F(1, 100))
+        ranked, scale = lp._by_load(*lp._loads(inst, result.references))
+        cuts = sorted({x for pairs in ranked for x, _ in pairs})
+        lo, hi, den, firsts = 1, inst.n, 1, {}
+        for _ in range(result.iterations):
+            lo, hi, den = 2 * lo, 2 * hi, 2 * den
+            mid = (lo + hi) // 2
+            firsts.setdefault(bisect_right(cuts, mid * scale // den), mid * scale // den)
+            lo, hi = (lo, mid) if F(mid, den) >= result.c_final else (mid, hi)
+        assert (F(lo, den), F(hi, den)) == (result.lower, result.c_final)
+        assert calls == list(firsts.values())
+        fewer += len(calls) < result.iterations
+    assert fewer > 0
 
 
 @st.composite

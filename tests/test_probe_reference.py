@@ -5,7 +5,9 @@
 ranks); the reference (``fraction_probes``) decides both as Fractions,
 ``V_ij >= c * r_i``.  For every drawn instance, threshold and
 references, zero references included, ``build_program`` must select the
-reference's eligible pairs and both must certify the same allocation.
+reference's eligible pairs, and ``_certificate``'s largest load G must be at
+most the top exactly when the reference certifies, and then be the largest
+integer load of the reference's allocation.
 """
 
 from fractions import Fraction
@@ -40,6 +42,7 @@ def probes(draw):
 
 
 HALVES = ((F(-1, 2), F(-1, 2)),) * 2
+TIED = ((F(-1, 2), F(-1, 2), F(-1)), (F(-1), F(-1), F(-1, 2)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -48,6 +51,8 @@ HALVES = ((F(-1, 2), F(-1, 2)),) * 2
 @example((cs.Instance((F(1, 2),) * 2, ((F(0), F(-1)), (F(-1), F(0)))), F(1), (F(0), F(0))))
 @example((cs.Instance((F(1, 2),) * 2, HALVES), F(2), (F(-1), F(-1))))  # equal loads: lowest index
 @example((cs.Instance((F(1, 2),) * 2, HALVES), F(1, 2), (F(-1), F(-1))))  # c * scale is a load
+# The tie on chore 1 goes to agent 0; to agent 1, G would be 3/2, above the top.
+@example((cs.Instance((F(1, 2),) * 2, TIED), F(1), (F(-1), F(-1))))
 @example((cs.Instance((F(1, 2),) * 2, ((F(0), F(-1)), (F(-1), F(0)))), F(0), (F(-1), F(-1))))
 # A positive value is a negative load: a floor passed midway holds at the end.
 @example((cs.Instance((F(1),), ((F(-1), F(-1, 2), F(1, 2)),)), F(1), (F(-1),)))
@@ -59,6 +64,10 @@ def test_integer_probe_matches_program_reference(drawn):
     assert scale > 0
     assert lp.build_program(inst, c, refs).variables == reference.eligible_pairs(inst, c, refs)
     top = c.numerator * scale // c.denominator
-    assert lp._certificate(lp._by_load(loads, scale)[0], inst.n, top) == reference._certificate(
-        inst, c, refs, reference._loads(inst, refs)
-    )
+    largest = lp._certificate(lp._by_load(loads, scale)[0], inst.n, top)
+    alloc = reference._certificate(inst, c, refs, reference._loads(inst, refs))
+    if alloc is None:
+        assert largest is None or largest > top
+    else:  # the same greedy allocation, its largest integer load at most top
+        assert largest == max(sum(loads[i][j] for j in bundle) for i, bundle in enumerate(alloc.bundles()))
+        assert largest <= top

@@ -145,24 +145,20 @@ def _paper_probe(k, c):
 @example((_paper_probe(1, F(9, 10)), None))
 @example((_paper_probe(2, F(6, 5)), None))
 def test_final_phase1_row_is_a_certificate(case):
-    # The final phase-1 reduced row, over d, at the home columns and the
-    # right-hand side, holds the verdict in its last entry and, on an
-    # infeasible form, a Farkas vector y for the caller's rows: y.A <= 0 on
-    # every variable, y >= 0 on each ">=" row, y.b > 0.
+    # Phase 1 ends with y = d·π at the home columns and d times the sum of the
+    # artificials last: that entry is the verdict and, on an infeasible form,
+    # y with the caller's row signs restored is a Farkas vector for its rows:
+    # y.A <= 0 on every variable, y >= 0 on each ">=" row, y.b > 0.
     sf, _ = case
     tableau = simplex._Tableau(sf)
     costs = [0] * tableau.artificial_start + [1] * (tableau.width - tableau.artificial_start)
-    reduced = tableau._optimize(costs, tableau.width)
-    assert len(reduced) == len(sf.rows) + 1
+    prices = tableau._optimize(costs, tableau.width)
+    assert len(prices) == len(sf.rows) + 1
     feasible = simplex._Tableau(sf).phase1()
-    assert (reduced[-1] == 0) == feasible
+    assert (prices[-1] == 0) == feasible
     if feasible:
         return
-    d = tableau.d
-    y = []  # y_k * d
-    for (_, rhs, _), home, red in zip(sf.rows, tableau.home, reduced):
-        yd = costs[home] * d - red
-        y.append(-yd if rhs < 0 else yd)
+    y = [-yd if rhs < 0 else yd for (_, rhs, _), yd in zip(sf.rows, prices)]  # y_k * d
     ya = [0] * sf.num_vars  # y.A, read from each row's pairs
     for yk, (coeffs, _, _) in zip(y, sf.rows):
         for j, a in coeffs:
@@ -181,8 +177,8 @@ def test_phase1_stops_at_its_optimum(case):
     sf, _ = case
     tableau, optimized = simplex._Tableau(sf), simplex._Tableau(sf)
     costs = [0] * optimized.artificial_start + [1] * (optimized.width - optimized.artificial_start)
-    reduced = optimized._optimize(costs, optimized.width)
-    assert tableau.phase1() == (not reduced[-1])
+    prices = optimized._optimize(costs, optimized.width)
+    assert tableau.phase1() == (not prices[-1])
     assert (tableau.rows, tableau.den, tableau.d, tableau.basis) == (
         optimized.rows, optimized.den, optimized.d, optimized.basis)
 
